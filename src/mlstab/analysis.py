@@ -115,13 +115,16 @@ def p_at_checkpoints(traj: Trajectory, checkpoints, m: int = 5,
                      index_offset: int = 0) -> list[tuple[float, float]]:
     """p at exact grid checkpoints t (requires t/h integral within rounding).
 
+    A window touching a zero-norm state gives p = nan and one warning for the
+    call (p_index skips such samples the same way).
+
     index_offset shifts the sample index relative to the checkpoint label;
     the published reference grids this package reproduces were sampled one
     index early (offset -1), which changes p by about alpha*h/t.
     """
-    t = traj.times
     norms = traj.norms()
     out = []
+    skipped = 0
     for tc in checkpoints:
         n = int(round(tc / traj.h))
         if abs(n * traj.h - tc) > 1e-9 * max(tc, 1.0):
@@ -129,8 +132,13 @@ def p_at_checkpoints(traj: Trajectory, checkpoints, m: int = 5,
         i = n + index_offset
         if not (1 <= i and i + m < len(norms)):
             raise ValueError(f"checkpoint {tc} outside the computed range")
-        p = -math.log(norms[i + m] / norms[i]) / math.log((n + m) / n)
-        out.append((tc, p))
+        zero = not (norms[i] > 0.0 and norms[i + m] > 0.0)
+        skipped += zero
+        out.append((tc, math.nan if zero else
+                    -math.log(norms[i + m] / norms[i]) / math.log((n + m) / n)))
+    if skipped:
+        warnings.warn(f"{skipped} checkpoints hit zero-norm samples; p is nan there",
+                      stacklevel=2)
     return out
 
 

@@ -262,6 +262,19 @@ def _load_config(path: str) -> dict:
     return out
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, raw: str):
+    """A config-file string converted the way its flag converts it (exit 2 if bad)."""
+    try:
+        if isinstance(action, argparse.BooleanOptionalAction):
+            return _BOOLEANS[raw.lower()]  # true/false/yes/no/1/0
+        return action.type(raw) if action.type else raw
+    except (KeyError, ValueError, argparse.ArgumentTypeError):
+        parser.error(f"bad config value {action.dest} = {raw!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mlstab",
@@ -331,8 +344,8 @@ def main(argv=None) -> int:
             typed = {}
             for sub_action in action._actions:  # noqa: SLF001
                 if sub_action.dest in defaults:
-                    raw = defaults[sub_action.dest]
-                    typed[sub_action.dest] = sub_action.type(raw) if sub_action.type else raw
+                    typed[sub_action.dest] = _config_value(parser, sub_action,
+                                                           defaults[sub_action.dest])
                     sub_action.required = False  # the config supplies it
             if typed:
                 action.set_defaults(**typed)

@@ -10,7 +10,9 @@ resolvents E_alpha(t^alpha A) and t^(alpha-1) E_{alpha,alpha}(t^alpha A).
 They are extracted here by impulse responses (one matrix-valued homogeneous
 run and one run forced by a unit impulse at step 1), which is equivalent to
 their contour-integral definition at the sequence level and numerically
-robust.
+robust.  Both runs go through the solver's stepping core with (d, d) states,
+so a resolvent steps exactly like a trajectory, with the same factored-once
+step matrix; they share one weight table and carry no blow-up guard.
 
 For the alpha-difference scheme the Poisson transform links the discrete and
 continuous resolvents directly:
@@ -34,6 +36,7 @@ from scipy import integrate
 from scipy.special import gammaln
 
 from . import weights as wt
+from .solver import _default_form, _run
 from .special import mittag_leffler
 
 __all__ = [
@@ -74,66 +77,26 @@ class ResolventSequence:
         return self.h * np.arange(self.n_max + 1)
 
 
-def _linear_forced_run(scheme_id: str, A: np.ndarray, alpha: float, h: float,
-                       N: int, Y0: np.ndarray, impulse_step: int | None) -> np.ndarray:
-    """Matrix-valued linear run with optional unit-impulse forcing.
-
-    Steps the scheme's own formulation (integral form for the F-LMMs,
-    differential form for L1) with matrix states, so all basis columns are
-    advanced at once.
-    """
-    d = A.shape[0]
-    ha = h ** alpha
-    eye = np.eye(d, dtype=complex)
-    w = wt.scheme_weights(scheme_id, alpha, N + 1)
-    Y = np.empty((N + 1, d, d), dtype=complex)
-    Y[0] = Y0
-    if scheme_id == wt.L1:
-        mu = w.mu
-        M = mu[0] * eye - ha * A
-        Minv = np.linalg.inv(M)
-        W = np.zeros((N + 1, d, d), dtype=complex)  # Y_j - Y_0
-        for n in range(1, N + 1):
-            hist = np.tensordot(mu[1:n + 1][::-1], W[0:n], axes=(0, 0))
-            rhs = mu[0] * Y0 - hist
-            if impulse_step is not None and n == impulse_step:
-                rhs = rhs + ha * eye
-            Y[n] = Minv @ rhs
-            W[n] = Y[n] - Y0
-    else:
-        omega = w.omega
-        M = eye - ha * omega[0] * A
-        Minv = np.linalg.inv(M)
-        G = np.zeros((N + 1, d, d), dtype=complex)  # A Y_j + impulse_j
-        for n in range(1, N + 1):
-            hist = (np.tensordot(omega[1:n][::-1], G[1:n], axes=(0, 0))
-                    if n > 1 else np.zeros((d, d), dtype=complex))
-            rhs = Y0 + ha * hist
-            if impulse_step is not None and n == impulse_step:
-                rhs = rhs + ha * omega[0] * eye
-            Y[n] = Minv @ rhs
-            G[n] = A @ Y[n]
-            if impulse_step is not None and n == impulse_step:
-                G[n] += eye
-    return Y
-
-
 def impulse_resolvent(scheme_id: str, A, alpha: float, h: float, n_max: int) -> ResolventSequence:
     """Extract (d_n, D_n) for an F-LMM or L1 scheme by impulse responses.
 
     Column i of d_n is the homogeneous solve started from the basis vector
     e_i; column i of D_m is y_{m+1} of the solve with y_0 = 0 and forcing
-    f_k = delta_{k,1} e_i.  By construction d_0 = I.
+    f_k = delta_{k,1} e_i.  By construction d_0 = I.  Both runs step all
+    basis columns at once as matrix states through the solver's core, in the
+    scheme's own formulation (integral form for the F-LMMs, differential form
+    for L1); a singular step matrix raises SingularStepError.
     """
     scheme_id = scheme_id.replace("-", "_").lower()
     if scheme_id not in (wt.FBDF1, wt.FBDF2, wt.FADAMS2, wt.L1):
         raise ValueError(f"impulse_resolvent supports the F-LMM/L1 schemes, not {scheme_id!r}")
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     d = A.shape[0]
-    eye = np.eye(d, dtype=complex)
-    dn = _linear_forced_run(scheme_id, A, alpha, h, n_max, eye, None)
-    forced = _linear_forced_run(scheme_id, A, alpha, h, n_max + 1,
-                                np.zeros((d, d), dtype=complex), 1)
+    kind = _default_form(scheme_id)
+    w = wt.scheme_weights(scheme_id, alpha, n_max + 2)
+    dn, _ = _run(kind, w, A, alpha, h, n_max, np.eye(d, dtype=complex))
+    forced, _ = _run(kind, w, A, alpha, h, n_max + 1,
+                     np.zeros((d, d), dtype=complex), impulse=True)
     return ResolventSequence(scheme_id, alpha, h, n_max, dn, forced[1:])
 
 

@@ -1,18 +1,22 @@
 """Time-stepping engine for semi-linear Caputo fractional ODEs.
 
 Advances D^alpha y = A y + f(t, y), y(0) = y0, on the uniform grid t_n = n h.
-Two equivalent formulations are implemented for the convolution schemes:
+One core (`_run`) steps every scheme; its three formulations differ only in
+the weights, the initial-value term and what the history H_j stores:
 
-* integral form   y_n = y_0 + h^alpha sum_{j=1}^{n} omega_{n-j} (A y_j + f_j)
-* differential    sum_{j=0}^{n} mu_j (y_{n-j} - y_0) = h^alpha (A y_n + f_n)
+* integral form     y_n = y_0 + h^alpha sum_{j=1}^{n} omega_{n-j} H_j, H_j = A y_j + f_j
+* differential      sum_{j=0}^{n} mu_j H_{n-j} = h^alpha (A y_n + f_n), H_j = y_j - y_0
+* alpha-difference  sum_{j=0}^{n} mu_j H_{n-j} = h^alpha (A y_n + f_n), H_j = y_j
+                    (the "poisson" variant seeds H_0 = z_0, see solve_alpha_diff)
 
-with omega the convolution inverse of mu; both give the same trajectory up to
-rounding.  Every step solves a linear system with the constant matrix
-(c0 I - h^alpha w A); its LU factorization is computed once per run.  The
-nonlinear part is handled by Newton iteration with a finite-difference
-Jacobian and a damped fixed-point fallback.  History sums are direct O(N^2)
-convolutions evaluated with BLAS dot products; N up to ~2e5 is the supported
-desk scale.
+with omega the convolution inverse of mu; the first two give the same
+trajectory up to rounding.  Every step solves a linear system with the
+constant matrix M = c0 I - h^alpha w A, whose inverse is formed once per run
+from its LU factorization.  The nonlinear part is handled by Newton iteration
+with a finite-difference Jacobian and a damped fixed-point fallback.  History
+sums are direct O(N^2) convolutions, one BLAS product per step; N up to ~2e5
+is the supported desk scale.  The same core steps the (d, d) matrix states of
+the impulse resolvents (resolvent.impulse_resolvent).
 
 All schemes are self-starting and no initial-layer correction terms are used;
 the focus is long-time behavior, not accuracy near t = 0.
@@ -98,6 +102,9 @@ class FOdeProblem:
         self.y0 = np.atleast_1d(np.asarray(self.y0, dtype=complex))
         if self.y0.shape != (self.A.shape[0],):
             raise ValueError("y0 must match the dimension of A")
+        for name in ("A", "y0"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite (no NaN or inf entries)")
         if self.f is not None:
             fz = np.asarray(self.f(0.0, np.zeros(self.dim, dtype=complex)))
             if fz.shape != (self.dim,):
@@ -141,9 +148,10 @@ class Trajectory:
 class _ImplicitStep:
     """Solves M y = rhs + cf * f(t, y) with constant M, factored once.
 
-    M = c0 I - h^alpha w A folds the linear part exactly; Newton handles f
-    with a forward-difference Jacobian (relative step 1e-7), falling back to
-    a damped fixed-point iteration if Newton stalls.
+    M = c0 I - h^alpha w A folds the linear part exactly; its inverse is
+    formed once from the LU factors and serves every linear solve.  Newton
+    handles f with a forward-difference Jacobian (relative step 1e-7),
+    falling back to a damped fixed-point iteration if Newton stalls.
     """
 
     def __init__(self, M: np.ndarray, cf: float,
@@ -154,14 +162,14 @@ class _ImplicitStep:
         self.dim = dim
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # we detect singularity below
-            self.lu = lu_factor(M)
-        if not np.all(np.isfinite(self.lu[0])) or np.min(
-                np.abs(np.diag(self.lu[0]))) == 0.0:
+            lu = lu_factor(M)
+        if not np.all(np.isfinite(lu[0])) or np.min(np.abs(np.diag(lu[0]))) == 0.0:
             raise SingularStepError("singular implicit step matrix")
+        self.Minv = lu_solve(lu, np.eye(dim, dtype=complex))
 
     def advance(self, rhs: np.ndarray, t: float, guess: np.ndarray, step: int) -> np.ndarray:
         if self.f is None:
-            return lu_solve(self.lu, rhs)
+            return self.Minv @ rhs
         y = guess.copy()
         for _ in range(_NEWTON_MAXIT):
             fy = np.asarray(self.f(t, y))
@@ -188,19 +196,94 @@ class _ImplicitStep:
     def _fixed_point(self, rhs: np.ndarray, t: float, y: np.ndarray, step: int) -> np.ndarray:
         damping = 0.5
         for _ in range(400):
-            y_new = lu_solve(self.lu, rhs + self.cf * np.asarray(self.f(t, y)))
+            y_new = self.Minv @ (rhs + self.cf * np.asarray(self.f(t, y)))
             y_next = damping * y_new + (1.0 - damping) * y
             if np.linalg.norm(y_next - y) <= _NEWTON_ATOL + _NEWTON_RTOL * np.linalg.norm(y_next):
                 # one undamped polish so the step equation itself is tight
-                return lu_solve(self.lu, rhs + self.cf * np.asarray(self.f(t, y_next)))
+                return self.Minv @ (rhs + self.cf * np.asarray(self.f(t, y_next)))
             y = y_next
         raise NonConvergenceError(f"implicit solve did not converge at step {step}", step)
 
 
-def _truncate(states: np.ndarray, n: int, h: float, scheme_id: str,
-              alpha: float) -> Trajectory:
-    warnings.warn(f"blow-up guard triggered at step {n}; trajectory truncated", stacklevel=3)
-    return Trajectory(h, states[: n + 1].copy(), scheme_id, alpha, truncated_at=n)
+_INTEGRAL, _DIFFERENTIAL, _ALPHA_DIFF = "integral", "differential", "alpha_diff"
+
+
+def _default_form(scheme_id: str) -> str:
+    """The formulation a scheme runs in unless asked otherwise."""
+    return _DIFFERENTIAL if scheme_id == wt.L1 else _INTEGRAL
+
+
+def _run(kind: str, w: wt.SchemeWeights, A: np.ndarray, alpha: float, h: float,
+         N: int, Y0: np.ndarray, f: Callable | None = None,
+         kern: np.ndarray | None = None, impulse: bool = False,
+         guard: float | None = None) -> tuple[np.ndarray, int | None]:
+    """The stepping core shared by every scheme and by the impulse resolvents.
+
+    Step n solves M Y_n = iv_n + s sum_{j=0}^{n-1} c_{n-j} H_j + cf F_n for
+    states Y of shape (d,) or (d, d).  F_n = f(t_n, Y_n), or for impulse runs
+    (f None) the unit impulse F_1 = I and F_n = 0 after.  With ha = h^alpha:
+
+      kind          c      M              cf       s    iv_n   H_j, j >= 1   H_0
+      integral      omega  I - ha c_0 A   ha c_0   ha   Y0     A Y_j + F_j   0
+      differential  mu     c_0 I - ha A   ha       -1   c_0 Y0 Y_j - Y0      0
+      alpha_diff    mu     c_0 I - ha A   ha       -1   0      Y_j           Y0
+
+    Given kern (the alpha-difference "poisson" variant), iv_n = kern_n Y0 and
+    H_0 = z_0 = M^{-1} (Y0 + ha f(0, Y0)).  Returns the states and the step
+    at which ||Y_n|| first exceeds guard (the states end there), else None.
+    """
+    integral = kind == _INTEGRAL
+    c = w.omega if integral else w.mu
+    ha = h ** alpha
+    d = A.shape[0]
+    eye = np.eye(d, dtype=complex)
+    cf = ha * c[0] if integral else ha
+    M = eye - cf * A if integral else c[0] * eye - ha * A
+    step = _ImplicitStep(M, cf, f, d)
+    s = ha if integral else -1.0
+    ivc = kern if kern is not None else np.full(
+        N + 1, {_INTEGRAL: 1.0, _DIFFERENTIAL: c[0], _ALPHA_DIFF: 0.0}[kind])
+    # c_N .. c_1; an integral-form table may stop at c_{N-1} as c_N meets H_0 = 0
+    tail = c[1:N + 1]
+    rev = np.ascontiguousarray(np.pad(tail, (0, N - tail.size))[::-1], dtype=complex)
+
+    Y = np.empty((N + 1,) + Y0.shape, dtype=complex)
+    H = np.zeros_like(Y)
+    H2 = H.reshape(N + 1, -1)  # the history sum is one BLAS product on this view
+    Y[0] = Y0
+    if kern is not None:
+        H[0] = step.Minv @ (Y0 if f is None else Y0 + ha * np.asarray(f(0.0, Y0)))
+    elif kind == _ALPHA_DIFF:
+        H[0] = Y0
+    for n in range(1, N + 1):
+        rhs = ivc[n] * Y0 + s * (rev[N - n:] @ H2[:n]).reshape(Y0.shape)
+        if impulse and n == 1:
+            rhs = rhs + cf * eye
+        y = step.advance(rhs, n * h, Y[n - 1], n)
+        Y[n] = y
+        if integral:
+            H[n] = A @ y
+            if impulse and n == 1:
+                H[n] += eye
+            elif f is not None:
+                H[n] += np.asarray(f(n * h, y))
+        else:
+            H[n] = y - Y0 if kind == _DIFFERENTIAL else y
+        if guard is not None and np.linalg.norm(y) > guard:
+            return Y[:n + 1].copy(), n
+    return Y, None
+
+
+def _trajectory(kind: str, w: wt.SchemeWeights, problem: FOdeProblem, h: float,
+                N: int, kern: np.ndarray | None = None) -> Trajectory:
+    """Guarded run of `problem`, truncated (with a warning) at blow-up."""
+    guard = BLOWUP_FACTOR * max(np.linalg.norm(problem.y0), 1.0)
+    states, stop = _run(kind, w, problem.A, problem.alpha, h, N, problem.y0,
+                        problem.f, kern=kern, guard=guard)
+    if stop is not None:
+        warnings.warn(f"blow-up guard triggered at step {stop}; trajectory truncated",
+                      stacklevel=3)
+    return Trajectory(h, states, w.scheme_id, problem.alpha, truncated_at=stop)
 
 
 def solve_flmm(problem: FOdeProblem, w: wt.SchemeWeights, h: float, N: int) -> Trajectory:
@@ -214,28 +297,7 @@ def solve_flmm(problem: FOdeProblem, w: wt.SchemeWeights, h: float, N: int) -> T
     if w.omega.size < N:
         raise ValueError(f"need at least {N} omega weights, have {w.omega.size}")
     _check_grid(h, N)
-    d = problem.dim
-    ha = h ** problem.alpha
-    omega = w.omega
-    A = problem.A
-    M = np.eye(d, dtype=complex) - ha * omega[0] * A
-    stepper = _ImplicitStep(M, ha * omega[0], problem.f, d)
-
-    states = np.empty((N + 1, d), dtype=complex)
-    G = np.zeros((N + 1, d), dtype=complex)  # g_j = A y_j + f_j, j >= 1
-    states[0] = problem.y0
-    guard = BLOWUP_FACTOR * max(np.linalg.norm(problem.y0), 1.0)
-    for n in range(1, N + 1):
-        hist = omega[1:n][::-1] @ G[1:n] if n > 1 else 0.0
-        rhs = problem.y0 + ha * hist
-        y = stepper.advance(rhs, n * h, states[n - 1], n)
-        states[n] = y
-        G[n] = A @ y
-        if problem.f is not None:
-            G[n] += np.asarray(problem.f(n * h, y))
-        if np.linalg.norm(y) > guard:
-            return _truncate(states, n, h, w.scheme_id, problem.alpha)
-    return Trajectory(h, states, w.scheme_id, problem.alpha)
+    return _trajectory(_INTEGRAL, w, problem, h, N)
 
 
 def solve_differential(problem: FOdeProblem, w: wt.SchemeWeights, h: float, N: int) -> Trajectory:
@@ -248,26 +310,7 @@ def solve_differential(problem: FOdeProblem, w: wt.SchemeWeights, h: float, N: i
     if w.mu.size < N + 1:
         raise ValueError(f"need at least {N + 1} mu weights, have {w.mu.size}")
     _check_grid(h, N)
-    d = problem.dim
-    ha = h ** problem.alpha
-    mu = w.mu
-    A = problem.A
-    M = mu[0] * np.eye(d, dtype=complex) - ha * A
-    stepper = _ImplicitStep(M, ha, problem.f, d)
-
-    states = np.empty((N + 1, d), dtype=complex)
-    W = np.zeros((N + 1, d), dtype=complex)  # y_j - y_0
-    states[0] = problem.y0
-    guard = BLOWUP_FACTOR * max(np.linalg.norm(problem.y0), 1.0)
-    for n in range(1, N + 1):
-        hist = mu[1:n + 1][::-1] @ W[0:n]
-        rhs = mu[0] * problem.y0 - hist
-        y = stepper.advance(rhs, n * h, states[n - 1], n)
-        states[n] = y
-        W[n] = y - problem.y0
-        if np.linalg.norm(y) > guard:
-            return _truncate(states, n, h, w.scheme_id, problem.alpha)
-    return Trajectory(h, states, w.scheme_id, problem.alpha)
+    return _trajectory(_DIFFERENTIAL, w, problem, h, N)
 
 
 def solve_l1(problem: FOdeProblem, h: float, N: int,
@@ -296,47 +339,19 @@ def solve_alpha_diff(problem: FOdeProblem, h: float, N: int,
     one: y_n = Q_1^n y_0 + h sum_j Q_alpha^{n-j} f_j with
     Q_beta^n = integral of the Poisson kernel against t^{beta-1}
     E_{alpha,beta}(t^alpha A).  Here constants are preserved and linear
-    trajectories decay like t^(-alpha).
+    trajectories decay like t^(-alpha).  Its convolution runs over z_0 =
+    (I - h^alpha A)^{-1}(y_0 + h^alpha f(0, y_0)), y_1, y_2, ... and adds the
+    initial-value term k_n^(1-alpha) y_0.
     """
     if variant not in ("difference", "poisson"):
         raise ValueError(f"unknown alpha-difference variant {variant!r}")
     if not (0.0 < problem.alpha < 1.0):
         raise ValueError("alpha-difference scheme requires alpha in (0, 1)")
     _check_grid(h, N)
-    d = problem.dim
-    ha = h ** problem.alpha
-    w = wt.alpha_diff_weights(problem.alpha, N + 2)
-    mu = w.mu
-    A = problem.A
-    M = np.eye(d, dtype=complex) - ha * A  # mu_0 = 1
-    stepper = _ImplicitStep(M, ha, problem.f, d)
-
-    states = np.empty((N + 1, d), dtype=complex)
-    states[0] = problem.y0
-    guard = BLOWUP_FACTOR * max(np.linalg.norm(problem.y0), 1.0)
-
-    if variant == "difference":
-        hist_seq = states  # convolution runs over the reported states
-    else:
-        # internal sequence starts from z_0 = (I - h^a A)^{-1}(y_0 + h^a f(0, y_0))
-        kern = wt.alpha_diff_kernel(1.0 - problem.alpha, N + 1)
-        hist_seq = np.empty((N + 1, d), dtype=complex)
-        f0 = (np.asarray(problem.f(0.0, problem.y0))
-              if problem.f is not None else np.zeros(d, dtype=complex))
-        hist_seq[0] = lu_solve(stepper.lu, problem.y0 + ha * f0)
-
-    for n in range(1, N + 1):
-        hist = mu[1:n + 1][::-1] @ hist_seq[0:n]
-        rhs = -hist
-        if variant == "poisson":
-            rhs = rhs + kern[n] * problem.y0
-        y = stepper.advance(rhs, n * h, states[n - 1], n)
-        states[n] = y
-        if variant == "poisson":
-            hist_seq[n] = y
-        if np.linalg.norm(y) > guard:
-            return _truncate(states, n, h, wt.ALPHA_DIFF, problem.alpha)
-    return Trajectory(h, states, wt.ALPHA_DIFF, problem.alpha)
+    w = wt.alpha_diff_weights(problem.alpha, N + 1)
+    kern = (wt.alpha_diff_kernel(1.0 - problem.alpha, N + 1)
+            if variant == "poisson" else None)
+    return _trajectory(_ALPHA_DIFF, w, problem, h, N, kern)
 
 
 def solve(problem: FOdeProblem, scheme_id: str, h: float, N: int,
@@ -353,7 +368,7 @@ def solve(problem: FOdeProblem, scheme_id: str, h: float, N: int,
     if w is None:
         w = wt.scheme_weights(scheme_id, problem.alpha, N + 1)
     if form == "auto":
-        form = "differential" if scheme_id == wt.L1 else "integral"
+        form = _default_form(scheme_id)
     if form == "integral":
         return solve_flmm(problem, w, h, N)
     if form == "differential":

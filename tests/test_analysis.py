@@ -105,6 +105,17 @@ class TestCheckpoints:
         assert p0 == pytest.approx(expected, abs=1e-12)
         assert p0 == pytest.approx(0.7 * (1 + 1.0 / n), abs=3e-4)
 
+    def test_zero_norms_give_nan(self):
+        # a zero at the window's right end (i + m) and at its left end (i)
+        traj = power_law_trajectory(0.7, h=0.1, N=250)
+        traj.states[105] = 0.0
+        traj.states[200] = 0.0
+        with pytest.warns(UserWarning, match="zero-norm") as caught:
+            out = p_at_checkpoints(traj, [10.0, 15.0, 20.0], m=5)
+        assert len(caught) == 1  # one warning, and no numpy RuntimeWarning
+        assert math.isnan(out[0][1]) and math.isnan(out[2][1])
+        assert abs(out[1][1] - 0.7) < 1e-12
+
     def test_off_grid_rejected(self):
         traj = power_law_trajectory(0.7)
         with pytest.raises(ValueError):

@@ -146,6 +146,14 @@ class TestResolventCommand:
         assert header == ["n", "t", "norm_d", "norm_D"]
         assert len(rows) == 1201
 
+    def test_singular_step_matrix_exit_code(self, tmp_path):
+        # b = -1 gives lambda = 1; at h = 1 the F-BDF1 step matrix 1 - lambda is zero
+        res = run_cli("resolvent", "--scheme", "fbdf1", "--alpha", "0.5",
+                      "--h", "1", "--problem", "scalar", "--b", "-1",
+                      "--n-max", "10", "--out", str(tmp_path))
+        assert res.returncode == 3
+        assert "singular" in res.stderr
+
     def test_alpha_diff_quadrature_check(self, tmp_path):
         res = run_cli("resolvent", "--scheme", "alpha_diff", "--alpha", "0.5",
                       "--h", "0.1", "--problem", "lorenz", "--n-max", "30",
@@ -195,6 +203,34 @@ class TestConfigFile:
                       "--alpha", "0.25", "--out", str(tmp_path))
         assert res.returncode == 0
         assert (tmp_path / "weights_fbdf1_a0.25.csv").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--no-control", "false"),
+                                             ("--no-control", "No"),
+                                             ("--no-control", "0"),
+                                             ("--control", "yes")])
+    def test_control_boolean(self, tmp_path, flag, value):
+        base = ["solve", "--problem", "lorenz", "--scheme", "fbdf1", "--alpha", "0.5",
+                "--h", "0.1", "--n-steps", "20"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"control = {value}\n")
+        stem = "solve_lorenz_fbdf1_a0.5.csv"
+        assert cli.main(base + ["--config", str(cfg), "--out", str(tmp_path / "cfg")]) == 0
+        assert cli.main(base + [flag, "--out", str(tmp_path / "flag")]) == 0
+        other = "--control" if flag == "--no-control" else "--no-control"
+        assert cli.main(base + [other, "--out", str(tmp_path / "other")]) == 0
+        got = (tmp_path / "cfg" / stem).read_text()
+        assert got == (tmp_path / "flag" / stem).read_text()
+        assert got != (tmp_path / "other" / stem).read_text()
+
+    def test_bad_boolean_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("control = maybe\n")
+        res = run_cli("solve", "--config", str(cfg), "--problem", "lorenz",
+                      "--scheme", "fbdf1", "--alpha", "0.5", "--h", "0.1",
+                      "--n-steps", "20", "--out", str(tmp_path))
+        assert res.returncode == 2
+        assert "control" in res.stderr
+        assert not any(tmp_path.glob("*.csv"))
 
     def test_version_flag(self):
         res = run_cli("--version")

@@ -15,7 +15,7 @@ from mlstab.resolvent import (
     variation_of_constants,
     verify_resolvent_decay,
 )
-from mlstab.solver import FOdeProblem, solve, solve_alpha_diff
+from mlstab.solver import FOdeProblem, SingularStepError, solve, solve_alpha_diff
 
 SCHEMES = (wt.FBDF1, wt.FBDF2, wt.FADAMS2, wt.L1)
 LAM = np.array([[1 + 11j]])
@@ -50,13 +50,21 @@ class TestImpulseExtraction:
         for n in (0, 3, 30):
             assert np.allclose(r.D[n], h ** alpha * w.omega[n] * np.eye(2), atol=1e-14)
 
+    @pytest.mark.parametrize("scheme", [wt.FBDF1, wt.L1])
+    def test_singular_step_matrix(self, scheme):
+        # at h = 1 the step matrix is 1 - omega_0 lambda (F-BDF1, omega_0 = 1)
+        # or mu_0 - lambda (L1): lambda = mu_0 makes it exactly zero
+        lam = wt.scheme_weights(scheme, 0.5, 1).mu[0]
+        with pytest.raises(SingularStepError):
+            impulse_resolvent(scheme, np.array([[lam]]), 0.5, 1.0, 5)
+
     def test_alpha_diff_not_supported(self):
         with pytest.raises(ValueError):
             impulse_resolvent(wt.ALPHA_DIFF, LAM, 0.5, 0.1, 4)
 
 
 class TestVariationOfConstants:
-    @pytest.mark.parametrize("scheme", [wt.FBDF1, wt.L1])
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_reconstructs_nonlinear_trajectory(self, scheme):
         # the strong cross-module identity y_n = d_n y0 + sum D_{n-k} f_k
         p = problems.lorenz_controlled(alpha=0.5)

@@ -34,6 +34,16 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             FOdeProblem(1.2, np.eye(1), np.array([1.0]))
 
+    @pytest.mark.parametrize("field, A, y0", [
+        ("A", [[np.nan]], [1.0]),
+        ("A", [[1.0, 0.0], [np.inf, 1.0]], [1.0, 2.0]),
+        ("y0", [[1.0]], [np.nan]),
+        ("y0", [[1.0]], [complex(1.0, -np.inf)]),
+    ])
+    def test_non_finite_input(self, field, A, y0):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            FOdeProblem(0.5, np.array(A), np.array(y0))
+
     def test_nonvanishing_f_flagged(self):
         with pytest.warns(UserWarning, match="equilibrium"):
             p = FOdeProblem(0.5, np.eye(1), np.array([1.0]),
