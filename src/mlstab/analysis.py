@@ -21,8 +21,8 @@ import mpmath
 import numpy as np
 
 from . import weights as wt
-from .resolvent import ResolventSequence, operator_norms
-from .solver import FOdeProblem, Trajectory
+from .resolvent import ResolventSequence, fit_final_decade, operator_norms, power_law_tail
+from .solver import FOdeProblem, Trajectory, _check_grid
 from .special import SectorResult, in_stable_sector
 
 __all__ = [
@@ -69,16 +69,6 @@ class DecayReport:
     n_skipped: int = 0
 
 
-def _fit_final_decade(t: np.ndarray, norms: np.ndarray):
-    sel = (t > 1.0) & (t >= t[-1] / 10.0) & (norms > 0.0)
-    if np.count_nonzero(sel) < 2:
-        return 0.0, float(norms[-1]) if norms.size else 0.0
-    if np.ptp(norms[sel]) <= 1e-14 * np.max(norms[sel]):
-        return 0.0, float(np.mean(norms[sel]))
-    coef = np.polyfit(np.log(t[sel]), np.log(norms[sel]), 1)
-    return -float(coef[0]), float(math.exp(coef[1]))
-
-
 def p_index(traj: Trajectory, m: int = 5) -> DecayReport:
     """Decay-rate index of a trajectory, sampled wherever t_n > 1.
 
@@ -101,7 +91,13 @@ def p_index(traj: Trajectory, m: int = 5) -> DecayReport:
         warnings.warn(f"skipped {skipped} zero-norm samples in p_index", stacklevel=2)
     n_idx = n_idx[good]
     p = -np.log(norms[n_idx + m] / norms[n_idx]) / np.log(t[n_idx + m] / t[n_idx])
-    slope, const = _fit_final_decade(t, norms)
+    sel, fit, log_c = fit_final_decade(t, norms)
+    if np.count_nonzero(sel) < 2:
+        slope, const = 0.0, float(norms[-1])
+    elif np.ptp(norms[sel]) <= 1e-14 * np.max(norms[sel]):
+        slope, const = 0.0, float(np.mean(norms[sel]))
+    else:
+        slope, const = -fit, math.exp(log_c)
     if slope > VERDICT_BAND:
         verdict = DECAYS
     elif slope < -VERDICT_BAND:
@@ -145,30 +141,28 @@ def p_at_checkpoints(traj: Trajectory, checkpoints, m: int = 5,
 def f_omega_closed(scheme_id: str, alpha: float, z: complex) -> complex:
     """Closed-form F_omega(z) (principal branches), valid on |z| <= 1, z != 1.
 
-    The L1 generating function goes through the polylogarithm,
-    F_mu(z) = (1/Gamma(2-alpha)) ((1-z)^2 / z) Li_{alpha-1}(z), which
-    converges on the closed disk minus z = 1.
+    An F-LMM's F_omega is p(z)^(-alpha) q(z) with the scheme's pair (p, q)
+    from weights.generating_pair.  The L1 generating function goes through
+    the polylogarithm, F_mu(z) = (1/Gamma(2-alpha)) ((1-z)^2 / z) Li_{alpha-1}(z),
+    which converges on the closed disk minus z = 1.
     """
-    scheme_id = scheme_id.replace("-", "_").lower()
+    scheme_id = wt.scheme_name(scheme_id)
     z = complex(z)
     if z == 1.0:
         raise ZeroDivisionError("F_omega diverges at z = 1")
-    if scheme_id == wt.FBDF1:
-        return (1.0 - z) ** (-alpha)
-    if scheme_id == wt.FBDF2:
-        return ((1.0 - z) * (3.0 - z) / 2.0) ** (-alpha)
-    if scheme_id == wt.FADAMS2:
-        return (1.0 - z) ** (-alpha) * (1.0 - 0.5 * alpha * (1.0 - z))
     if scheme_id == wt.L1:
         if z == 0.0:
             return math.gamma(2.0 - alpha)  # removable singularity of F_mu
         li = complex(mpmath.polylog(alpha - 1.0, z))
         return math.gamma(2.0 - alpha) * z / ((1.0 - z) ** 2 * li)
-    raise ValueError(f"no closed-form generating function for {scheme_id!r}")
+    p, q = wt.generating_pair(scheme_id, alpha)  # ValueError for alpha_diff
+    pz, qz = (sum(c * z ** k for k, c in enumerate(poly.tolist())) for poly in (p, q))
+    return pz ** (-alpha) * qz
 
 
 def boundary_point(scheme_id: str, alpha: float, h: float, theta: float) -> complex:
     """One stability-boundary sample 1/(h^alpha F_omega(e^{i theta}))."""
+    _check_grid(h)
     if theta == 0.0:
         raise ValueError("theta = 0 is the divergence point of F_omega")
     z = cmath.exp(1j * theta)
@@ -203,7 +197,7 @@ def region_boundary(scheme_id: str, alpha: float, h: float,
     j = np.arange(n_theta)
     theta = -math.pi + 2.0 * math.pi * (j + 0.5) / n_theta
     vals = np.array([boundary_point(scheme_id, alpha, h, th) for th in theta])
-    return RegionSample(scheme_id.replace("-", "_").lower(), alpha, h, theta, vals)
+    return RegionSample(wt.scheme_name(scheme_id), alpha, h, theta, vals)
 
 
 @dataclass
@@ -284,15 +278,13 @@ def perturbation_check(problem: FOdeProblem, r: ResolventSequence,
     L0 = float(np.max(Lvals))
     D0 = float(nD[0])
 
-    sel = (t > 1.0) & (t >= t[-1] / 10.0) & (nD > 0.0)
+    sel, slope, log_c = fit_final_decade(t, nD)
     if np.count_nonzero(sel) < 2 or np.ptp(nD[sel]) <= 1e-14 * np.max(nD[sel]):
         raise UnreliableTailError("||D_n|| carries no decay over the fit window")
-    coef = np.polyfit(np.log(t[sel]), np.log(nD[sel]), 1)
-    slope, logc = float(coef[0]), float(coef[1])
     if slope >= -1.0:
         raise UnreliableTailError(
             f"fitted ||D_n|| ~ t^{slope:.3f} is not summable; tail bound unavailable")
-    tail = math.exp(logc) / r.h * t[-1] ** (slope + 1.0) / (-slope - 1.0)
+    tail = power_law_tail(log_c, slope, r.h, t[-1])
 
     S0 = float(np.sum(nD[1:])) + tail
     conv = np.convolve(nD[1:], Lvals)[: r.n_max]  # entry n-1 = sum_{k=0}^{n-1} ||D_{n-k}|| L(t_k)

@@ -52,8 +52,7 @@ def _alpha_in_open_interval(value: str) -> float:
 
 
 def _add_common(p: argparse.ArgumentParser, schemes=wt.SCHEMES) -> None:
-    p.add_argument("--scheme", required=True,
-                   type=lambda s: s.replace("-", "_").lower(), choices=list(schemes))
+    p.add_argument("--scheme", required=True, type=wt.scheme_name, choices=list(schemes))
     p.add_argument("--alpha", required=True, type=_alpha_in_open_interval)
     p.add_argument("--out", default=".", help="output directory (default: cwd)")
 
@@ -102,17 +101,18 @@ def _trajectory_csv(traj: slv.Trajectory, meta: str) -> str:
 
 
 def cmd_solve(args) -> int:
+    if args.m < 1:
+        raise ValueError(f"--m must be at least 1, got {args.m}")
+    slv._check_grid(args.h)  # N below divides by h
     prob = _problem_from_args(args)
     if args.t_end is not None:
         N = int(round(args.t_end / args.h)) + args.m
     elif args.n_steps is not None:
         N = args.n_steps
     else:
-        print("one of --t-end/--n-steps is required", file=sys.stderr)
-        return _EXIT_USAGE
+        raise ValueError("one of --t-end/--n-steps is required")
     if N < 1:
-        print("empty run: increase --t-end or --n-steps", file=sys.stderr)
-        return _EXIT_USAGE
+        raise ValueError("empty run: increase --t-end or --n-steps")
     try:
         traj = slv.solve(prob, args.scheme, args.h, N)
     except slv.SolverError as exc:
@@ -204,6 +204,8 @@ def cmd_region(args) -> int:
 
 
 def cmd_resolvent(args) -> int:
+    if args.q_check < 0:
+        raise ValueError(f"--q-check must be at least 0, got {args.q_check}")
     prob = _problem_from_args(args)
     summary: dict = {"scheme": args.scheme, "alpha": args.alpha, "h": args.h,
                      "n_max": args.n_max}

@@ -28,6 +28,7 @@ of either variant equals h Q_alpha^n.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,8 +37,8 @@ from scipy import integrate
 from scipy.special import gammaln
 
 from . import weights as wt
-from .solver import _default_form, _run
-from .special import mittag_leffler
+from .solver import _check_grid, _default_form, _run
+from .special import matrix_function, mittag_leffler
 
 __all__ = [
     "ResolventSequence",
@@ -50,6 +51,8 @@ __all__ = [
     "variation_of_constants",
     "verify_resolvent_decay",
     "operator_norms",
+    "fit_final_decade",
+    "power_law_tail",
 ]
 
 
@@ -87,9 +90,10 @@ def impulse_resolvent(scheme_id: str, A, alpha: float, h: float, n_max: int) -> 
     scheme's own formulation (integral form for the F-LMMs, differential form
     for L1); a singular step matrix raises SingularStepError.
     """
-    scheme_id = scheme_id.replace("-", "_").lower()
-    if scheme_id not in (wt.FBDF1, wt.FBDF2, wt.FADAMS2, wt.L1):
+    scheme_id = wt.scheme_name(scheme_id)
+    if scheme_id == wt.ALPHA_DIFF:
         raise ValueError(f"impulse_resolvent supports the F-LMM/L1 schemes, not {scheme_id!r}")
+    _check_grid(h)
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     d = A.shape[0]
     kind = _default_form(scheme_id)
@@ -101,15 +105,10 @@ def impulse_resolvent(scheme_id: str, A, alpha: float, h: float, n_max: int) -> 
 
 
 def d0_closed_form(scheme_id: str, A, alpha: float, h: float) -> np.ndarray:
-    """Closed form of D_0: h^alpha w0 (I - h^alpha w0 A)^{-1} with w0 = F_omega(0).
-
-    Per scheme: w0 = 1 (F-BDF1), (2/3)^alpha (F-BDF2), 1 - alpha/2
-    (F-Adams2), Gamma(2-alpha) (L1); equivalently
-    D_0 = ((h^alpha w0)^{-1} I - A)^{-1}.
-    """
+    """Closed form of D_0: h^alpha w0 (I - h^alpha w0 A)^{-1} with w0 = F_omega(0)
+    from weights.leading_omega; equivalently D_0 = ((h^alpha w0)^{-1} I - A)^{-1}."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
-    w0 = wt.leading_omega(scheme_id, alpha)
-    c = h ** alpha * w0
+    c = h ** alpha * wt.leading_omega(scheme_id, alpha)
     return np.linalg.inv(np.eye(A.shape[0], dtype=complex) / c - A)
 
 
@@ -132,45 +131,33 @@ def poisson_mass(n: int, window: float = 12.0, pad: float = 30.0,
 def _poisson_scalar(lam: complex, alpha: float, h: float, n: int, beta: float,
                     epsrel: float, ml_rtol: float) -> complex:
     """Q_beta^n for a scalar eigenvalue: Poisson average of t^{beta-1} E."""
-    window = n + 12.0 * math.sqrt(n + 1.0)
     lo = max(0.0, n - 12.0 * math.sqrt(n + 1.0))
-    hi = window + 30.0
+    hi = n + 12.0 * math.sqrt(n + 1.0) + 30.0
     real_line = lam.imag == 0.0  # then E stays real along the path
-    cache: dict[tuple[int, float], complex] = {}
 
+    @functools.cache  # the imaginary-part quadrature revisits the real part's nodes
     def integrand(s: float) -> complex:
-        key = (0, s)
-        if key in cache:
-            return cache[key]
         lw = _poisson_log_weight(s, n)
         if lw < -745.0:
-            val = 0j
-        else:
-            hs = h * s
-            val = (math.exp(lw) * hs ** (beta - 1.0)
-                   * mittag_leffler(hs ** alpha * lam, alpha, beta, ml_rtol))
-        cache[key] = val
-        return val
+            return 0j
+        hs = h * s
+        return (math.exp(lw) * hs ** (beta - 1.0)
+                * mittag_leffler(hs ** alpha * lam, alpha, beta, ml_rtol))
 
     pieces = []
     if beta < 1.0 and lo == 0.0:
         # remove the s^(beta-1) endpoint singularity with u = s^alpha
         s1 = min(1.0, hi / 2.0)
 
+        @functools.cache
         def integrand_u(u: float) -> complex:
-            key = (1, u)
-            if key in cache:
-                return cache[key]
             if u <= 0.0:
-                val = 0j
-            else:
-                s = u ** (1.0 / alpha)
-                expo = (n + beta - alpha) / alpha
-                val = (math.exp(-s - float(gammaln(n + 1))) * u ** expo / alpha
-                       * h ** (beta - 1.0)
-                       * mittag_leffler(h ** alpha * u * lam, alpha, beta, ml_rtol))
-            cache[key] = val
-            return val
+                return 0j
+            s = u ** (1.0 / alpha)
+            expo = (n + beta - alpha) / alpha
+            return (math.exp(-s - float(gammaln(n + 1))) * u ** expo / alpha
+                    * h ** (beta - 1.0)
+                    * mittag_leffler(h ** alpha * u * lam, alpha, beta, ml_rtol))
 
         pieces.append((integrand_u, 0.0, s1 ** alpha))
         pieces.append((integrand, s1, hi))
@@ -201,18 +188,9 @@ def poisson_resolvent(A, alpha: float, h: float, n: int, beta: float,
     """
     if beta not in (1.0, alpha):
         raise ValueError("beta must be 1 or alpha")
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
-    d = A.shape[0]
-    if d == 1:
-        return np.array([[_poisson_scalar(A[0, 0], alpha, h, n, beta, epsrel, ml_rtol)]])
-    evals, V = np.linalg.eig(A)
-    cond = np.linalg.cond(V)
-    if not np.isfinite(cond) or cond > cond_cap:
-        raise np.linalg.LinAlgError(
-            f"eigenbasis condition number {cond:.3g} exceeds cap {cond_cap:g}")
-    q = np.array([_poisson_scalar(lam, alpha, h, n, beta, epsrel, ml_rtol)
-                  for lam in evals])
-    return (V * q) @ np.linalg.inv(V)
+    _check_grid(h)
+    return matrix_function(
+        A, lambda lam: _poisson_scalar(lam, alpha, h, n, beta, epsrel, ml_rtol), cond_cap)
 
 
 def variation_of_constants(r: ResolventSequence, y0, f_values) -> np.ndarray:
@@ -271,24 +249,11 @@ def verify_resolvent_decay(r: ResolventSequence) -> ResolventDecayReport:
             f"t_max = {t[-1]:g} < 100: need two decades past t = 1 for the fit")
     nd = operator_norms(r.d)
     nD = operator_norms(r.D)
-    sel = (t >= t[-1] / 10.0) & (t > 1.0) & (nd > 0) & (nD > 0)
-    logt = np.log(t[sel])
-
+    sel, slope_d, _ = fit_final_decade(t, nd, where=nD > 0)
+    _, slope_D, log_c = fit_final_decade(t, nD, where=nd > 0)
     flat = np.ptp(nd[sel]) <= 1e-12 * np.max(nd[sel])
     if flat:
-        slope_d = 0.0
-        slope_D = float(np.polyfit(logt, np.log(nD[sel]), 1)[0]) if np.ptp(nD[sel]) > 0 else 0.0
-    else:
-        slope_d = float(np.polyfit(logt, np.log(nd[sel]), 1)[0])
-        slope_D = float(np.polyfit(logt, np.log(nD[sel]), 1)[0])
-
-    sum_D = float(np.sum(nD[1:]))
-    # tail of sum ||D_k|| from the fitted power law, as an integral beyond t_max
-    if slope_D < -1.0:
-        c = math.exp(float(np.polyfit(logt, np.log(nD[sel]), 1)[1]))
-        sum_D_tail = c / r.h * t[-1] ** (slope_D + 1.0) / (-slope_D - 1.0)
-    else:
-        sum_D_tail = math.inf
+        slope_d, slope_D = 0.0, (slope_D if np.ptp(nD[sel]) > 0 else 0.0)
     partial = np.cumsum(nD[1:])
     tail_sel = t[1:] >= t[-1] / 10.0
     cauchy_gap = float(partial[-1] - partial[tail_sel][0]) if tail_sel.any() else math.inf
@@ -298,6 +263,29 @@ def verify_resolvent_decay(r: ResolventSequence) -> ResolventDecayReport:
         slope_d=slope_d, slope_D=slope_D,
         sup_t_alpha_d=float(np.max(t[sel] ** r.alpha * nd[sel])),
         sup_t_alpha1_D=float(np.max(t[sel] ** (r.alpha + 1.0) * nD[sel])),
-        sum_D=sum_D, sum_D_tail=sum_D_tail, cauchy_gap=cauchy_gap,
-        applicable=not flat,
+        sum_D=float(np.sum(nD[1:])), cauchy_gap=cauchy_gap,
+        sum_D_tail=power_law_tail(log_c, slope_D, r.h, t[-1]), applicable=not flat,
     )
+
+
+def fit_final_decade(t: np.ndarray, norms: np.ndarray, where: np.ndarray | None = None):
+    """(window, slope, log_c) of norms ~ exp(log_c) t^slope, least squares in log-log.
+
+    The window is t > 1, t >= t[-1]/10, norms > 0 and `where`; slope and log_c
+    are nan below two samples.  Callers judge flat windows by their own rule.
+    """
+    sel = (t > 1.0) & (t >= t[-1] / 10.0) & (norms > 0.0)
+    if where is not None:
+        sel &= where
+    if np.count_nonzero(sel) < 2:
+        return sel, math.nan, math.nan
+    slope, log_c = np.polyfit(np.log(t[sel]), np.log(norms[sel]), 1)
+    return sel, float(slope), float(log_c)
+
+
+def power_law_tail(log_c: float, slope: float, h: float, t_end: float) -> float:
+    """Integral bound c/h t_end^(s+1)/(-s-1) on sum_{t_k > t_end} c t_k^s, t_k = k h,
+    with c = exp(log_c) and s = slope; inf unless s < -1."""
+    if not slope < -1.0:
+        return math.inf
+    return math.exp(log_c) / h * t_end ** (slope + 1.0) / (-slope - 1.0)

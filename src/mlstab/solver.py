@@ -362,7 +362,7 @@ def solve(problem: FOdeProblem, scheme_id: str, h: float, N: int,
     form selects the formulation for the convolution schemes: "integral",
     "differential", or "auto" (integral for the F-LMMs, differential for L1).
     """
-    scheme_id = scheme_id.replace("-", "_").lower()
+    scheme_id = wt.scheme_name(scheme_id)
     if scheme_id == wt.ALPHA_DIFF:
         return solve_alpha_diff(problem, h, N, variant=alpha_diff_variant)
     if w is None:
@@ -376,7 +376,7 @@ def solve(problem: FOdeProblem, scheme_id: str, h: float, N: int,
     raise ValueError(f"unknown form {form!r}")
 
 
-def _check_grid(h: float, N: int) -> None:
+def _check_grid(h: float, N: int = 1) -> None:
     if not (h > 0 and math.isfinite(h)):
         raise ValueError(f"step size must be positive, got {h}")
     if N < 1:

@@ -57,6 +57,7 @@ __all__ = [
     "ml_asymptotic",
     "prabhakar",
     "resolvent_matrix",
+    "matrix_function",
     "in_stable_sector",
 ]
 
@@ -306,16 +307,21 @@ def resolvent_matrix(A, alpha: float, beta: float, t: float,
         raise ValueError("A must be square")
     ta = t ** alpha
     prefac = t ** (beta - 1.0)
+    return matrix_function(
+        A, lambda lam: prefac * mittag_leffler(ta * lam, alpha, beta, rtol), cond_cap)
+
+
+def matrix_function(A, fn, cond_cap: float = 1e8) -> np.ndarray:
+    """fn(A) = V diag(fn(lambda_i)) V^{-1}, fn applied per eigenvalue (a 1x1 A
+    directly); EigenbasisError if cond(V) is not finite or exceeds `cond_cap`."""
+    A = np.atleast_2d(np.asarray(A, dtype=complex))
     if A.shape[0] == 1:
-        return np.array([[prefac * mittag_leffler(ta * A[0, 0], alpha, beta, rtol)]])
+        return np.array([[fn(A[0, 0])]])
     evals, V = np.linalg.eig(A)
     cond = np.linalg.cond(V)
     if not np.isfinite(cond) or cond > cond_cap:
-        raise EigenbasisError(
-            f"eigenbasis condition number {cond:.3g} exceeds cap {cond_cap:g}"
-        )
-    fvals = np.array([mittag_leffler(ta * lam, alpha, beta, rtol) for lam in evals])
-    return prefac * (V * fvals) @ np.linalg.inv(V)
+        raise EigenbasisError(f"eigenbasis condition number {cond:.3g} exceeds cap {cond_cap:g}")
+    return (V * np.array([fn(lam) for lam in evals])) @ np.linalg.inv(V)
 
 
 class SectorResult(NamedTuple):

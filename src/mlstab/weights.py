@@ -7,17 +7,17 @@ reuses them.  Two equivalent sequences describe each scheme:
 * mu    - differential-form weights, generating function F_mu(z);
 * omega - integral-form weights, the convolution inverse of mu.
 
-Generating functions:
+A fractional linear multistep method (F-LMM) is the polynomial pair (p, q) of
+`generating_pair`, F_omega = p^(-alpha) q and F_mu = p^alpha / q:
 
-    F-BDF1    F_mu(z) = (1-z)^alpha
-    F-BDF2    F_mu(z) = (3/2 - 2z + z^2/2)^alpha
-    F-Adams2  F_omega(z) = (1-z)^(-alpha) (1 - alpha/2 (1-z))
-    L1        mu_j = second differences of j^(1-alpha) / Gamma(2-alpha)
-    alpha-difference: built from the fractional-sum kernel
-              k_n^beta = Gamma(beta+n) / (Gamma(beta) Gamma(1+n)),
-              whose first differences are again the (1-z)^alpha binomials.
+    F-BDF1    p = 1 - z              q = 1
+    F-BDF2    p = 3/2 - 2z + z^2/2   q = 1
+    F-Adams2  p = 1 - z              q = (1 - alpha/2) + (alpha/2) z
 
-Fractional powers of polynomials are expanded with the Miller recursion.
+Its tables come from the pair in O(N): the Miller recursion expands the powers
+of p, forward substitution divides by q.  L1 has mu_j = second differences of
+j^(1-alpha) / Gamma(2-alpha) and omega its O(N^2) convolution inverse.  The
+alpha-difference scheme has the F-BDF1 mu.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ __all__ = [
     "miller_power",
     "conv_inverse",
     "fbdf1_recursion",
+    "scheme_name",
+    "generating_pair",
     "fbdf_weights",
     "fadams2_weights",
     "l1_weights",
@@ -96,7 +98,7 @@ def miller_power(f, alpha: float, n_terms: int) -> np.ndarray:
     Miller recursion: g_0 = f_0^alpha and
         g_n = (1/(n f_0)) sum_{k=1}^{n} (k (1+alpha) - n) f_k g_{n-k}.
     Requires f_0 != 0.  alpha may be any real (negative powers give the
-    series of the reciprocal root).
+    series of the reciprocal root).  O(n_terms * deg f).
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
@@ -107,15 +109,26 @@ def miller_power(f, alpha: float, n_terms: int) -> np.ndarray:
         raise ValueError("leading coefficient f[0] must be nonzero")
     dtype = np.result_type(f.dtype, np.float64)
     f = f.astype(dtype)
+    n = np.arange(1.0, n_terms)
+    a = np.zeros((f.size - 1, n_terms), dtype=dtype)  # a[k-1, n] g_{n-k}: the terms
+    np.subtract(np.arange(1, f.size)[:, None] * (1.0 + alpha), n, out=a[:, 1:])
+    a[:, 1:] *= f[1:, None] / f[0]  # in place: temporaries would double the time
+    a[:, 1:] /= n
     g = np.zeros(n_terms, dtype=dtype)
-    g[0] = f[0] ** alpha
-    kmax = f.size - 1
-    k = np.arange(1, kmax + 1)
-    for n in range(1, n_terms):
-        m = min(n, kmax)
-        coef = (k[:m] * (1.0 + alpha) - n) * f[1:m + 1]
-        g[n] = np.dot(coef, g[n - 1::-1][:m]) / (n * f[0])
-    return g
+    g[0] = a[:, 0] = f[0] ** alpha
+    # first order, g_n = a_n g_{n-1}, is a cumulative product
+    return np.cumprod(a[0], out=a[0]) if f.size == 2 else _recurrence(g, a)
+
+
+def _recurrence(y: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """y_n += sum_k a[k-1, n] y_{n-k}, n >= 1 in order; Python scalars beat numpy 7x here."""
+    ys, cols = y.tolist(), a.tolist()
+    for n in range(1, len(ys) if cols else 0):
+        s = ys[n]
+        for k in range(min(n, len(cols))):
+            s += cols[k][n] * ys[n - 1 - k]
+        ys[n] = s
+    return np.array(ys, dtype=y.dtype)
 
 
 def conv_inverse(u, n_terms: int) -> np.ndarray:
@@ -149,37 +162,49 @@ def fbdf1_recursion(alpha: float, n_terms: int) -> np.ndarray:
     return mu
 
 
-_BDF_POLY = {1: np.array([1.0, -1.0]), 2: np.array([1.5, -2.0, 0.5])}
+def scheme_name(scheme_id: str) -> str:
+    """Canonical scheme id ("ALPHA-DIFF" gives "alpha_diff"); ValueError if unknown."""
+    name = scheme_id.replace("-", "_").lower()
+    if name not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme_id!r}; expected one of {SCHEMES}")
+    return name
+
+
+def generating_pair(scheme_id: str, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Polynomials (p, q) of an F-LMM, F_omega(z) = p(z)^(-alpha) q(z), in
+    increasing powers of z.  ValueError for L1 and alpha_diff (no F-LMMs)."""
+    name = scheme_name(scheme_id)
+    if name == FBDF1:
+        return np.array([1.0, -1.0]), np.array([1.0])
+    if name == FBDF2:
+        return np.array([1.5, -2.0, 0.5]), np.array([1.0])
+    if name == FADAMS2:
+        return np.array([1.0, -1.0]), np.array([1.0 - alpha / 2.0, alpha / 2.0])
+    raise ValueError(f"{name} is not an F-LMM: no generating pair (p, q)")
+
+
+def _flmm_weights(scheme_id: str, alpha: float, n_terms: int) -> SchemeWeights:
+    """mu = p^alpha / q and omega = p^(-alpha) q from the scheme's pair, in O(N)."""
+    _validate_alpha(alpha)
+    p, q = generating_pair(scheme_id, alpha)
+    mu = miller_power(p, alpha, n_terms) / q[0]  # then mu_n -= sum_k (q_k/q_0) mu_{n-k}
+    mu = _recurrence(mu, np.broadcast_to(-q[1:, None] / q[0], (q.size - 1, n_terms)))
+    omega = np.convolve(miller_power(p, -alpha, n_terms), q)[:n_terms]
+    return SchemeWeights(scheme_id, alpha, n_terms, mu, omega)
 
 
 def fbdf_weights(k: int, alpha: float, n_terms: int) -> SchemeWeights:
-    """Weights of the k-step fractional BDF scheme, k in {1, 2}.
-
-    mu is the Miller expansion of (sum_{l=1}^{k} (1-z)^l / l)^alpha and
-    omega its convolution inverse.
-    """
-    if k not in _BDF_POLY:
+    """Weights of the k-step fractional BDF scheme, k in {1, 2}: the Miller
+    expansions of p(z)^(+-alpha), p(z) = sum_{l=1}^{k} (1-z)^l / l."""
+    if k not in (1, 2):
         raise ValueError(f"unsupported F-BDF step number k={k} (only 1 and 2)")
-    _validate_alpha(alpha)
-    mu = miller_power(_BDF_POLY[k], alpha, n_terms)
-    omega = conv_inverse(mu, n_terms)
-    return SchemeWeights(FBDF1 if k == 1 else FBDF2, alpha, n_terms, mu, omega)
+    return _flmm_weights(FBDF1 if k == 1 else FBDF2, alpha, n_terms)
 
 
 def fadams2_weights(alpha: float, n_terms: int) -> SchemeWeights:
-    """Weights of the 2-step fractional Adams scheme.
-
-    omega is the product series (1-z)^(-alpha) * ((1-alpha/2) + (alpha/2) z),
-    so omega_0 = 1 - alpha/2; mu is its convolution inverse.
-    """
-    _validate_alpha(alpha)
-    base = miller_power(np.array([1.0, -1.0]), -alpha, n_terms)
-    omega = np.empty(n_terms)
-    c0, c1 = 1.0 - alpha / 2.0, alpha / 2.0
-    omega[0] = c0 * base[0]
-    omega[1:] = c0 * base[1:] + c1 * base[:-1]
-    mu = conv_inverse(omega, n_terms)
-    return SchemeWeights(FADAMS2, alpha, n_terms, mu, omega)
+    """Weights of the 2-step fractional Adams scheme: omega is the product
+    series (1-z)^(-alpha) ((1-alpha/2) + (alpha/2) z), mu = (1-z)^alpha / q."""
+    return _flmm_weights(FADAMS2, alpha, n_terms)
 
 
 def l1_weights(alpha: float, n_terms: int) -> SchemeWeights:
@@ -206,64 +231,50 @@ def l1_weights(alpha: float, n_terms: int) -> SchemeWeights:
 def alpha_diff_kernel(beta: float, n_terms: int) -> np.ndarray:
     """Fractional-sum kernel k_n^beta = Gamma(beta+n)/(Gamma(beta) Gamma(1+n)).
 
-    Computed by the stable recursion k_n = k_{n-1} (beta + n - 1)/n.
-    Accepts any beta in (0, 1]; the alpha-difference scheme uses beta = 1-alpha.
+    The (1-z)^(-beta) series, k_n = k_{n-1} (beta + n - 1)/n by the Miller
+    recursion.  Accepts any beta in (0, 1]; the alpha-difference scheme uses
+    beta = 1-alpha.
     """
     if not (0.0 < beta <= 1.0):
         raise ValueError(f"kernel order must lie in (0, 1], got {beta}")
-    n = np.arange(1, n_terms, dtype=float)
-    out = np.empty(n_terms)
-    out[0] = 1.0
-    if n_terms > 1:
-        out[1:] = np.cumprod((beta + n - 1.0) / n)
-    return out
+    p, _ = generating_pair(FBDF1, 1.0 - beta)  # p = 1 - z
+    return miller_power(p, -beta, n_terms)
 
 
 def alpha_diff_weights(alpha: float, n_terms: int) -> SchemeWeights:
     """Differential-form weights of the alpha-difference scheme.
 
     The operator is the first difference of the fractional sum with kernel
-    k^(1-alpha), so its convolution weights are mu_0 = 1,
-    mu_j = k_j^(1-alpha) - k_{j-1}^(1-alpha): numerically the same binomials
-    as F-BDF1.  The schemes differ only in how the initial value enters the
-    step equation (see solver.solve_alpha_diff).  No omega table is stored.
+    k^(1-alpha), so its convolution weights mu_j = k_j^(1-alpha) - k_{j-1}^(1-alpha)
+    are the (1-z)^alpha binomials: the F-BDF1 mu.  The schemes differ only in
+    how the initial value enters the step equation (see
+    solver.solve_alpha_diff).  No omega table is stored.
     """
     _validate_alpha(alpha, allow_one=False)
-    kern = alpha_diff_kernel(1.0 - alpha, n_terms)
-    mu = np.empty(n_terms)
-    mu[0] = 1.0
-    mu[1:] = np.diff(kern)
-    return SchemeWeights(ALPHA_DIFF, alpha, n_terms, mu, None)
+    p, _ = generating_pair(FBDF1, alpha)
+    return SchemeWeights(ALPHA_DIFF, alpha, n_terms, miller_power(p, alpha, n_terms), None)
 
 
 def scheme_weights(scheme_id: str, alpha: float, n_terms: int) -> SchemeWeights:
     """Weight table for any scheme id."""
-    scheme_id = scheme_id.replace("-", "_").lower()
-    if scheme_id == FBDF1:
-        return fbdf_weights(1, alpha, n_terms)
-    if scheme_id == FBDF2:
-        return fbdf_weights(2, alpha, n_terms)
-    if scheme_id == FADAMS2:
-        return fadams2_weights(alpha, n_terms)
+    scheme_id = scheme_name(scheme_id)
     if scheme_id == L1:
         return l1_weights(alpha, n_terms)
     if scheme_id == ALPHA_DIFF:
         return alpha_diff_weights(alpha, n_terms)
-    raise ValueError(f"unknown scheme {scheme_id!r}; expected one of {SCHEMES}")
+    return _flmm_weights(scheme_id, alpha, n_terms)
 
 
 def leading_omega(scheme_id: str, alpha: float) -> float:
-    """omega_0 = F_omega(0) in closed form (the implicit step coefficient)."""
-    scheme_id = scheme_id.replace("-", "_").lower()
-    if scheme_id in (FBDF1, ALPHA_DIFF):
-        return 1.0
-    if scheme_id == FBDF2:
-        return (2.0 / 3.0) ** alpha
-    if scheme_id == FADAMS2:
-        return 1.0 - alpha / 2.0
+    """omega_0 = F_omega(0) = p_0^(-alpha) q_0, the implicit step coefficient.
+
+    Gamma(2-alpha) for L1; the alpha-difference scheme has the F-BDF1 value 1.
+    """
+    scheme_id = scheme_name(scheme_id)
     if scheme_id == L1:
         return math.gamma(2.0 - alpha)
-    raise ValueError(f"unknown scheme {scheme_id!r}")
+    p, q = generating_pair(FBDF1 if scheme_id == ALPHA_DIFF else scheme_id, alpha)
+    return float(p[0] ** -alpha * q[0])
 
 
 class GenEval(NamedTuple):

@@ -173,6 +173,22 @@ class TestRegionBoundary:
         with pytest.raises(ZeroDivisionError):
             f_omega_closed(wt.FBDF1, 0.5, 1.0)
 
+    @pytest.mark.parametrize("scheme", A_STABLE)
+    def test_closed_form_against_omega_series(self, scheme):
+        alpha = 0.6
+        w = wt.scheme_weights(scheme, alpha, 600)
+        for theta in (0.3, 1.7, -2.9):
+            z = 0.9 * cmath.exp(1j * theta)
+            got = wt.generating_fn_eval(w, "omega", z)
+            assert abs(f_omega_closed(scheme, alpha, z) - got.value) <= got.tail_bound + 1e-12
+
+    @pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
+    def test_bad_step_size_rejected(self, h):
+        with pytest.raises(ValueError, match="step size"):
+            region_boundary(wt.FBDF1, 0.5, h, n_theta=16)
+        with pytest.raises(ValueError, match="step size"):
+            boundary_point(wt.L1, 0.5, h, 1.0)
+
 
 class TestClassification:
     def test_scalar_cases(self):

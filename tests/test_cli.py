@@ -164,6 +164,23 @@ class TestResolventCommand:
         assert summary["poisson_vs_impulse_max_dev"] < 1e-6
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ("resolvent", "--scheme", "fbdf1", "--h", "-0.1", "--n-max", "50"),
+        ("resolvent", "--scheme", "fbdf1", "--h", "0", "--n-max", "50"),
+        ("region", "--scheme", "fbdf1", "--h", "0"),
+        ("region", "--scheme", "fbdf1", "--h", "-0.1"),
+        ("solve", "--scheme", "fbdf1", "--h", "0.1", "--n-steps", "20", "--m", "0"),
+        ("solve", "--scheme", "fbdf1", "--h", "0", "--t-end", "5"),
+        ("solve", "--scheme", "fbdf1", "--h", "0.1"),
+        ("resolvent", "--scheme", "alpha_diff", "--h", "0.1", "--q-check", "-1"),
+    ])
+    def test_rejected_before_any_output(self, tmp_path, capsys, argv):
+        assert cli.main([*argv, "--alpha", "0.5", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+
 class TestReproduceCommand:
     def test_t2(self, tmp_path):
         res = run_cli("reproduce", "t2", "--out", str(tmp_path))

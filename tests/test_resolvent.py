@@ -16,6 +16,7 @@ from mlstab.resolvent import (
     verify_resolvent_decay,
 )
 from mlstab.solver import FOdeProblem, SingularStepError, solve, solve_alpha_diff
+from mlstab.special import EigenbasisError
 
 SCHEMES = (wt.FBDF1, wt.FBDF2, wt.FADAMS2, wt.L1)
 LAM = np.array([[1 + 11j]])
@@ -115,6 +116,18 @@ class TestPoisson:
         r = impulse_resolvent(wt.FBDF1, np.array([[lam]]), alpha, h, 31)
         q = poisson_resolvent(np.array([[lam]]), alpha, h, 30, 1.0)[0, 0]
         assert abs(q - r.d[31, 0, 0]) < 1e-8
+
+    def test_defective_matrix_rejected(self):
+        J = np.array([[-1.0, 1.0], [0.0, -1.0]])  # Jordan block
+        with pytest.raises(EigenbasisError):
+            poisson_resolvent(J, 0.5, 0.1, 5, 1.0)
+
+    @pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
+    def test_bad_step_size_rejected(self, h):
+        with pytest.raises(ValueError, match="step size"):
+            poisson_resolvent(LAM, 0.5, h, 5, 1.0)
+        with pytest.raises(ValueError, match="step size"):
+            impulse_resolvent(wt.FBDF1, LAM, 0.5, h, 5)
 
     def test_beta_validation(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from mlstab.special import (
     GammaPoleError,
     gamma,
     in_stable_sector,
+    matrix_function,
     mittag_leffler,
     ml_asymptotic,
     prabhakar,
@@ -219,6 +220,12 @@ class TestResolventMatrix:
         J = np.array([[1.0, 1.0], [0.0, 1.0]])  # Jordan block
         with pytest.raises(EigenbasisError):
             resolvent_matrix(J, 0.5, 1.0, 1.0)
+
+    def test_matrix_function_polynomial(self):
+        A = np.array([[1.0, 2.0], [0.5, -3.0]])
+        got = matrix_function(A, lambda lam: lam ** 2 + 1.0)
+        assert np.allclose(got, A @ A + np.eye(2), atol=1e-13)
+        assert matrix_function([[2.0]], lambda lam: 3 * lam)[0, 0] == 6.0
 
 
 class TestStableSector:

@@ -38,6 +38,17 @@ class TestMillerPower:
         with pytest.raises(ValueError):
             wt.miller_power([0.0, 1.0], 0.5, 4)
 
+    def test_complex_coefficients(self):
+        # (1 - i z)^0.5 (degree 1) and its square (degree 2) against mpmath binomials
+        n = 8
+        ref = [c * (1j) ** k for k, c in enumerate(binomial_series_oracle(0.5, n))]
+        assert np.allclose(wt.miller_power([1.0, -1j], 0.5, n), ref, rtol=1e-14, atol=1e-15)
+        got2 = wt.miller_power([1.0, -2j, -1.0], 0.25, n)
+        assert np.allclose(got2, ref, rtol=1e-14, atol=1e-15)
+
+    def test_degree_zero(self):
+        assert np.allclose(wt.miller_power([4.0], 0.5, 3), [2.0, 0.0, 0.0])
+
 
 class TestConvInverse:
     def test_geometric(self):
@@ -209,11 +220,23 @@ class TestSchemeTables:
 
     @pytest.mark.parametrize("scheme", [wt.FBDF1, wt.FBDF2, wt.FADAMS2, wt.L1])
     def test_mu_omega_are_mutual_inverses(self, scheme):
-        w = wt.scheme_weights(scheme, 0.6, 128)
-        conv = np.convolve(w.mu, w.omega)[:128]
-        delta = np.zeros(128)
-        delta[0] = 1.0
-        assert np.max(np.abs(conv - delta)) < 1e-12
+        # alpha = 1 makes the F-Adams2 division by q marginal (q_1/q_0 = 1)
+        for alpha, n in ((0.6, 128), (1.0, 128), (0.6, 5000), (1.0, 5000)):
+            w = wt.scheme_weights(scheme, alpha, n)
+            conv = np.convolve(w.mu, w.omega)[:n]
+            delta = np.zeros(n)
+            delta[0] = 1.0
+            assert np.max(np.abs(conv - delta)) < 1e-12, (alpha, n)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0])
+    def test_fadams2_mu_against_conv_inverse(self, alpha):
+        w = wt.fadams2_weights(alpha, 5000)
+        assert np.max(np.abs(w.mu - wt.conv_inverse(w.omega, 5000))) < 1e-12
+
+    @pytest.mark.parametrize("scheme", [wt.FBDF1, wt.FBDF2, wt.FADAMS2])
+    def test_leading_omega_is_generating_pair_at_zero(self, scheme):
+        p, q = wt.generating_pair(scheme, 0.37)
+        assert wt.leading_omega(scheme, 0.37) == p[0] ** -0.37 * q[0]
 
     def test_leading_omega_closed_forms(self):
         alpha = 0.37
@@ -229,6 +252,17 @@ class TestSchemeTables:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             wt.scheme_weights("bdf7", 0.5, 4)
+
+    def test_scheme_name(self):
+        assert wt.scheme_name("ALPHA-DIFF") == wt.ALPHA_DIFF
+        assert wt.scheme_name("FBDF2") == wt.FBDF2
+        with pytest.raises(ValueError, match="unknown scheme"):
+            wt.scheme_name("bdf7")
+
+    @pytest.mark.parametrize("scheme", [wt.L1, wt.ALPHA_DIFF])
+    def test_no_generating_pair(self, scheme):
+        with pytest.raises(ValueError, match="not an F-LMM"):
+            wt.generating_pair(scheme, 0.5)
 
 
 class TestGeneratingFnEval:
