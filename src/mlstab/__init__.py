@@ -33,7 +33,7 @@ from .weights import (
     miller_power,
     conv_inverse,
 )
-from .solver import FOdeProblem, Trajectory, solve, solve_flmm, solve_l1, solve_alpha_diff
+from .solver import FOdeProblem, Trajectory, solve, solve_alpha_diff
 from .resolvent import ResolventSequence, impulse_resolvent, poisson_resolvent, verify_resolvent_decay
 from .analysis import p_index, p_at_checkpoints, region_boundary, classify_problem, perturbation_check
 from . import problems, tables
@@ -56,8 +56,6 @@ __all__ = [
     "FOdeProblem",
     "Trajectory",
     "solve",
-    "solve_flmm",
-    "solve_l1",
     "solve_alpha_diff",
     "ResolventSequence",
     "impulse_resolvent",

@@ -118,6 +118,8 @@ def p_at_checkpoints(traj: Trajectory, checkpoints, m: int = 5,
     the published reference grids this package reproduces were sampled one
     index early (offset -1), which changes p by about alpha*h/t.
     """
+    if m < 1:
+        raise ValueError("m must be a positive integer")
     norms = traj.norms()
     out = []
     skipped = 0

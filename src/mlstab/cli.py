@@ -118,15 +118,8 @@ def cmd_solve(args) -> int:
     except slv.SolverError as exc:
         print(f"solver failure: {exc} (step {exc.step})", file=sys.stderr)
         return _EXIT_SOLVER
-    meta = _meta_line(cmd="solve", scheme=args.scheme, alpha=args.alpha, h=args.h,
-                      problem=args.problem)
-    stem = f"solve_{args.problem}_{args.scheme}_a{args.alpha:g}"
-    path = _write(args.out, stem + ".csv", _trajectory_csv(traj, meta))
-
+    # every output is built before the first write: a usage error leaves --out untouched
     report = analysis.p_index(traj, m=args.m)
-    p_rows = ["t,p_alpha"] + [f"{_fmt(t)},{_fmt(p)}"
-                              for t, p in zip(report.times, report.p)]
-    _write(args.out, stem + "_pindex.csv", meta + "\n".join(p_rows) + "\n")
     summary = {
         "scheme": args.scheme,
         "alpha": args.alpha,
@@ -141,6 +134,13 @@ def cmd_solve(args) -> int:
         ts = [float(s) for s in args.checkpoints.split(",")]
         summary["p_at"] = {f"{t:g}": round(p, 4)
                            for t, p in analysis.p_at_checkpoints(traj, ts, m=args.m)}
+    meta = _meta_line(cmd="solve", scheme=args.scheme, alpha=args.alpha, h=args.h,
+                      problem=args.problem)
+    stem = f"solve_{args.problem}_{args.scheme}_a{args.alpha:g}"
+    _write(args.out, stem + ".csv", _trajectory_csv(traj, meta))
+    p_rows = ["t,p_alpha"] + [f"{_fmt(t)},{_fmt(p)}"
+                              for t, p in zip(report.times, report.p)]
+    _write(args.out, stem + "_pindex.csv", meta + "\n".join(p_rows) + "\n")
     text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     _write(args.out, stem + "_summary.json", text)
     print(text, end="")
@@ -270,8 +270,8 @@ _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, 
 def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, raw: str):
     """A config-file string converted the way its flag converts it (exit 2 if bad)."""
     try:
-        if isinstance(action, argparse.BooleanOptionalAction):
-            return _BOOLEANS[raw.lower()]  # true/false/yes/no/1/0
+        if action.nargs == 0:  # a switch: true/false/yes/no/1/0
+            return _BOOLEANS[raw.lower()]
         return action.type(raw) if action.type else raw
     except (KeyError, ValueError, argparse.ArgumentTypeError):
         parser.error(f"bad config value {action.dest} = {raw!r}")

@@ -1,8 +1,11 @@
 """Time-stepping engine for semi-linear Caputo fractional ODEs.
 
 Advances D^alpha y = A y + f(t, y), y(0) = y0, on the uniform grid t_n = n h.
-One core (`_run`) steps every scheme; its three formulations differ only in
-the weights, the initial-value term and what the history H_j stores:
+There are two entry points: `solve` runs any scheme by id (the convolution
+schemes in integral or differential form, with an optional prebuilt weight
+table), and `solve_alpha_diff` chooses the alpha-difference variant.  One
+core (`_run`) steps every scheme; its three formulations differ only in the
+weights, the initial-value term and what the history H_j stores:
 
 * integral form     y_n = y_0 + h^alpha sum_{j=1}^{n} omega_{n-j} H_j, H_j = A y_j + f_j
 * differential      sum_{j=0}^{n} mu_j H_{n-j} = h^alpha (A y_n + f_n), H_j = y_j - y_0
@@ -42,9 +45,6 @@ __all__ = [
     "NonConvergenceError",
     "BLOWUP_FACTOR",
     "solve",
-    "solve_flmm",
-    "solve_differential",
-    "solve_l1",
     "solve_alpha_diff",
 ]
 
@@ -286,43 +286,6 @@ def _trajectory(kind: str, w: wt.SchemeWeights, problem: FOdeProblem, h: float,
     return Trajectory(h, states, w.scheme_id, problem.alpha, truncated_at=stop)
 
 
-def solve_flmm(problem: FOdeProblem, w: wt.SchemeWeights, h: float, N: int) -> Trajectory:
-    """Integral-form run: y_n = y_0 + h^alpha sum_{j=1}^n omega_{n-j} g_j.
-
-    The implicit step is (I - h^alpha omega_0 A) y_n =
-    y_0 + h^alpha sum_{j<n} omega_{n-j} g_j + h^alpha omega_0 f(t_n, y_n).
-    """
-    if w.omega is None:
-        raise ValueError(f"scheme {w.scheme_id} carries no integral-form weights")
-    if w.omega.size < N:
-        raise ValueError(f"need at least {N} omega weights, have {w.omega.size}")
-    _check_grid(h, N)
-    return _trajectory(_INTEGRAL, w, problem, h, N)
-
-
-def solve_differential(problem: FOdeProblem, w: wt.SchemeWeights, h: float, N: int) -> Trajectory:
-    """Differential-form run:
-    (mu_0 I - h^alpha A) y_n = mu_0 y_0 - sum_{j=1}^n mu_j (y_{n-j} - y_0)
-                               + h^alpha f(t_n, y_n).
-    """
-    if w.mu is None:
-        raise ValueError(f"scheme {w.scheme_id} carries no differential-form weights")
-    if w.mu.size < N + 1:
-        raise ValueError(f"need at least {N + 1} mu weights, have {w.mu.size}")
-    _check_grid(h, N)
-    return _trajectory(_DIFFERENTIAL, w, problem, h, N)
-
-
-def solve_l1(problem: FOdeProblem, h: float, N: int,
-             w: wt.SchemeWeights | None = None) -> Trajectory:
-    """L1 scheme run (differential form with the L1 weights)."""
-    if w is None:
-        w = wt.l1_weights(problem.alpha, N + 1)
-    elif w.scheme_id != wt.L1:
-        raise ValueError("solve_l1 expects L1 weights")
-    return solve_differential(problem, w, h, N)
-
-
 def solve_alpha_diff(problem: FOdeProblem, h: float, N: int,
                      variant: str = "difference") -> Trajectory:
     """alpha-difference scheme run.
@@ -355,25 +318,36 @@ def solve_alpha_diff(problem: FOdeProblem, h: float, N: int,
 
 
 def solve(problem: FOdeProblem, scheme_id: str, h: float, N: int,
-          form: str = "auto", w: wt.SchemeWeights | None = None,
-          alpha_diff_variant: str = "difference") -> Trajectory:
+          form: str = "auto", w: wt.SchemeWeights | None = None) -> Trajectory:
     """Run any scheme by id.
 
     form selects the formulation for the convolution schemes: "integral",
     "differential", or "auto" (integral for the F-LMMs, differential for L1).
+    w is an optional prebuilt table of the same scheme, holding at least N
+    omega weights (integral form) or N + 1 mu weights (differential form).
+    The alpha-difference scheme builds its own tables and takes no w; it runs
+    its "difference" variant, see solve_alpha_diff for the other.
     """
     scheme_id = wt.scheme_name(scheme_id)
     if scheme_id == wt.ALPHA_DIFF:
-        return solve_alpha_diff(problem, h, N, variant=alpha_diff_variant)
-    if w is None:
-        w = wt.scheme_weights(scheme_id, problem.alpha, N + 1)
+        if w is not None:
+            raise ValueError("the alpha-difference scheme builds its own weights")
+        return solve_alpha_diff(problem, h, N)
     if form == "auto":
         form = _default_form(scheme_id)
-    if form == "integral":
-        return solve_flmm(problem, w, h, N)
-    if form == "differential":
-        return solve_differential(problem, w, h, N)
-    raise ValueError(f"unknown form {form!r}")
+    if form not in (_INTEGRAL, _DIFFERENTIAL):
+        raise ValueError(f"unknown form {form!r}")
+    if w is None:
+        w = wt.scheme_weights(scheme_id, problem.alpha, N + 1)
+    elif w.scheme_id != scheme_id:
+        raise ValueError(f"{scheme_id} run given {w.scheme_id} weights")
+    c, need, name = (w.omega, N, "omega") if form == _INTEGRAL else (w.mu, N + 1, "mu")
+    if c is None:
+        raise ValueError(f"scheme {w.scheme_id} carries no {form}-form weights")
+    if c.size < need:
+        raise ValueError(f"need at least {need} {name} weights, have {c.size}")
+    _check_grid(h, N)
+    return _trajectory(form, w, problem, h, N)
 
 
 def _check_grid(h: float, N: int = 1) -> None:

@@ -22,7 +22,6 @@ same convention.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -160,13 +159,6 @@ class CellResult:
     passed: bool
 
 
-def _worker_count() -> int:
-    env = os.environ.get("MLSTAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
 def _run_cells(spec: _TableSpec, scheme_id: str, alpha: float, m: int) -> list[CellResult]:
     prob = spec.problem(alpha)
     t_max = max(spec.checkpoints)
@@ -184,11 +176,14 @@ def _run_cells(spec: _TableSpec, scheme_id: str, alpha: float, m: int) -> list[C
     return cells
 
 
-def reproduce(table_id: str, m: int = 5, max_workers: int | None = None,
+def reproduce(table_id: str, m: int = 5, max_workers: int = 1,
               tolerance: float | None = None) -> list[CellResult]:
     """Recompute one reference grid; cells come back in (t, alpha, scheme) order.
 
-    tolerance overrides the grid's own per-cell tolerance when given.
+    The (scheme, alpha) runs go in order in the calling thread; max_workers > 1
+    spreads them over a thread pool instead, which measured slower, as the
+    Python step loops hold the GIL.  tolerance overrides the grid's own
+    per-cell tolerance when given.
     """
     table_id = table_id.upper()
     if table_id not in _SPECS:
@@ -197,9 +192,8 @@ def reproduce(table_id: str, m: int = 5, max_workers: int | None = None,
     if tolerance is not None:
         spec = replace(spec, tolerance=float(tolerance))
     jobs = [(s, a) for s in spec.schemes for a in spec.alphas]
-    workers = max_workers or _worker_count()
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if max_workers > 1 and len(jobs) > 1:
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
             chunks = list(pool.map(lambda sa: _run_cells(spec, sa[0], sa[1], m), jobs))
     else:
         chunks = [_run_cells(spec, s, a, m) for s, a in jobs]

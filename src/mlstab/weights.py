@@ -215,6 +215,8 @@ def l1_weights(alpha: float, n_terms: int) -> SchemeWeights:
     sigma_n = (n^(1-alpha) - (n-1)^(1-alpha)) / Gamma(2-alpha).
     """
     _validate_alpha(alpha)
+    if n_terms < 1:
+        raise ValueError("n_terms must be >= 1")
     g = math.gamma(2.0 - alpha)
     n = np.arange(n_terms + 1, dtype=float)
     pw = n ** (1.0 - alpha)

@@ -174,6 +174,8 @@ class TestUsageErrors:
         ("solve", "--scheme", "fbdf1", "--h", "0", "--t-end", "5"),
         ("solve", "--scheme", "fbdf1", "--h", "0.1"),
         ("resolvent", "--scheme", "alpha_diff", "--h", "0.1", "--q-check", "-1"),
+        ("weights", "--scheme", "l1", "--n", "0"),
+        ("solve", "--scheme", "fbdf1", "--h", "0.1", "--n-steps", "3"),
     ])
     def test_rejected_before_any_output(self, tmp_path, capsys, argv):
         assert cli.main([*argv, "--alpha", "0.5", "--out", str(tmp_path / "out")]) == 2
@@ -196,6 +198,11 @@ class TestReproduceCommand:
     def test_tolerance_override(self, tmp_path):
         res = run_cli("reproduce", "T7", "--tolerance", "1e-9", "--out", str(tmp_path))
         assert res.returncode == 4  # nothing meets an absurd tolerance
+
+    def test_zero_offset_rejected(self, tmp_path, capsys):
+        assert cli.main(["reproduce", "T7", "--m", "0", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: m must be a positive integer")
+        assert not (tmp_path / "out").exists()
 
     def test_tolerance_failure_exit_code(self, tmp_path, monkeypatch):
         from mlstab.tables import CellResult
@@ -248,6 +255,24 @@ class TestConfigFile:
         assert res.returncode == 2
         assert "control" in res.stderr
         assert not any(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("value, written", [("false", False), ("yes", True)])
+    def test_svg_switch(self, tmp_path, value, written):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"svg = {value}\n")
+        assert cli.main(["region", "--config", str(cfg), "--scheme", "fbdf1", "--alpha", "0.5",
+                         "--n-theta", "64", "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "region_fbdf1_a0.5.csv").exists()
+        assert (tmp_path / "out" / "region_fbdf1_a0.5.svg").exists() == written
+
+    def test_bad_svg_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("svg = maybe\n")
+        res = run_cli("region", "--config", str(cfg), "--scheme", "fbdf1", "--alpha", "0.5",
+                      "--n-theta", "64", "--out", str(tmp_path / "out"))
+        assert res.returncode == 2
+        assert "svg" in res.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_version_flag(self):
         res = run_cli("--version")

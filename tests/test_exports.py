@@ -1,0 +1,10 @@
+import importlib
+
+import pytest
+
+
+@pytest.mark.parametrize("module", ["mlstab", "mlstab.solver", "mlstab.tables"])
+def test_every_export_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing

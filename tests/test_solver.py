@@ -13,9 +13,6 @@ from mlstab.solver import (
     SingularStepError,
     solve,
     solve_alpha_diff,
-    solve_differential,
-    solve_flmm,
-    solve_l1,
 )
 
 SCHEMES = (wt.FBDF1, wt.FBDF2, wt.FADAMS2, wt.L1)
@@ -66,7 +63,7 @@ class TestLinearRuns:
         # alpha = 1 turns the 1-step scheme into backward Euler: y' = -y
         p = FOdeProblem(1.0, np.array([[-1.0]]), np.array([1.0]))
         w = wt.fbdf_weights(1, 1.0, 101)
-        traj = solve_flmm(p, w, 0.1, 100)
+        traj = solve(p, wt.FBDF1, 0.1, 100, form="integral", w=w)
         ref = 1.1 ** -np.arange(101)
         assert np.max(np.abs(traj.states[:, 0] - ref)) < 1e-13
 
@@ -74,7 +71,7 @@ class TestLinearRuns:
         # with f = 0 each step solves its linear equation to machine precision
         p = scalar_problem()
         w = wt.fbdf_weights(1, 0.5, 101)
-        traj = solve_flmm(p, w, 0.1, 100)
+        traj = solve(p, wt.FBDF1, 0.1, 100, form="integral", w=w)
         ha = 0.1 ** 0.5
         lam = 1 + 11j
         g = lam * traj.states[:, 0]
@@ -93,7 +90,17 @@ class TestLinearRuns:
         p = scalar_problem()
         w = wt.fbdf_weights(1, 0.5, 10)
         with pytest.raises(ValueError):
-            solve_flmm(p, w, 0.1, 50)
+            solve(p, wt.FBDF1, 0.1, 50, form="integral", w=w)
+
+    def test_weights_of_another_scheme(self):
+        p = scalar_problem()
+        with pytest.raises(ValueError, match="fbdf1 run given l1 weights"):
+            solve(p, "fbdf1", 0.1, 50, w=wt.l1_weights(0.5, 51))
+
+    def test_alpha_diff_takes_no_weights(self):
+        p = scalar_problem()
+        with pytest.raises(ValueError, match="builds its own weights"):
+            solve(p, wt.ALPHA_DIFF, 0.1, 50, w=wt.alpha_diff_weights(0.5, 51))
 
 
 class TestFormEquivalence:
@@ -107,7 +114,7 @@ class TestFormEquivalence:
 
     def test_l1_entry_point(self):
         p = scalar_problem(alpha=0.7)
-        a = solve_l1(p, 0.1, 200)
+        a = solve(p, wt.L1, 0.1, 200, w=wt.l1_weights(0.7, 201))
         b = solve(p, wt.L1, 0.1, 200)
         assert np.array_equal(a.states, b.states)
 
@@ -180,7 +187,7 @@ class TestNonlinear:
         p = problems.lorenz_controlled(alpha=0.5)
         N = 50
         w = wt.fbdf_weights(1, 0.5, N + 1)
-        traj = solve_flmm(p, w, 0.1, N)
+        traj = solve(p, wt.FBDF1, 0.1, N, form="integral", w=w)
         ha = 0.1 ** 0.5
         g = np.array([p.A @ traj.states[j] + p.f(0.1 * j, traj.states[j])
                       for j in range(N + 1)])

@@ -24,16 +24,6 @@ class TestSpecs:
         assert not spec.asserted("alpha_diff", 20.0, 0.9)
 
 
-class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("MLSTAB_THREADS", "7")
-        assert tables._worker_count() == 7
-
-    def test_default_bounded(self, monkeypatch):
-        monkeypatch.delenv("MLSTAB_THREADS", raising=False)
-        assert 1 <= tables._worker_count() <= 4
-
-
 class TestCsvRendering:
     def test_layout(self):
         cell = tables.CellResult("T2", "fbdf1", 100.0, 0.3, 0.30091, 0.3009,
