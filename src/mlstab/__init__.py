@@ -26,8 +26,6 @@ from .special import (
 from .weights import (
     SchemeWeights,
     scheme_weights,
-    fbdf_weights,
-    fadams2_weights,
     l1_weights,
     alpha_diff_kernel,
     miller_power,
@@ -47,8 +45,6 @@ __all__ = [
     "in_stable_sector",
     "SchemeWeights",
     "scheme_weights",
-    "fbdf_weights",
-    "fadams2_weights",
     "l1_weights",
     "alpha_diff_kernel",
     "miller_power",

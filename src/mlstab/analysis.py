@@ -178,7 +178,7 @@ class RegionSample:
     The stability region is the complement of
     {1/(h^alpha F_omega(z)) : |z| <= 1}; boundary holds the images of the
     unit circle on a theta grid offset by half a cell so theta = 0 (where
-    F_omega diverges) is excluded.  n_terms is 0 when closed forms are used.
+    F_omega diverges) is excluded.
     """
 
     scheme_id: str
@@ -186,7 +186,6 @@ class RegionSample:
     h: float
     theta: np.ndarray
     boundary: np.ndarray
-    n_terms: int = 0
 
 
 def region_boundary(scheme_id: str, alpha: float, h: float,
@@ -212,17 +211,16 @@ class ProblemClassification:
     verdict: str  # "stable" / "critical" / "unstable"
 
 
-def classify_problem(problem: FOdeProblem, alpha: float | None = None) -> ProblemClassification:
+def classify_problem(problem: FOdeProblem) -> ProblemClassification:
     """Eigenvalues of A against the stability sector at the problem's alpha.
 
     Eigenvalues within solver noise of the origin (relative to ||A||) are
     flagged critical: the sector excludes zero, and the dense eigensolver
     cannot place an exact zero mode better than ~1e-12 ||A||.
     """
-    alpha = problem.alpha if alpha is None else alpha
     evals = np.linalg.eigvals(problem.A)
     zero_floor = 1e-9 * max(1.0, float(np.linalg.norm(problem.A, 2)))
-    sectors = [in_stable_sector(0.0 if abs(lam) <= zero_floor else lam, alpha)
+    sectors = [in_stable_sector(0.0 if abs(lam) <= zero_floor else lam, problem.alpha)
                for lam in evals]
     if any((not s.in_sector) and (not s.critical) for s in sectors):
         verdict = "unstable"
@@ -230,7 +228,7 @@ def classify_problem(problem: FOdeProblem, alpha: float | None = None) -> Proble
         verdict = "critical"
     else:
         verdict = "stable"
-    return ProblemClassification(alpha, evals, sectors, verdict)
+    return ProblemClassification(problem.alpha, evals, sectors, verdict)
 
 
 class UnreliableTailError(ArithmeticError):

@@ -211,7 +211,7 @@ def cmd_resolvent(args) -> int:
                      "n_max": args.n_max}
     if args.scheme == wt.ALPHA_DIFF:
         # the quadrature identity concerns the linear part: run homogeneously
-        hom = slv.FOdeProblem(prob.alpha, prob.A, prob.y0, label=prob.label)
+        hom = slv.FOdeProblem(prob.alpha, prob.A, prob.y0)
         traj = slv.solve_alpha_diff(hom, args.h, args.n_max, variant="poisson")
         devs = []
         for n in range(0, min(args.n_max, args.q_check) + 1, max(1, args.q_stride)):

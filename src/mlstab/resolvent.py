@@ -55,6 +55,12 @@ __all__ = [
     "power_law_tail",
 ]
 
+#: relative tolerances of the Poisson quadratures (Q_beta^n, the density's mass)
+#: and of the Mittag-Leffler values inside the Q_beta^n integrand.
+_Q_EPSREL = 1e-8
+_MASS_EPSREL = 1e-11
+_Q_ML_RTOL = 3e-9
+
 
 class InsufficientRangeError(ValueError):
     """The resolvent range does not span enough decades for a decay fit."""
@@ -94,6 +100,8 @@ def impulse_resolvent(scheme_id: str, A, alpha: float, h: float, n_max: int) -> 
     if scheme_id == wt.ALPHA_DIFF:
         raise ValueError(f"impulse_resolvent supports the F-LMM/L1 schemes, not {scheme_id!r}")
     _check_grid(h)
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     d = A.shape[0]
     kind = _default_form(scheme_id)
@@ -118,21 +126,24 @@ def _poisson_log_weight(s: float, n: int) -> float:
     return n * math.log(s) - s - float(gammaln(n + 1))
 
 
-def poisson_mass(n: int, window: float = 12.0, pad: float = 30.0,
-                 epsrel: float = 1e-11) -> float:
+def _poisson_window(n: int) -> tuple[float, float]:
+    """Integration window in s = t/h: +-12 standard deviations of the Poisson
+    density around its mean n, padded by 30 on the right."""
+    spread = 12.0 * math.sqrt(n + 1.0)
+    return max(0.0, n - spread), n + spread + 30.0
+
+
+def poisson_mass(n: int) -> float:
     """Quadrature of the Poisson density over the working window (exactly 1)."""
-    lo = max(0.0, n - window * math.sqrt(n + 1.0))
-    hi = n + window * math.sqrt(n + 1.0) + pad
+    lo, hi = _poisson_window(n)
     val, _ = integrate.quad(lambda s: math.exp(_poisson_log_weight(s, n)),
-                            lo, hi, epsabs=1e-14, epsrel=epsrel, limit=300)
+                            lo, hi, epsabs=1e-14, epsrel=_MASS_EPSREL, limit=300)
     return val
 
 
-def _poisson_scalar(lam: complex, alpha: float, h: float, n: int, beta: float,
-                    epsrel: float, ml_rtol: float) -> complex:
+def _poisson_scalar(lam: complex, alpha: float, h: float, n: int, beta: float) -> complex:
     """Q_beta^n for a scalar eigenvalue: Poisson average of t^{beta-1} E."""
-    lo = max(0.0, n - 12.0 * math.sqrt(n + 1.0))
-    hi = n + 12.0 * math.sqrt(n + 1.0) + 30.0
+    lo, hi = _poisson_window(n)
     real_line = lam.imag == 0.0  # then E stays real along the path
 
     @functools.cache  # the imaginary-part quadrature revisits the real part's nodes
@@ -142,7 +153,7 @@ def _poisson_scalar(lam: complex, alpha: float, h: float, n: int, beta: float,
             return 0j
         hs = h * s
         return (math.exp(lw) * hs ** (beta - 1.0)
-                * mittag_leffler(hs ** alpha * lam, alpha, beta, ml_rtol))
+                * mittag_leffler(hs ** alpha * lam, alpha, beta, _Q_ML_RTOL))
 
     pieces = []
     if beta < 1.0 and lo == 0.0:
@@ -157,7 +168,7 @@ def _poisson_scalar(lam: complex, alpha: float, h: float, n: int, beta: float,
             expo = (n + beta - alpha) / alpha
             return (math.exp(-s - float(gammaln(n + 1))) * u ** expo / alpha
                     * h ** (beta - 1.0)
-                    * mittag_leffler(h ** alpha * u * lam, alpha, beta, ml_rtol))
+                    * mittag_leffler(h ** alpha * u * lam, alpha, beta, _Q_ML_RTOL))
 
         pieces.append((integrand_u, 0.0, s1 ** alpha))
         pieces.append((integrand, s1, hi))
@@ -167,19 +178,17 @@ def _poisson_scalar(lam: complex, alpha: float, h: float, n: int, beta: float,
     total = 0j
     for func, a, b in pieces:
         re, _ = integrate.quad(lambda s: func(s).real, a, b,
-                               epsabs=1e-14, epsrel=epsrel, limit=300)
+                               epsabs=1e-14, epsrel=_Q_EPSREL, limit=300)
         if real_line:
             total += re
             continue
         im, _ = integrate.quad(lambda s: func(s).imag, a, b,
-                               epsabs=1e-14, epsrel=epsrel, limit=300)
+                               epsabs=1e-14, epsrel=_Q_EPSREL, limit=300)
         total += re + 1j * im
     return total
 
 
-def poisson_resolvent(A, alpha: float, h: float, n: int, beta: float,
-                      epsrel: float = 1e-8, cond_cap: float = 1e8,
-                      ml_rtol: float = 3e-9) -> np.ndarray:
+def poisson_resolvent(A, alpha: float, h: float, n: int, beta: float) -> np.ndarray:
     """Q_beta^n = int rho_n^h(t) t^{beta-1} E_{alpha,beta}(t^alpha A) dt.
 
     beta is 1 (initial-value resolvent) or alpha (forcing resolvent, whose
@@ -189,8 +198,7 @@ def poisson_resolvent(A, alpha: float, h: float, n: int, beta: float,
     if beta not in (1.0, alpha):
         raise ValueError("beta must be 1 or alpha")
     _check_grid(h)
-    return matrix_function(
-        A, lambda lam: _poisson_scalar(lam, alpha, h, n, beta, epsrel, ml_rtol), cond_cap)
+    return matrix_function(A, lambda lam: _poisson_scalar(lam, alpha, h, n, beta))
 
 
 def variation_of_constants(r: ResolventSequence, y0, f_values) -> np.ndarray:

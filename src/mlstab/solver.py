@@ -2,10 +2,10 @@
 
 Advances D^alpha y = A y + f(t, y), y(0) = y0, on the uniform grid t_n = n h.
 There are two entry points: `solve` runs any scheme by id (the convolution
-schemes in integral or differential form, with an optional prebuilt weight
-table), and `solve_alpha_diff` chooses the alpha-difference variant.  One
-core (`_run`) steps every scheme; its three formulations differ only in the
-weights, the initial-value term and what the history H_j stores:
+schemes in integral or differential form), and `solve_alpha_diff` chooses the
+alpha-difference variant.  One core (`_run`) steps every scheme; its three
+formulations differ only in the weights, the initial-value term and what the
+history H_j stores:
 
 * integral form     y_n = y_0 + h^alpha sum_{j=1}^{n} omega_{n-j} H_j, H_j = A y_j + f_j
 * differential      sum_{j=0}^{n} mu_j H_{n-j} = h^alpha (A y_n + f_n), H_j = y_j - y_0
@@ -90,7 +90,6 @@ class FOdeProblem:
     y0: np.ndarray
     f: Callable[[float, np.ndarray], np.ndarray] | None = None
     lipschitz_bound: float | None = None
-    label: str = ""
     f_vanishes_at_zero: bool = field(init=False, default=True)
 
     def __post_init__(self):
@@ -229,8 +228,9 @@ def _run(kind: str, w: wt.SchemeWeights, A: np.ndarray, alpha: float, h: float,
       alpha_diff    mu     c_0 I - ha A   ha       -1   0      Y_j           Y0
 
     Given kern (the alpha-difference "poisson" variant), iv_n = kern_n Y0 and
-    H_0 = z_0 = M^{-1} (Y0 + ha f(0, Y0)).  Returns the states and the step
-    at which ||Y_n|| first exceeds guard (the states end there), else None.
+    H_0 = z_0 = M^{-1} (Y0 + ha f(0, Y0)).  w holds at least the N + 1
+    weights c_0 .. c_N.  Returns the states and the step at which ||Y_n||
+    first exceeds guard (the states end there), else None.
     """
     integral = kind == _INTEGRAL
     c = w.omega if integral else w.mu
@@ -243,9 +243,7 @@ def _run(kind: str, w: wt.SchemeWeights, A: np.ndarray, alpha: float, h: float,
     s = ha if integral else -1.0
     ivc = kern if kern is not None else np.full(
         N + 1, {_INTEGRAL: 1.0, _DIFFERENTIAL: c[0], _ALPHA_DIFF: 0.0}[kind])
-    # c_N .. c_1; an integral-form table may stop at c_{N-1} as c_N meets H_0 = 0
-    tail = c[1:N + 1]
-    rev = np.ascontiguousarray(np.pad(tail, (0, N - tail.size))[::-1], dtype=complex)
+    rev = np.ascontiguousarray(c[N:0:-1], dtype=complex)  # c_N .. c_1
 
     Y = np.empty((N + 1,) + Y0.shape, dtype=complex)
     H = np.zeros_like(Y)
@@ -318,35 +316,23 @@ def solve_alpha_diff(problem: FOdeProblem, h: float, N: int,
 
 
 def solve(problem: FOdeProblem, scheme_id: str, h: float, N: int,
-          form: str = "auto", w: wt.SchemeWeights | None = None) -> Trajectory:
+          form: str = "auto") -> Trajectory:
     """Run any scheme by id.
 
     form selects the formulation for the convolution schemes: "integral",
     "differential", or "auto" (integral for the F-LMMs, differential for L1).
-    w is an optional prebuilt table of the same scheme, holding at least N
-    omega weights (integral form) or N + 1 mu weights (differential form).
-    The alpha-difference scheme builds its own tables and takes no w; it runs
-    its "difference" variant, see solve_alpha_diff for the other.
+    The weight table comes from weights.scheme_weights.  The alpha-difference
+    scheme runs its "difference" variant, see solve_alpha_diff for the other.
     """
     scheme_id = wt.scheme_name(scheme_id)
     if scheme_id == wt.ALPHA_DIFF:
-        if w is not None:
-            raise ValueError("the alpha-difference scheme builds its own weights")
         return solve_alpha_diff(problem, h, N)
     if form == "auto":
         form = _default_form(scheme_id)
     if form not in (_INTEGRAL, _DIFFERENTIAL):
         raise ValueError(f"unknown form {form!r}")
-    if w is None:
-        w = wt.scheme_weights(scheme_id, problem.alpha, N + 1)
-    elif w.scheme_id != scheme_id:
-        raise ValueError(f"{scheme_id} run given {w.scheme_id} weights")
-    c, need, name = (w.omega, N, "omega") if form == _INTEGRAL else (w.mu, N + 1, "mu")
-    if c is None:
-        raise ValueError(f"scheme {w.scheme_id} carries no {form}-form weights")
-    if c.size < need:
-        raise ValueError(f"need at least {need} {name} weights, have {c.size}")
     _check_grid(h, N)
+    w = wt.scheme_weights(scheme_id, problem.alpha, N + 1)
     return _trajectory(form, w, problem, h, N)
 
 

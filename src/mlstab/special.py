@@ -51,6 +51,7 @@ __all__ = [
     "ASYMPTOTIC_RADIUS",
     "ASYMPTOTIC_MIN",
     "MAX_EXTENDED_DPS",
+    "COND_CAP",
     "gamma",
     "reciprocal_gamma",
     "mittag_leffler",
@@ -82,6 +83,8 @@ ASYMPTOTIC_RADIUS = 40.0
 ASYMPTOTIC_MIN = 3.5
 #: cap on mpmath working precision for the extended-precision fallback.
 MAX_EXTENDED_DPS = 1500
+#: largest eigenbasis condition number a matrix function accepts.
+COND_CAP = 1e8
 
 _LN_OVERFLOW = 690.0  # ~ log(DBL_MAX)
 _EPS = 2.220446049250313e-16
@@ -271,7 +274,7 @@ def ml_asymptotic(z, alpha: float, beta: float = 1.0, n_terms: int = 8) -> compl
     return complex(-terms.sum())
 
 
-def prabhakar(z, alpha: float, beta: float, gamma_order: int = 1, rtol: float = 1e-13) -> complex:
+def prabhakar(z, alpha: float, beta: float, gamma_order: int = 1) -> complex:
     """Three-parameter Mittag-Leffler function E^{gamma}_{alpha,beta}(z).
 
     Supports gamma_order in {1, 2}.  gamma_order=1 is E_{alpha,beta}; the
@@ -283,14 +286,13 @@ def prabhakar(z, alpha: float, beta: float, gamma_order: int = 1, rtol: float = 
     if gamma_order != int(gamma_order) or not 1 <= int(gamma_order) <= 2:
         raise ValueError(f"gamma_order must be 1 or 2, got {gamma_order!r}")
     if int(gamma_order) == 1:
-        return mittag_leffler(z, alpha, beta, rtol)
-    e1 = mittag_leffler(z, alpha, beta - 1.0, rtol)
-    e2 = mittag_leffler(z, alpha, beta, rtol)
+        return mittag_leffler(z, alpha, beta)
+    e1 = mittag_leffler(z, alpha, beta - 1.0)
+    e2 = mittag_leffler(z, alpha, beta)
     return (e1 + (1.0 - beta + alpha) * e2) / alpha
 
 
-def resolvent_matrix(A, alpha: float, beta: float, t: float,
-                     cond_cap: float = 1e8, rtol: float = 1e-13) -> np.ndarray:
+def resolvent_matrix(A, alpha: float, beta: float, t: float) -> np.ndarray:
     """t^{beta-1} E_{alpha,beta}(t^alpha A) through an eigendecomposition.
 
     R_{alpha,1}(t) = E_alpha(t^alpha A) and
@@ -298,7 +300,7 @@ def resolvent_matrix(A, alpha: float, beta: float, t: float,
     fractional resolvent operators of D^alpha y = A y.
 
     Requires A diagonalizable with eigenbasis condition number below
-    `cond_cap`; raises EigenbasisError otherwise (no Schur-Parlett fallback).
+    COND_CAP; raises EigenbasisError otherwise (no Schur-Parlett fallback).
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -308,19 +310,19 @@ def resolvent_matrix(A, alpha: float, beta: float, t: float,
     ta = t ** alpha
     prefac = t ** (beta - 1.0)
     return matrix_function(
-        A, lambda lam: prefac * mittag_leffler(ta * lam, alpha, beta, rtol), cond_cap)
+        A, lambda lam: prefac * mittag_leffler(ta * lam, alpha, beta))
 
 
-def matrix_function(A, fn, cond_cap: float = 1e8) -> np.ndarray:
+def matrix_function(A, fn) -> np.ndarray:
     """fn(A) = V diag(fn(lambda_i)) V^{-1}, fn applied per eigenvalue (a 1x1 A
-    directly); EigenbasisError if cond(V) is not finite or exceeds `cond_cap`."""
+    directly); EigenbasisError if cond(V) is not finite or exceeds COND_CAP."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     if A.shape[0] == 1:
         return np.array([[fn(A[0, 0])]])
     evals, V = np.linalg.eig(A)
     cond = np.linalg.cond(V)
-    if not np.isfinite(cond) or cond > cond_cap:
-        raise EigenbasisError(f"eigenbasis condition number {cond:.3g} exceeds cap {cond_cap:g}")
+    if not np.isfinite(cond) or cond > COND_CAP:
+        raise EigenbasisError(f"eigenbasis condition number {cond:.3g} exceeds cap {COND_CAP:g}")
     return (V * np.array([fn(lam) for lam in evals])) @ np.linalg.inv(V)
 
 

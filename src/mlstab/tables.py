@@ -22,6 +22,7 @@ same convention.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -183,13 +184,18 @@ def reproduce(table_id: str, m: int = 5, max_workers: int = 1,
     The (scheme, alpha) runs go in order in the calling thread; max_workers > 1
     spreads them over a thread pool instead, which measured slower, as the
     Python step loops hold the GIL.  tolerance overrides the grid's own
-    per-cell tolerance when given.
+    per-cell tolerance when given.  m and tolerance are checked before any
+    cell runs.
     """
     table_id = table_id.upper()
     if table_id not in _SPECS:
         raise ValueError(f"unknown table id {table_id!r}; expected one of {TABLE_IDS}")
+    if m < 1:
+        raise ValueError("m must be a positive integer")
     spec = _SPECS[table_id]
     if tolerance is not None:
+        if not (math.isfinite(tolerance) and tolerance >= 0.0):
+            raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance}")
         spec = replace(spec, tolerance=float(tolerance))
     jobs = [(s, a) for s in spec.schemes for a in spec.alphas]
     if max_workers > 1 and len(jobs) > 1:

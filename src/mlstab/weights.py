@@ -1,8 +1,9 @@
 """Convolution weight sequences for the five schemes.
 
 Every scheme on a uniform grid is a discrete convolution; this module builds
-the weight tables once (they do not depend on the step size h) and the solver
-reuses them.  Two equivalent sequences describe each scheme:
+its weight tables, which do not depend on the step size h.  `scheme_weights`
+is the one builder by scheme id.  Two equivalent sequences describe each
+scheme:
 
 * mu    - differential-form weights, generating function F_mu(z);
 * omega - integral-form weights, the convolution inverse of mu.
@@ -42,8 +43,6 @@ __all__ = [
     "fbdf1_recursion",
     "scheme_name",
     "generating_pair",
-    "fbdf_weights",
-    "fadams2_weights",
     "l1_weights",
     "alpha_diff_kernel",
     "alpha_diff_weights",
@@ -193,20 +192,6 @@ def _flmm_weights(scheme_id: str, alpha: float, n_terms: int) -> SchemeWeights:
     return SchemeWeights(scheme_id, alpha, n_terms, mu, omega)
 
 
-def fbdf_weights(k: int, alpha: float, n_terms: int) -> SchemeWeights:
-    """Weights of the k-step fractional BDF scheme, k in {1, 2}: the Miller
-    expansions of p(z)^(+-alpha), p(z) = sum_{l=1}^{k} (1-z)^l / l."""
-    if k not in (1, 2):
-        raise ValueError(f"unsupported F-BDF step number k={k} (only 1 and 2)")
-    return _flmm_weights(FBDF1 if k == 1 else FBDF2, alpha, n_terms)
-
-
-def fadams2_weights(alpha: float, n_terms: int) -> SchemeWeights:
-    """Weights of the 2-step fractional Adams scheme: omega is the product
-    series (1-z)^(-alpha) ((1-alpha/2) + (alpha/2) z), mu = (1-z)^alpha / q."""
-    return _flmm_weights(FADAMS2, alpha, n_terms)
-
-
 def l1_weights(alpha: float, n_terms: int) -> SchemeWeights:
     """Weights of the L1 scheme.
 
@@ -258,7 +243,8 @@ def alpha_diff_weights(alpha: float, n_terms: int) -> SchemeWeights:
 
 
 def scheme_weights(scheme_id: str, alpha: float, n_terms: int) -> SchemeWeights:
-    """Weight table for any scheme id."""
+    """Weight table for any scheme id: the one builder the solver and the
+    impulse resolvents use."""
     scheme_id = scheme_name(scheme_id)
     if scheme_id == L1:
         return l1_weights(alpha, n_terms)

@@ -157,11 +157,12 @@ class TestCriterion10Properties:
 
     def test_weight_identities(self):
         dev_rec = max(
-            float(np.max(np.abs(wt.fbdf_weights(1, a, 1000).mu - wt.fbdf1_recursion(a, 1000))))
+            float(np.max(np.abs(wt.scheme_weights(wt.FBDF1, a, 1000).mu
+                                - wt.fbdf1_recursion(a, 1000))))
             for a in (0.3, 0.5, 0.9))
         l1 = wt.l1_weights(0.5, 500)
         dev_tel = float(np.max(np.abs(np.cumsum(l1.mu) - l1.sigma[1:]) / np.abs(l1.sigma[1:])))
-        partial = np.cumsum(wt.fbdf_weights(2, 0.5, 10_000).mu)
+        partial = np.cumsum(wt.scheme_weights(wt.FBDF2, 0.5, 10_000).mu)
         drain_ok = abs(partial[-1]) < 1e-2 and np.all(np.diff(np.abs(partial[4:])) < 0)
         rt = wt.conv_inverse(wt.conv_inverse(np.array([2.0, -0.7, 0.1]), 64), 64)
         dev_rt = float(np.max(np.abs(rt - np.concatenate([[2.0, -0.7, 0.1], np.zeros(61)]))))

@@ -204,6 +204,17 @@ class TestReproduceCommand:
         assert capsys.readouterr().err.startswith("error: m must be a positive integer")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+    def test_bad_tolerance_rejected(self, tmp_path, capsys, monkeypatch, tolerance):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a cell ran before the arguments were checked")
+
+        monkeypatch.setattr(cli.tables, "solve", no_solve)
+        out = tmp_path / "out"
+        assert cli.main(["reproduce", "T2", "--tolerance", tolerance, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: tolerance must be")
+        assert not out.exists()
+
     def test_tolerance_failure_exit_code(self, tmp_path, monkeypatch):
         from mlstab.tables import CellResult
 

@@ -47,7 +47,7 @@ class TestImpulseExtraction:
         h, alpha, n_max = 0.2, 0.6, 30
         r = impulse_resolvent(wt.FBDF1, np.zeros((2, 2)), alpha, h, n_max)
         assert np.allclose(r.d, np.eye(2), atol=1e-14)
-        w = wt.fbdf_weights(1, alpha, n_max + 1)
+        w = wt.scheme_weights(wt.FBDF1, alpha, n_max + 1)
         for n in (0, 3, 30):
             assert np.allclose(r.D[n], h ** alpha * w.omega[n] * np.eye(2), atol=1e-14)
 
@@ -62,6 +62,16 @@ class TestImpulseExtraction:
     def test_alpha_diff_not_supported(self):
         with pytest.raises(ValueError):
             impulse_resolvent(wt.ALPHA_DIFF, LAM, 0.5, 0.1, 4)
+
+    @pytest.mark.parametrize("n_max", [-1, -2])
+    def test_negative_range_rejected(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            impulse_resolvent(wt.FBDF1, LAM, 0.5, 0.1, n_max)
+
+    def test_zero_range(self):
+        r = impulse_resolvent(wt.FBDF1, LAM, 0.5, 0.1, 0)
+        assert r.d.shape == r.D.shape == (1, 1, 1)
+        assert r.d[0, 0, 0] == 1.0
 
 
 class TestVariationOfConstants:

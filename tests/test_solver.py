@@ -62,16 +62,15 @@ class TestLinearRuns:
     def test_backward_euler_limit(self):
         # alpha = 1 turns the 1-step scheme into backward Euler: y' = -y
         p = FOdeProblem(1.0, np.array([[-1.0]]), np.array([1.0]))
-        w = wt.fbdf_weights(1, 1.0, 101)
-        traj = solve(p, wt.FBDF1, 0.1, 100, form="integral", w=w)
+        traj = solve(p, wt.FBDF1, 0.1, 100, form="integral")
         ref = 1.1 ** -np.arange(101)
         assert np.max(np.abs(traj.states[:, 0] - ref)) < 1e-13
 
     def test_step_equation_residual(self):
         # with f = 0 each step solves its linear equation to machine precision
         p = scalar_problem()
-        w = wt.fbdf_weights(1, 0.5, 101)
-        traj = solve(p, wt.FBDF1, 0.1, 100, form="integral", w=w)
+        w = wt.scheme_weights(wt.FBDF1, 0.5, 101)
+        traj = solve(p, wt.FBDF1, 0.1, 100, form="integral")
         ha = 0.1 ** 0.5
         lam = 1 + 11j
         g = lam * traj.states[:, 0]
@@ -86,22 +85,6 @@ class TestLinearRuns:
         with pytest.raises(SingularStepError):
             solve(p, wt.FBDF1, 0.1, 5)
 
-    def test_insufficient_weights(self):
-        p = scalar_problem()
-        w = wt.fbdf_weights(1, 0.5, 10)
-        with pytest.raises(ValueError):
-            solve(p, wt.FBDF1, 0.1, 50, form="integral", w=w)
-
-    def test_weights_of_another_scheme(self):
-        p = scalar_problem()
-        with pytest.raises(ValueError, match="fbdf1 run given l1 weights"):
-            solve(p, "fbdf1", 0.1, 50, w=wt.l1_weights(0.5, 51))
-
-    def test_alpha_diff_takes_no_weights(self):
-        p = scalar_problem()
-        with pytest.raises(ValueError, match="builds its own weights"):
-            solve(p, wt.ALPHA_DIFF, 0.1, 50, w=wt.alpha_diff_weights(0.5, 51))
-
 
 class TestFormEquivalence:
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -111,12 +94,6 @@ class TestFormEquivalence:
         t1 = solve(p, scheme, 0.1, N, form="integral")
         t2 = solve(p, scheme, 0.1, N, form="differential")
         assert np.max(np.abs(t1.states - t2.states)) < 1e-10
-
-    def test_l1_entry_point(self):
-        p = scalar_problem(alpha=0.7)
-        a = solve(p, wt.L1, 0.1, 200, w=wt.l1_weights(0.7, 201))
-        b = solve(p, wt.L1, 0.1, 200)
-        assert np.array_equal(a.states, b.states)
 
 
 class TestLongTimeAsymptotics:
@@ -186,8 +163,8 @@ class TestNonlinear:
         # the implicit equation holds to tolerance at a sampled step
         p = problems.lorenz_controlled(alpha=0.5)
         N = 50
-        w = wt.fbdf_weights(1, 0.5, N + 1)
-        traj = solve(p, wt.FBDF1, 0.1, N, form="integral", w=w)
+        w = wt.scheme_weights(wt.FBDF1, 0.5, N + 1)
+        traj = solve(p, wt.FBDF1, 0.1, N, form="integral")
         ha = 0.1 ** 0.5
         g = np.array([p.A @ traj.states[j] + p.f(0.1 * j, traj.states[j])
                       for j in range(N + 1)])

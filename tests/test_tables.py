@@ -3,6 +3,10 @@ import pytest
 from mlstab import tables
 
 
+def no_solve(*args, **kwargs):
+    raise AssertionError("a cell ran before the arguments were checked")
+
+
 class TestSpecs:
     def test_table_ids(self):
         assert tables.TABLE_IDS == ("T2", "T3", "T4", "T5", "T6", "T7")
@@ -10,6 +14,11 @@ class TestSpecs:
     def test_unknown_table(self):
         with pytest.raises(ValueError):
             tables.reproduce("T11")
+
+    def test_zero_offset_rejected_before_any_cell(self, monkeypatch):
+        monkeypatch.setattr(tables, "solve", no_solve)
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            tables.reproduce("T4", m=0)
 
     def test_reference_values_spot_checks(self):
         assert tables._T2["fbdf1"][(500.0, 0.5)] == 0.5002

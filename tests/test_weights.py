@@ -89,7 +89,7 @@ class TestConvInverse:
 class TestFbdfWeights:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
     def test_fbdf2_closed_forms(self, alpha):
-        w = wt.fbdf_weights(2, alpha, 5)
+        w = wt.scheme_weights(wt.FBDF2, alpha, 5)
         c = 1.5 ** alpha
         expected = [c,
                     -c * 4.0 * alpha / 3.0,
@@ -98,21 +98,21 @@ class TestFbdfWeights:
         assert np.allclose(w.mu[:4], expected, rtol=1e-13)
 
     def test_fbdf2_classical_limit(self):
-        w = wt.fbdf_weights(2, 1.0, 6)
+        w = wt.scheme_weights(wt.FBDF2, 1.0, 6)
         assert np.allclose(w.mu, [1.5, -2.0, 0.5, 0, 0, 0], atol=1e-14)
 
     def test_fbdf1_values(self):
-        w = wt.fbdf_weights(1, 0.5, 4)
+        w = wt.scheme_weights(wt.FBDF1, 0.5, 4)
         assert np.allclose(w.mu, [1.0, -0.5, -0.125, -0.0625], atol=1e-15)
 
     def test_miller_matches_recursion(self):
         for alpha in (0.3, 0.5, 0.9):
-            w = wt.fbdf_weights(1, alpha, 1000)
+            w = wt.scheme_weights(wt.FBDF1, alpha, 1000)
             rec = wt.fbdf1_recursion(alpha, 1000)
             assert np.max(np.abs(w.mu - rec)) < 1e-13
 
     def test_fbdf1_sign_pattern(self):
-        w = wt.fbdf_weights(1, 0.4, 512)
+        w = wt.scheme_weights(wt.FBDF1, 0.4, 512)
         assert w.mu[0] == 1.0
         assert np.all(w.mu[1:] < 0.0)
         partial = np.cumsum(w.mu)
@@ -121,7 +121,7 @@ class TestFbdfWeights:
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
     def test_fbdf2_sign_pattern_and_partial_sums(self, alpha):
-        w = wt.fbdf_weights(2, alpha, 10_000)
+        w = wt.scheme_weights(wt.FBDF2, alpha, 10_000)
         assert w.mu[0] > 0 > w.mu[1]
         assert np.all(w.mu[4:] < 0.0)
         partial = np.cumsum(w.mu)
@@ -133,28 +133,24 @@ class TestFbdfWeights:
     def test_fbdf1_omega_asymptotics(self):
         # omega_n ~ n^(alpha-1)/Gamma(alpha) within 1% at n = 1e4
         alpha = 0.6
-        w = wt.fbdf_weights(1, alpha, 10_001)
+        w = wt.scheme_weights(wt.FBDF1, alpha, 10_001)
         n = 10_000
         ref = n ** (alpha - 1.0) / math.gamma(alpha)
         assert abs(w.omega[n] / ref - 1.0) < 0.01
-
-    def test_unsupported_k(self):
-        with pytest.raises(ValueError):
-            wt.fbdf_weights(3, 0.5, 4)
 
 
 class TestFadams2Weights:
     def test_leading_weight(self):
         for alpha in (0.2, 0.5, 0.8):
-            assert wt.fadams2_weights(alpha, 4).omega[0] == pytest.approx(1 - alpha / 2)
+            assert wt.scheme_weights(wt.FADAMS2, alpha, 4).omega[0] == pytest.approx(1 - alpha / 2)
 
     def test_trapezoidal_limit(self):
-        w = wt.fadams2_weights(1.0, 6)
+        w = wt.scheme_weights(wt.FADAMS2, 1.0, 6)
         assert np.allclose(w.omega, [0.5, 1, 1, 1, 1, 1], atol=1e-14)
 
     def test_omega1_against_binomial_product(self):
         alpha = 0.5
-        w = wt.fadams2_weights(alpha, 8)
+        w = wt.scheme_weights(wt.FADAMS2, alpha, 8)
         base = binomial_series_oracle(-alpha, 8)
         ref = [(1 - alpha / 2) * base[k].real
                + (alpha / 2) * (base[k - 1].real if k else 0.0) for k in range(8)]
@@ -230,7 +226,7 @@ class TestSchemeTables:
 
     @pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0])
     def test_fadams2_mu_against_conv_inverse(self, alpha):
-        w = wt.fadams2_weights(alpha, 5000)
+        w = wt.scheme_weights(wt.FADAMS2, alpha, 5000)
         assert np.max(np.abs(w.mu - wt.conv_inverse(w.omega, 5000))) < 1e-12
 
     @pytest.mark.parametrize("scheme", [wt.FBDF1, wt.FBDF2, wt.FADAMS2])
@@ -245,7 +241,7 @@ class TestSchemeTables:
             assert w.omega[0] == pytest.approx(wt.leading_omega(scheme, alpha), rel=1e-13)
 
     def test_weights_are_read_only(self):
-        w = wt.fbdf_weights(1, 0.5, 8)
+        w = wt.scheme_weights(wt.FBDF1, 0.5, 8)
         with pytest.raises(ValueError):
             w.mu[0] = 2.0
 
@@ -267,7 +263,7 @@ class TestSchemeTables:
 
 class TestGeneratingFnEval:
     def test_fbdf1_at_zero_and_half(self):
-        w = wt.fbdf_weights(1, 0.5, 2048)
+        w = wt.scheme_weights(wt.FBDF1, 0.5, 2048)
         assert wt.generating_fn_eval(w, "mu", 0.0).value == 1.0
         got = wt.generating_fn_eval(w, "mu", 0.5)
         assert abs(got.value - math.sqrt(0.5)) <= got.tail_bound + 1e-12
@@ -286,7 +282,7 @@ class TestGeneratingFnEval:
         assert math.isfinite(got.tail_bound)
 
     def test_divergence_warning_on_circle(self):
-        w = wt.fbdf_weights(1, 0.5, 64)
+        w = wt.scheme_weights(wt.FBDF1, 0.5, 64)
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
             got = wt.generating_fn_eval(w, "mu", -1.0)
