@@ -11,14 +11,13 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-import mpmath
 import numpy as np
+from scipy import special as sc
 
 from . import weights as wt
 from .resolvent import ResolventSequence, fit_final_decade, operator_norms, power_law_tail
@@ -140,26 +139,63 @@ def p_at_checkpoints(traj: Trajectory, checkpoints, m: int = 5,
     return out
 
 
+#: terms of the two series of _polylog: on 1/2 <= |z| <= 1, |log z| <= 3.22, so
+#: the Bose-Einstein terms shrink like 0.52^k; the power series' like 0.5^k.
+_BE_TERMS = 60
+_POWER_TERMS = 64
+
+
+def _polylog(s: float, z: np.ndarray) -> np.ndarray:
+    """Li_s(z) for real s < 1 on an array with |z| <= 1, z != 1, in doubles.
+
+    |z| < 1/2: the power series sum_{k>=1} z^k / k^s.  Otherwise the
+    Bose-Einstein series in mu = log z (Wood 1992, "The computation of
+    polylogarithms", Univ. Kent TR 15-92), convergent for |mu| < 2 pi:
+
+        Li_s(e^mu) = Gamma(1-s) (-mu)^(s-1) + sum_{k>=0} zeta(s-k) mu^k / k!.
+    """
+    out = np.empty(z.shape, dtype=complex)
+    small = np.abs(z) < 0.5
+    k = np.arange(1, _POWER_TERMS + 1)
+    out[small] = (z[small][:, None] ** k * k ** -s).sum(axis=1)
+    mu = np.log(z[~small])
+    j = np.arange(_BE_TERMS)
+    coef = sc.zeta(s - j) / sc.factorial(j)
+    out[~small] = (math.gamma(1.0 - s) * (-mu) ** (s - 1.0)
+                   + (mu[:, None] ** j * coef).sum(axis=1))
+    return out
+
+
+def _f_omega(scheme_id: str, alpha: float, z: np.ndarray) -> np.ndarray:
+    """F_omega on an array of z with |z| <= 1, z != 1 (see f_omega_closed)."""
+    if scheme_id == wt.L1:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = math.gamma(2.0 - alpha) * z / ((1.0 - z) ** 2 * _polylog(alpha - 1.0, z))
+        return np.where(z == 0.0, math.gamma(2.0 - alpha), val)  # removable at 0
+    p, q = wt.generating_pair(scheme_id, alpha)  # ValueError for alpha_diff
+    return np.polyval(p[::-1], z) ** (-alpha) * np.polyval(q[::-1], z)
+
+
 def f_omega_closed(scheme_id: str, alpha: float, z: complex) -> complex:
     """Closed-form F_omega(z) (principal branches), valid on |z| <= 1, z != 1.
 
     An F-LMM's F_omega is p(z)^(-alpha) q(z) with the scheme's pair (p, q)
     from weights.generating_pair.  The L1 generating function goes through
     the polylogarithm, F_mu(z) = (1/Gamma(2-alpha)) ((1-z)^2 / z) Li_{alpha-1}(z),
-    which converges on the closed disk minus z = 1.
+    which converges on the closed disk minus z = 1; Li_{alpha-1} is summed in
+    double precision, by its power series for |z| < 1/2 and by the
+    Bose-Einstein series in log z elsewhere.
     """
     scheme_id = wt.scheme_name(scheme_id)
     z = complex(z)
     if z == 1.0:
         raise ZeroDivisionError("F_omega diverges at z = 1")
-    if scheme_id == wt.L1:
-        if z == 0.0:
-            return math.gamma(2.0 - alpha)  # removable singularity of F_mu
-        li = complex(mpmath.polylog(alpha - 1.0, z))
-        return math.gamma(2.0 - alpha) * z / ((1.0 - z) ** 2 * li)
-    p, q = wt.generating_pair(scheme_id, alpha)  # ValueError for alpha_diff
-    pz, qz = (sum(c * z ** k for k, c in enumerate(poly.tolist())) for poly in (p, q))
-    return pz ** (-alpha) * qz
+    return complex(_f_omega(scheme_id, alpha, np.array([z]))[0])
+
+
+def _boundary(scheme_id: str, alpha: float, h: float, theta: np.ndarray) -> np.ndarray:
+    """1/(h^alpha F_omega(e^{i theta})) on an array of theta != 0."""
+    return 1.0 / (h ** alpha * _f_omega(wt.scheme_name(scheme_id), alpha, np.exp(1j * theta)))
 
 
 def boundary_point(scheme_id: str, alpha: float, h: float, theta: float) -> complex:
@@ -167,8 +203,7 @@ def boundary_point(scheme_id: str, alpha: float, h: float, theta: float) -> comp
     _check_grid(h)
     if theta == 0.0:
         raise ValueError("theta = 0 is the divergence point of F_omega")
-    z = cmath.exp(1j * theta)
-    return 1.0 / (h ** alpha * f_omega_closed(scheme_id, alpha, z))
+    return complex(_boundary(scheme_id, alpha, h, np.array([float(theta)]))[0])
 
 
 @dataclass
@@ -195,9 +230,10 @@ def region_boundary(scheme_id: str, alpha: float, h: float,
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if n_theta < 8:
         raise ValueError("n_theta too small")
+    _check_grid(h)
     j = np.arange(n_theta)
     theta = -math.pi + 2.0 * math.pi * (j + 0.5) / n_theta
-    vals = np.array([boundary_point(scheme_id, alpha, h, th) for th in theta])
+    vals = _boundary(scheme_id, alpha, h, theta)
     return RegionSample(wt.scheme_name(scheme_id), alpha, h, theta, vals)
 
 

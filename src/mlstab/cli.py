@@ -88,16 +88,23 @@ def cmd_weights(args) -> int:
     return 0
 
 
+#: rows formatted per block by _trajectory_csv.
+_CSV_BLOCK = 256
+
+
 def _trajectory_csv(traj: slv.Trajectory, meta: str) -> str:
     d = traj.states.shape[1]
     header = "t," + ",".join(f"y{i}_re,y{i}_im" for i in range(d)) + ",norm"
-    lines = [header]
-    norms = traj.norms()
-    for n, t in enumerate(traj.times):
-        comps = ",".join(f"{_fmt(traj.states[n, i].real)},{_fmt(traj.states[n, i].imag)}"
-                         for i in range(d))
-        lines.append(f"{_fmt(t)},{comps},{_fmt(norms[n])}")
-    return meta + "\n".join(lines) + "\n"
+    table = np.empty((traj.states.shape[0], 2 * d + 2))
+    table[:, 0] = traj.times
+    table[:, 1:-1:2] = traj.states.real
+    table[:, 2:-1:2] = traj.states.imag
+    table[:, -1] = traj.norms()
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"  # the digits of _fmt
+    # blocks of rows bound the Python floats alive at once
+    body = "".join((row * len(block)) % tuple(block.ravel().tolist())
+                   for block in np.split(table, range(_CSV_BLOCK, len(table), _CSV_BLOCK)))
+    return meta + header + "\n" + body
 
 
 def cmd_solve(args) -> int:

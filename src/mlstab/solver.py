@@ -179,7 +179,8 @@ class _ImplicitStep:
             except np.linalg.LinAlgError:
                 break  # go to fixed-point fallback
             y = y + delta
-            if np.linalg.norm(delta) <= _NEWTON_ATOL + _NEWTON_RTOL * np.linalg.norm(y):
+            ny = np.linalg.norm(y)
+            if math.isfinite(ny) and np.linalg.norm(delta) <= _NEWTON_ATOL + _NEWTON_RTOL * ny:
                 return y
         return self._fixed_point(rhs, t, y, step)
 
@@ -197,7 +198,9 @@ class _ImplicitStep:
         for _ in range(400):
             y_new = self.Minv @ (rhs + self.cf * np.asarray(self.f(t, y)))
             y_next = damping * y_new + (1.0 - damping) * y
-            if np.linalg.norm(y_next - y) <= _NEWTON_ATOL + _NEWTON_RTOL * np.linalg.norm(y_next):
+            ny = np.linalg.norm(y_next)
+            if math.isfinite(ny) and \
+                    np.linalg.norm(y_next - y) <= _NEWTON_ATOL + _NEWTON_RTOL * ny:
                 # one undamped polish so the step equation itself is tight
                 return self.Minv @ (rhs + self.cf * np.asarray(self.f(t, y_next)))
             y = y_next
@@ -267,7 +270,10 @@ def _run(kind: str, w: wt.SchemeWeights, A: np.ndarray, alpha: float, h: float,
                 H[n] += np.asarray(f(n * h, y))
         else:
             H[n] = y - Y0 if kind == _DIFFERENTIAL else y
-        if guard is not None and np.linalg.norm(y) > guard:
+        ny = np.linalg.norm(y)
+        if not math.isfinite(ny) and not np.all(np.isfinite(y)):
+            raise SolverError(f"non-finite state at step {n}", n)
+        if guard is not None and ny > guard:
             return Y[:n + 1].copy(), n
     return Y, None
 

@@ -1,12 +1,13 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlstab import problems
+from mlstab import problems, special
 from mlstab import weights as wt
 from mlstab.analysis import (
     DECAYS,
@@ -188,6 +189,27 @@ class TestRegionBoundary:
             region_boundary(wt.FBDF1, 0.5, h, n_theta=16)
         with pytest.raises(ValueError, match="step size"):
             boundary_point(wt.L1, 0.5, h, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+def test_l1_against_polylog_closed_form(alpha):
+    # the double-precision Li_{alpha-1} against mpmath.polylog, on the unit
+    # circle and inside it (Bose-Einstein series), and at |z| < 1/2 (power series)
+    for r in (1.0, 0.9, 0.3):
+        for theta in (0.05, 1.0, 2.5, math.pi, -1.7):
+            z = r * cmath.exp(1j * theta)
+            li = complex(mpmath.polylog(alpha - 1.0, z))
+            ref = math.gamma(2.0 - alpha) * z / ((1.0 - z) ** 2 * li)
+            assert abs(f_omega_closed(wt.L1, alpha, z) - ref) <= 1e-13 * abs(ref)
+
+
+def test_l1_region_without_extended_precision(monkeypatch):
+    calls = []
+    orig = special._taylor_extended
+    monkeypatch.setattr(special, "_taylor_extended", lambda *a: calls.append(a) or orig(*a))
+    monkeypatch.setattr(mpmath, "polylog", lambda *a: calls.append(a))
+    region_boundary(wt.L1, 0.5, 0.1)
+    assert calls == []
 
 
 class TestClassification:

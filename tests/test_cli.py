@@ -106,6 +106,35 @@ class TestSolveCommand:
         assert code == 3
 
 
+def per_element_csv(traj, meta):
+    """The trajectory CSV formatted one number at a time, as a reference."""
+    d = traj.states.shape[1]
+    lines = ["t," + ",".join(f"y{i}_re,y{i}_im" for i in range(d)) + ",norm"]
+    norms = traj.norms()
+    for n, t in enumerate(traj.times):
+        comps = ",".join(f"{traj.states[n, i].real:.17g},{traj.states[n, i].imag:.17g}"
+                         for i in range(d))
+        lines.append(f"{t:.17g},{comps},{norms[n]:.17g}")
+    return meta + "\n".join(lines) + "\n"
+
+
+def test_trajectory_csv_matches_per_element_format():
+    from mlstab.solver import Trajectory
+    rng = np.random.default_rng(7)
+    states = rng.standard_normal((600, 3)) * 10.0 ** rng.integers(-300, 300, (600, 3)) \
+        + 1j * rng.standard_normal((600, 3))  # several blocks of rows
+    states[1, 0] = complex(-0.0, 0.0)
+    states[2, 1] = complex(np.nan, -np.inf)
+    states[3, 2] = complex(np.inf, -0.0)
+    states[4] = [1 / 3, -2.5e-310, 1e300]
+    traj = Trajectory(0.01, states, "fbdf1", 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = per_element_csv(traj, "# meta\n")
+        got = cli._trajectory_csv(traj, "# meta\n")
+    assert got == want
+    assert "-0,0," in got and "nan,-inf" in got
+
+
 class TestRegionCommand:
     def test_fbdf1_sector_confined(self, tmp_path):
         res = run_cli("region", "--scheme", "fbdf1", "--alpha", "0.5",
@@ -153,6 +182,14 @@ class TestResolventCommand:
                       "--n-max", "10", "--out", str(tmp_path))
         assert res.returncode == 3
         assert "singular" in res.stderr
+
+    def test_overflow_exit_code_names_the_step(self, tmp_path):
+        # the uncontrolled Lorenz resolvent first overflows at step 771
+        res = run_cli("resolvent", "--scheme", "fbdf1", "--alpha", "0.5",
+                      "--h", "0.01", "--problem", "lorenz", "--no-control",
+                      "--n-max", "771", "--out", str(tmp_path))
+        assert res.returncode == 3
+        assert "non-finite state at step 771" in res.stderr
 
     def test_alpha_diff_quadrature_check(self, tmp_path):
         res = run_cli("resolvent", "--scheme", "alpha_diff", "--alpha", "0.5",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mlstab import problems
+from mlstab import problems, special
 from mlstab import weights as wt
 from mlstab.resolvent import (
     InsufficientRangeError,
@@ -15,7 +15,7 @@ from mlstab.resolvent import (
     variation_of_constants,
     verify_resolvent_decay,
 )
-from mlstab.solver import FOdeProblem, SingularStepError, solve, solve_alpha_diff
+from mlstab.solver import FOdeProblem, SingularStepError, SolverError, solve, solve_alpha_diff
 from mlstab.special import EigenbasisError
 
 SCHEMES = (wt.FBDF1, wt.FBDF2, wt.FADAMS2, wt.L1)
@@ -72,6 +72,19 @@ class TestImpulseExtraction:
         r = impulse_resolvent(wt.FBDF1, LAM, 0.5, 0.1, 0)
         assert r.d.shape == r.D.shape == (1, 1, 1)
         assert r.d[0, 0, 0] == 1.0
+
+
+class TestOverflow:
+    # the unstable uncontrolled Lorenz mode +11.83: at alpha = 0.5, h = 0.01 the
+    # homogeneous F-BDF1 run first overflows at step 771
+    def test_overflow_names_the_first_non_finite_step(self):
+        A = problems.lorenz_controlled(False).A
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = impulse_resolvent(wt.FBDF1, A, 0.5, 0.01, 770)
+            assert np.all(np.isfinite(r.d)) and np.all(np.isfinite(r.D))
+            with pytest.raises(SolverError, match="non-finite state at step 771") as info:
+                impulse_resolvent(wt.FBDF1, A, 0.5, 0.01, 771)
+        assert info.value.step == 771
 
 
 class TestVariationOfConstants:
@@ -138,6 +151,16 @@ class TestPoisson:
             poisson_resolvent(LAM, 0.5, h, 5, 1.0)
         with pytest.raises(ValueError, match="step size"):
             impulse_resolvent(wt.FBDF1, LAM, 0.5, h, 5)
+
+    @pytest.mark.parametrize("n", [10, 100, 200])
+    def test_no_extended_precision(self, n, monkeypatch):
+        # every Mittag-Leffler value of the Lorenz Poisson sweep is served in doubles
+        calls = []
+        orig = special._taylor_extended
+        monkeypatch.setattr(special, "_taylor_extended",
+                            lambda *a: calls.append(a) or orig(*a))
+        poisson_resolvent(problems.lorenz_controlled(alpha=0.5).A, 0.5, 0.1, n, 1.0)
+        assert calls == []
 
     def test_beta_validation(self):
         with pytest.raises(ValueError):

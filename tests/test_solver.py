@@ -11,6 +11,7 @@ from mlstab.solver import (
     BLOWUP_FACTOR,
     FOdeProblem,
     SingularStepError,
+    SolverError,
     solve,
     solve_alpha_diff,
 )
@@ -172,6 +173,18 @@ class TestNonlinear:
         rhs = p.y0 + ha * np.einsum("i,ij->j", w.omega[1:n][::-1], g[1:n])
         lhs = traj.states[n] - ha * w.omega[0] * g[n]
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.linalg.norm(traj.states[n]))
+
+
+class TestNonFiniteState:
+    # uncontrolled Lorenz at h = 0.02: Newton diverges at the first step
+    @pytest.mark.parametrize("N", [1, 3])
+    def test_diverging_newton_fails_at_its_step(self, N):
+        p = problems.lorenz_controlled(False, alpha=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+            with pytest.raises(SolverError, match="at step 1$") as info:
+                solve(p, wt.FBDF1, 0.02, N)
+        assert info.value.step == 1
 
 
 class TestBlowupGuard:

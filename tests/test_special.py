@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlstab import special
 from mlstab.special import (
     AccuracyError,
     EigenbasisError,
@@ -152,6 +153,33 @@ class TestMittagLeffler:
             mittag_leffler(1e4, 0.5)
 
 
+class TestContourBranch:
+    # the mid-range band 9 < |z| < 40, at radii where the series oracle stays
+    # affordable; on the ray arg z = 2 pi/3 at alpha = 0.8 the pole z^(1/alpha)
+    # lies to the right of the chosen parabola for |z| >= 20 (residue added)
+    CASES = {
+        "real-negative-0.5": (0.5, [-9.5, -12.0, -15.0]),
+        "real-negative-0.8": (0.8, [-12.0, -25.0, -39.0]),
+        "pole-right-0.8": (0.8, [r * cmath.exp(2j * math.pi / 3) for r in (20.0, 25.0, 30.0, 39.0)]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("beta", ["one", "alpha", "half"])
+    def test_against_series_oracle(self, case, beta):
+        alpha, zs = self.CASES[case]
+        beta = {"one": 1.0, "alpha": alpha, "half": 0.5}[beta]
+        ref = np.array([ml_series_oracle(z, alpha, beta) for z in zs])
+        for rtol in (1e-13, 1e-11):
+            val, ok = special._contour(np.array(zs), alpha, beta, rtol)
+            err = np.abs(val - ref) / np.abs(ref)
+            assert np.all(err[ok] <= rtol)
+        assert ok.all()  # every point is served at 1e-11
+
+    def test_real_argument_gives_real_value(self):
+        val, ok = special._contour(np.array([-20.0]), 0.7, 1.0, 1e-13)
+        assert ok[0] and val[0].imag == 0.0
+
+
 class TestPrabhakar:
     def test_order_one_reduces(self):
         z = -2.3 + 0.7j
@@ -246,6 +274,11 @@ class TestStableSector:
     def test_zero_is_critical(self):
         res = in_stable_sector(0.0, 0.5)
         assert not res.in_sector and res.critical
+
+    def test_subnormal_imaginary_part(self):
+        # cmath.phase raises OverflowError on 2 + 5e-324j
+        res = in_stable_sector(complex(2.0, 5e-324), 0.5)
+        assert not res.in_sector and res.margin == pytest.approx(-math.pi / 4)
 
     def test_boundary_is_critical(self):
         res = in_stable_sector(1 + 1j, 0.5)
