@@ -123,6 +123,8 @@ def p_at_checkpoints(traj: Trajectory, checkpoints, m: int = 5,
     out = []
     skipped = 0
     for tc in checkpoints:
+        if not math.isfinite(tc):
+            raise ValueError(f"checkpoint {tc} is not finite")
         n = int(round(tc / traj.h))
         if abs(n * traj.h - tc) > 1e-9 * max(tc, 1.0):
             raise ValueError(f"checkpoint {tc} is not on the grid (h = {traj.h})")
@@ -309,7 +311,7 @@ def perturbation_check(problem: FOdeProblem, r: ResolventSequence,
     t = r.times
     nD = operator_norms(r.D)
     Lvals = np.array([float(L(tk)) for tk in t])
-    if np.any(Lvals < 0.0):
+    if not np.all(Lvals >= 0.0):  # nan fails this too
         raise ValueError("L(t) must be nonnegative")
     L0 = float(np.max(Lvals))
     D0 = float(nD[0])

@@ -113,6 +113,8 @@ def cmd_solve(args) -> int:
     slv._check_grid(args.h)  # N below divides by h
     prob = _problem_from_args(args)
     if args.t_end is not None:
+        if not math.isfinite(args.t_end):
+            raise ValueError(f"--t-end must be finite, got {args.t_end}")
         N = int(round(args.t_end / args.h)) + args.m
     elif args.n_steps is not None:
         N = args.n_steps

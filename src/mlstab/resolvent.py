@@ -11,8 +11,9 @@ They are extracted here by impulse responses (one matrix-valued homogeneous
 run and one run forced by a unit impulse at step 1), which is equivalent to
 their contour-integral definition at the sequence level and numerically
 robust.  Both runs go through the solver's stepping core with (d, d) states,
-so a resolvent steps exactly like a trajectory, with the same factored-once
-step matrix; they share one weight table and carry no blow-up guard.
+so a resolvent steps exactly like a trajectory, with the same step equation
+in the mu weights and the same factored-once step matrix; they share one mu
+table (no omega table is built) and carry no blow-up guard.
 
 For the alpha-difference scheme the Poisson transform links the discrete and
 continuous resolvents directly:
@@ -37,7 +38,7 @@ from scipy import integrate
 from scipy.special import gammaln
 
 from . import weights as wt
-from .solver import _check_grid, _default_form, _run
+from .solver import _check_grid, _run
 from .special import matrix_function, mittag_leffler
 
 __all__ = [
@@ -92,9 +93,9 @@ def impulse_resolvent(scheme_id: str, A, alpha: float, h: float, n_max: int) -> 
     Column i of d_n is the homogeneous solve started from the basis vector
     e_i; column i of D_m is y_{m+1} of the solve with y_0 = 0 and forcing
     f_k = delta_{k,1} e_i.  By construction d_0 = I.  Both runs step all
-    basis columns at once as matrix states through the solver's core, in the
-    scheme's own formulation (integral form for the F-LMMs, differential form
-    for L1); a singular step matrix raises SingularStepError.
+    basis columns at once as matrix states through the solver's core and its
+    one step equation, which reads only the mu table; a singular step matrix
+    raises SingularStepError.
     """
     scheme_id = wt.scheme_name(scheme_id)
     if scheme_id == wt.ALPHA_DIFF:
@@ -104,11 +105,9 @@ def impulse_resolvent(scheme_id: str, A, alpha: float, h: float, n_max: int) -> 
         raise ValueError("n_max must be >= 0")
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     d = A.shape[0]
-    kind = _default_form(scheme_id)
     w = wt.scheme_weights(scheme_id, alpha, n_max + 2)
-    dn, _ = _run(kind, w, A, alpha, h, n_max, np.eye(d, dtype=complex))
-    forced, _ = _run(kind, w, A, alpha, h, n_max + 1,
-                     np.zeros((d, d), dtype=complex), impulse=True)
+    dn, _ = _run(w, A, alpha, h, n_max, np.eye(d, dtype=complex))
+    forced, _ = _run(w, A, alpha, h, n_max + 1, np.zeros((d, d), dtype=complex), impulse=True)
     return ResolventSequence(scheme_id, alpha, h, n_max, dn, forced[1:])
 
 

@@ -1,24 +1,22 @@
 """Time-stepping engine for semi-linear Caputo fractional ODEs.
 
 Advances D^alpha y = A y + f(t, y), y(0) = y0, on the uniform grid t_n = n h.
-There are two entry points: `solve` runs any scheme by id (the convolution
-schemes in integral or differential form), and `solve_alpha_diff` chooses the
-alpha-difference variant.  One core (`_run`) steps every scheme; its three
-formulations differ only in the weights, the initial-value term and what the
-history H_j stores:
+There are two entry points: `solve` runs any scheme by id, and
+`solve_alpha_diff` chooses the alpha-difference variant.  Every scheme is one
+discrete convolution with the weights mu of its generating function F_mu, and
+one core (`_run`) steps them all through the same equation
 
-* integral form     y_n = y_0 + h^alpha sum_{j=1}^{n} omega_{n-j} H_j, H_j = A y_j + f_j
-* differential      sum_{j=0}^{n} mu_j H_{n-j} = h^alpha (A y_n + f_n), H_j = y_j - y_0
-* alpha-difference  sum_{j=0}^{n} mu_j H_{n-j} = h^alpha (A y_n + f_n), H_j = y_j
-                    (the "poisson" variant seeds H_0 = z_0, see solve_alpha_diff)
+    sum_{j=0}^{n} mu_j y_{n-j} = iv_n y_0 + h^alpha (A y_n + f_n),   n >= 1,
 
-with omega the convolution inverse of mu; the first two give the same
-trajectory up to rounding.  Every step solves a linear system with the
-constant matrix M = c0 I - h^alpha w A, whose inverse is formed once per run
-from its LU factorization.  The nonlinear part is handled by Newton iteration
-with a finite-difference Jacobian and a damped fixed-point fallback.  History
-sums are direct O(N^2) convolutions, one BLAS product per step; N up to ~2e5
-is the supported desk scale.  The same core steps the (d, d) matrix states of
+where only the initial-value term iv differs: cumsum(mu) for L1 and the
+F-LMMs, zero for the alpha-difference "difference" variant and k^(1-alpha)
+for its "poisson" variant (which also replaces y_0 inside the sum by z_0, see
+solve_alpha_diff).  Every step solves a linear system with the constant matrix
+M = mu_0 I - h^alpha A, whose inverse is formed once per run from its LU
+factorization.  The nonlinear part is handled by Newton iteration with a
+finite-difference Jacobian and a damped fixed-point fallback.  History sums
+are direct O(N^2) convolutions, one BLAS product per step; N up to ~2e5 is
+the supported desk scale.  The same core steps the (d, d) matrix states of
 the impulse resolvents (resolvent.impulse_resolvent).
 
 All schemes are self-starting and no initial-layer correction terms are used;
@@ -180,6 +178,8 @@ class _ImplicitStep:
                 break  # go to fixed-point fallback
             y = y + delta
             ny = np.linalg.norm(y)
+            if _non_finite(y, ny):  # no iteration recovers from a nan or inf iterate
+                raise _no_convergence(step)
             if math.isfinite(ny) and np.linalg.norm(delta) <= _NEWTON_ATOL + _NEWTON_RTOL * ny:
                 return y
         return self._fixed_point(rhs, t, y, step)
@@ -199,91 +199,76 @@ class _ImplicitStep:
             y_new = self.Minv @ (rhs + self.cf * np.asarray(self.f(t, y)))
             y_next = damping * y_new + (1.0 - damping) * y
             ny = np.linalg.norm(y_next)
+            if _non_finite(y_next, ny):
+                raise _no_convergence(step)
             if math.isfinite(ny) and \
                     np.linalg.norm(y_next - y) <= _NEWTON_ATOL + _NEWTON_RTOL * ny:
                 # one undamped polish so the step equation itself is tight
                 return self.Minv @ (rhs + self.cf * np.asarray(self.f(t, y_next)))
             y = y_next
-        raise NonConvergenceError(f"implicit solve did not converge at step {step}", step)
+        raise _no_convergence(step)
 
 
-_INTEGRAL, _DIFFERENTIAL, _ALPHA_DIFF = "integral", "differential", "alpha_diff"
+def _no_convergence(step: int) -> NonConvergenceError:
+    return NonConvergenceError(f"implicit solve did not converge at step {step}", step)
 
 
-def _default_form(scheme_id: str) -> str:
-    """The formulation a scheme runs in unless asked otherwise."""
-    return _DIFFERENTIAL if scheme_id == wt.L1 else _INTEGRAL
+def _non_finite(y: np.ndarray, ny: float) -> bool:
+    """Whether y holds a nan or inf entry; its norm ny is the cheap first test."""
+    return not math.isfinite(ny) and not np.all(np.isfinite(y))
 
 
-def _run(kind: str, w: wt.SchemeWeights, A: np.ndarray, alpha: float, h: float,
-         N: int, Y0: np.ndarray, f: Callable | None = None,
-         kern: np.ndarray | None = None, impulse: bool = False,
+def _run(w: wt.SchemeWeights, A: np.ndarray, alpha: float, h: float, N: int,
+         Y0: np.ndarray, f: Callable | None = None, iv: np.ndarray | None = None,
+         z0: bool = False, impulse: bool = False,
          guard: float | None = None) -> tuple[np.ndarray, int | None]:
     """The stepping core shared by every scheme and by the impulse resolvents.
 
-    Step n solves M Y_n = iv_n + s sum_{j=0}^{n-1} c_{n-j} H_j + cf F_n for
-    states Y of shape (d,) or (d, d).  F_n = f(t_n, Y_n), or for impulse runs
-    (f None) the unit impulse F_1 = I and F_n = 0 after.  With ha = h^alpha:
-
-      kind          c      M              cf       s    iv_n   H_j, j >= 1   H_0
-      integral      omega  I - ha c_0 A   ha c_0   ha   Y0     A Y_j + F_j   0
-      differential  mu     c_0 I - ha A   ha       -1   c_0 Y0 Y_j - Y0      0
-      alpha_diff    mu     c_0 I - ha A   ha       -1   0      Y_j           Y0
-
-    Given kern (the alpha-difference "poisson" variant), iv_n = kern_n Y0 and
-    H_0 = z_0 = M^{-1} (Y0 + ha f(0, Y0)).  w holds at least the N + 1
-    weights c_0 .. c_N.  Returns the states and the step at which ||Y_n||
+    Step n solves sum_{j=0}^{n} mu_j H_{n-j} = iv_n Y0 + h^alpha (A Y_n + F_n)
+    for states Y of shape (d,) or (d, d), i.e. M Y_n = iv_n Y0 -
+    sum_{j=1}^{n} mu_j H_{n-j} + h^alpha F_n with M = mu_0 I - h^alpha A.
+    F_n = f(t_n, Y_n), or for impulse runs (f None) the unit impulse F_1 = I
+    and F_n = 0 after.  The history is the states, H_j = Y_j, except
+    H_0 = z_0 = M^{-1} (Y0 + h^alpha f(0, Y0)) when z0 is set (the
+    alpha-difference "poisson" variant).  iv defaults to cumsum(mu), the
+    initial-value term of L1 and the F-LMMs.  w holds at least the N + 1
+    weights mu_0 .. mu_N.  Returns the states and the step at which ||Y_n||
     first exceeds guard (the states end there), else None.
     """
-    integral = kind == _INTEGRAL
-    c = w.omega if integral else w.mu
+    mu = w.mu
     ha = h ** alpha
-    d = A.shape[0]
-    eye = np.eye(d, dtype=complex)
-    cf = ha * c[0] if integral else ha
-    M = eye - cf * A if integral else c[0] * eye - ha * A
-    step = _ImplicitStep(M, cf, f, d)
-    s = ha if integral else -1.0
-    ivc = kern if kern is not None else np.full(
-        N + 1, {_INTEGRAL: 1.0, _DIFFERENTIAL: c[0], _ALPHA_DIFF: 0.0}[kind])
-    rev = np.ascontiguousarray(c[N:0:-1], dtype=complex)  # c_N .. c_1
+    eye = np.eye(A.shape[0], dtype=complex)
+    step = _ImplicitStep(mu[0] * eye - ha * A, ha, f, A.shape[0])
+    if iv is None:
+        iv = np.cumsum(mu[:N + 1])
+    rev = np.ascontiguousarray(mu[N:0:-1], dtype=complex)  # mu_N .. mu_1
 
     Y = np.empty((N + 1,) + Y0.shape, dtype=complex)
-    H = np.zeros_like(Y)
-    H2 = H.reshape(N + 1, -1)  # the history sum is one BLAS product on this view
-    Y[0] = Y0
-    if kern is not None:
-        H[0] = step.Minv @ (Y0 if f is None else Y0 + ha * np.asarray(f(0.0, Y0)))
-    elif kind == _ALPHA_DIFF:
-        H[0] = Y0
+    Y2 = Y.reshape(N + 1, -1)  # the history sum is one BLAS product on this view
+    Y[0] = step.Minv @ (Y0 if f is None else Y0 + ha * np.asarray(f(0.0, Y0))) if z0 else Y0
+    stop = None
     for n in range(1, N + 1):
-        rhs = ivc[n] * Y0 + s * (rev[N - n:] @ H2[:n]).reshape(Y0.shape)
+        rhs = iv[n] * Y0 - (rev[N - n:] @ Y2[:n]).reshape(Y0.shape)
         if impulse and n == 1:
-            rhs = rhs + cf * eye
+            rhs = rhs + ha * eye
         y = step.advance(rhs, n * h, Y[n - 1], n)
         Y[n] = y
-        if integral:
-            H[n] = A @ y
-            if impulse and n == 1:
-                H[n] += eye
-            elif f is not None:
-                H[n] += np.asarray(f(n * h, y))
-        else:
-            H[n] = y - Y0 if kind == _DIFFERENTIAL else y
         ny = np.linalg.norm(y)
-        if not math.isfinite(ny) and not np.all(np.isfinite(y)):
+        if _non_finite(y, ny):
             raise SolverError(f"non-finite state at step {n}", n)
         if guard is not None and ny > guard:
-            return Y[:n + 1].copy(), n
-    return Y, None
+            stop = n
+            break
+    Y[0] = Y0
+    return (Y, None) if stop is None else (Y[:stop + 1].copy(), stop)
 
 
-def _trajectory(kind: str, w: wt.SchemeWeights, problem: FOdeProblem, h: float,
-                N: int, kern: np.ndarray | None = None) -> Trajectory:
+def _trajectory(w: wt.SchemeWeights, problem: FOdeProblem, h: float, N: int,
+                iv: np.ndarray | None = None, z0: bool = False) -> Trajectory:
     """Guarded run of `problem`, truncated (with a warning) at blow-up."""
     guard = BLOWUP_FACTOR * max(np.linalg.norm(problem.y0), 1.0)
-    states, stop = _run(kind, w, problem.A, problem.alpha, h, N, problem.y0,
-                        problem.f, kern=kern, guard=guard)
+    states, stop = _run(w, problem.A, problem.alpha, h, N, problem.y0, problem.f,
+                        iv=iv, z0=z0, guard=guard)
     if stop is not None:
         warnings.warn(f"blow-up guard triggered at step {stop}; trajectory truncated",
                       stacklevel=3)
@@ -316,30 +301,23 @@ def solve_alpha_diff(problem: FOdeProblem, h: float, N: int,
         raise ValueError("alpha-difference scheme requires alpha in (0, 1)")
     _check_grid(h, N)
     w = wt.alpha_diff_weights(problem.alpha, N + 1)
-    kern = (wt.alpha_diff_kernel(1.0 - problem.alpha, N + 1)
-            if variant == "poisson" else None)
-    return _trajectory(_ALPHA_DIFF, w, problem, h, N, kern)
+    if variant == "poisson":
+        return _trajectory(w, problem, h, N, wt.alpha_diff_kernel(1.0 - problem.alpha, N + 1),
+                           z0=True)
+    return _trajectory(w, problem, h, N, np.zeros(N + 1))
 
 
-def solve(problem: FOdeProblem, scheme_id: str, h: float, N: int,
-          form: str = "auto") -> Trajectory:
+def solve(problem: FOdeProblem, scheme_id: str, h: float, N: int) -> Trajectory:
     """Run any scheme by id.
 
-    form selects the formulation for the convolution schemes: "integral",
-    "differential", or "auto" (integral for the F-LMMs, differential for L1).
     The weight table comes from weights.scheme_weights.  The alpha-difference
     scheme runs its "difference" variant, see solve_alpha_diff for the other.
     """
     scheme_id = wt.scheme_name(scheme_id)
     if scheme_id == wt.ALPHA_DIFF:
         return solve_alpha_diff(problem, h, N)
-    if form == "auto":
-        form = _default_form(scheme_id)
-    if form not in (_INTEGRAL, _DIFFERENTIAL):
-        raise ValueError(f"unknown form {form!r}")
     _check_grid(h, N)
-    w = wt.scheme_weights(scheme_id, problem.alpha, N + 1)
-    return _trajectory(form, w, problem, h, N)
+    return _trajectory(wt.scheme_weights(scheme_id, problem.alpha, N + 1), problem, h, N)
 
 
 def _check_grid(h: float, N: int = 1) -> None:

@@ -5,8 +5,8 @@ its weight tables, which do not depend on the step size h.  `scheme_weights`
 is the one builder by scheme id.  Two equivalent sequences describe each
 scheme:
 
-* mu    - differential-form weights, generating function F_mu(z);
-* omega - integral-form weights, the convolution inverse of mu.
+* mu    - the convolution weights the solver steps, generating function F_mu(z);
+* omega - their convolution inverse, built only when read (SchemeWeights.omega).
 
 A fractional linear multistep method (F-LMM) is the polynomial pair (p, q) of
 `generating_pair`, F_omega = p^(-alpha) q and F_mu = p^alpha / q:
@@ -18,11 +18,12 @@ A fractional linear multistep method (F-LMM) is the polynomial pair (p, q) of
 Its tables come from the pair in O(N): the Miller recursion expands the powers
 of p, forward substitution divides by q.  L1 has mu_j = second differences of
 j^(1-alpha) / Gamma(2-alpha) and omega its O(N^2) convolution inverse.  The
-alpha-difference scheme has the F-BDF1 mu.
+alpha-difference scheme has the F-BDF1 mu and no omega.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -64,9 +65,8 @@ SCHEMES = (FBDF1, FBDF2, FADAMS2, L1, ALPHA_DIFF)
 class SchemeWeights:
     """Weight tables of one scheme at one alpha.
 
-    mu and omega hold the first n_terms differential/integral weights (omega
-    is None for the alpha-difference scheme, which the solver steps directly
-    in differential form).  sigma holds the L1 initial-value weights
+    mu holds the first n_terms convolution weights, the only table the solver
+    reads.  sigma holds the L1 initial-value weights
     sigma_n = (n^(1-alpha) - (n-1)^(1-alpha)) / Gamma(2-alpha) with
     sigma[0] = 0, length n_terms + 1, so that sum(mu[:n+1]) == sigma[n+1].
     """
@@ -74,14 +74,28 @@ class SchemeWeights:
     scheme_id: str
     alpha: float
     n_terms: int
-    mu: np.ndarray | None
-    omega: np.ndarray | None
+    mu: np.ndarray
     sigma: np.ndarray | None = None
 
     def __post_init__(self):
-        for arr in (self.mu, self.omega, self.sigma):
+        for arr in (self.mu, self.sigma):
             if arr is not None:
                 arr.setflags(write=False)
+
+    @functools.cached_property
+    def omega(self) -> np.ndarray | None:
+        """The first n_terms weights of F_omega = 1/F_mu, built on first read:
+        from the generating pair for an F-LMM (O(N)), by conv_inverse for L1
+        (O(N^2)); None for the alpha-difference scheme."""
+        if self.scheme_id == ALPHA_DIFF:
+            return None
+        if self.scheme_id == L1:
+            omega = conv_inverse(self.mu, self.n_terms)
+        else:
+            p, q = generating_pair(self.scheme_id, self.alpha)
+            omega = np.convolve(miller_power(p, -self.alpha, self.n_terms), q)[:self.n_terms]
+        omega.setflags(write=False)
+        return omega
 
 
 def _validate_alpha(alpha: float, allow_one: bool = True) -> None:
@@ -183,13 +197,12 @@ def generating_pair(scheme_id: str, alpha: float) -> tuple[np.ndarray, np.ndarra
 
 
 def _flmm_weights(scheme_id: str, alpha: float, n_terms: int) -> SchemeWeights:
-    """mu = p^alpha / q and omega = p^(-alpha) q from the scheme's pair, in O(N)."""
+    """mu = p^alpha / q from the scheme's pair, in O(N)."""
     _validate_alpha(alpha)
     p, q = generating_pair(scheme_id, alpha)
     mu = miller_power(p, alpha, n_terms) / q[0]  # then mu_n -= sum_k (q_k/q_0) mu_{n-k}
     mu = _recurrence(mu, np.broadcast_to(-q[1:, None] / q[0], (q.size - 1, n_terms)))
-    omega = np.convolve(miller_power(p, -alpha, n_terms), q)[:n_terms]
-    return SchemeWeights(scheme_id, alpha, n_terms, mu, omega)
+    return SchemeWeights(scheme_id, alpha, n_terms, mu)
 
 
 def l1_weights(alpha: float, n_terms: int) -> SchemeWeights:
@@ -205,14 +218,14 @@ def l1_weights(alpha: float, n_terms: int) -> SchemeWeights:
     g = math.gamma(2.0 - alpha)
     n = np.arange(n_terms + 1, dtype=float)
     pw = n ** (1.0 - alpha)
+    pw[0] = 0.0  # numpy's 0.0 ** 0.0 is 1, which breaks the alpha = 1 limit
     sigma = np.zeros(n_terms + 1)
     sigma[1:] = (pw[1:] - pw[:-1]) / g
     mu = np.empty(n_terms)
     mu[0] = 1.0 / g
     if n_terms > 1:
         mu[1:] = (sigma[2:] - sigma[1:-1])  # second differences, telescoped
-    omega = conv_inverse(mu, n_terms)
-    return SchemeWeights(L1, alpha, n_terms, mu, omega, sigma)
+    return SchemeWeights(L1, alpha, n_terms, mu, sigma)
 
 
 def alpha_diff_kernel(beta: float, n_terms: int) -> np.ndarray:
@@ -235,11 +248,11 @@ def alpha_diff_weights(alpha: float, n_terms: int) -> SchemeWeights:
     k^(1-alpha), so its convolution weights mu_j = k_j^(1-alpha) - k_{j-1}^(1-alpha)
     are the (1-z)^alpha binomials: the F-BDF1 mu.  The schemes differ only in
     how the initial value enters the step equation (see
-    solver.solve_alpha_diff).  No omega table is stored.
+    solver.solve_alpha_diff).  Its omega is None.
     """
     _validate_alpha(alpha, allow_one=False)
     p, _ = generating_pair(FBDF1, alpha)
-    return SchemeWeights(ALPHA_DIFF, alpha, n_terms, miller_power(p, alpha, n_terms), None)
+    return SchemeWeights(ALPHA_DIFF, alpha, n_terms, miller_power(p, alpha, n_terms))
 
 
 def scheme_weights(scheme_id: str, alpha: float, n_terms: int) -> SchemeWeights:
@@ -282,7 +295,7 @@ def generating_fn_eval(w: SchemeWeights, which: str, z) -> GenEval:
     2 |w_{M-1}| / |1 - z|; for other schemes at |z| = 1 no bound is
     available and a divergence warning is raised (tail_bound = inf).
     """
-    coeffs = {"mu": w.mu, "omega": w.omega}.get(which)
+    coeffs = getattr(w, which) if which in ("mu", "omega") else None  # builds no other table
     if coeffs is None:
         raise ValueError(f"scheme {w.scheme_id} has no {which!r} table")
     z = complex(z)

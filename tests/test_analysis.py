@@ -272,6 +272,15 @@ class TestPerturbationCheck:
         assert chk.condition1
         assert chk.rho0 >= chk.rho0_limit
 
+    def test_nan_envelope_rejected(self, resolvent):
+        # a nan L(t) is no envelope: it must not turn into a "failed" verdict
+        p = problems.lorenz_controlled(alpha=0.5)
+        with pytest.raises(ValueError, match="L\\(t\\) must be nonnegative"):
+            perturbation_check(p, resolvent, L=lambda t: math.nan)
+        p.lipschitz_bound = math.nan
+        with pytest.raises(ValueError, match="L\\(t\\) must be nonnegative"):
+            perturbation_check(p, resolvent)
+
     def test_requires_envelope(self, resolvent):
         with pytest.raises(ValueError):
             perturbation_check(problems.lorenz_controlled(alpha=0.5), resolvent)

@@ -184,12 +184,12 @@ class TestResolventCommand:
         assert "singular" in res.stderr
 
     def test_overflow_exit_code_names_the_step(self, tmp_path):
-        # the uncontrolled Lorenz resolvent first overflows at step 771
+        # the uncontrolled Lorenz resolvent first overflows at step 772
         res = run_cli("resolvent", "--scheme", "fbdf1", "--alpha", "0.5",
                       "--h", "0.01", "--problem", "lorenz", "--no-control",
-                      "--n-max", "771", "--out", str(tmp_path))
+                      "--n-max", "772", "--out", str(tmp_path))
         assert res.returncode == 3
-        assert "non-finite state at step 771" in res.stderr
+        assert "non-finite state at step 772" in res.stderr
 
     def test_alpha_diff_quadrature_check(self, tmp_path):
         res = run_cli("resolvent", "--scheme", "alpha_diff", "--alpha", "0.5",
@@ -213,11 +213,23 @@ class TestUsageErrors:
         ("resolvent", "--scheme", "alpha_diff", "--h", "0.1", "--q-check", "-1"),
         ("weights", "--scheme", "l1", "--n", "0"),
         ("solve", "--scheme", "fbdf1", "--h", "0.1", "--n-steps", "3"),
+        ("solve", "--scheme", "fbdf1", "--h", "0.1", "--t-end", "inf"),
+        ("solve", "--scheme", "fbdf1", "--h", "0.1", "--t-end", "1e400"),
+        ("solve", "--scheme", "fbdf1", "--h", "0.1", "--t-end", "nan"),
+        ("solve", "--scheme", "fbdf1", "--h", "0.1", "--t-end", "5", "--checkpoints", "inf"),
+        ("solve", "--scheme", "fbdf1", "--h", "0.1", "--t-end", "5", "--checkpoints", "2,nan"),
     ])
     def test_rejected_before_any_output(self, tmp_path, capsys, argv):
         assert cli.main([*argv, "--alpha", "0.5", "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    def test_nan_t_end_named(self, tmp_path, capsys):
+        # not numpy's "cannot convert float NaN to integer"
+        argv = ["solve", "--scheme", "fbdf1", "--h", "0.1", "--t-end", "nan",
+                "--alpha", "0.5", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: --t-end must be finite, got nan\n"
 
 
 class TestReproduceCommand:

@@ -42,12 +42,14 @@ class TestImpulseExtraction:
         ref = d0_closed_form(scheme, A, 0.5, 0.1)
         assert np.max(np.abs(r.D[0] - ref)) < 1e-12
 
-    def test_decoupled_zero_matrix(self):
-        # A = 0: d_n = I, D_n = h^alpha omega_n I
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_decoupled_zero_matrix(self, scheme):
+        # A = 0: d_n = I, D_n = h^alpha omega_n I, so the mu-form steps are
+        # checked against the independently built omega table
         h, alpha, n_max = 0.2, 0.6, 30
-        r = impulse_resolvent(wt.FBDF1, np.zeros((2, 2)), alpha, h, n_max)
+        r = impulse_resolvent(scheme, np.zeros((2, 2)), alpha, h, n_max)
         assert np.allclose(r.d, np.eye(2), atol=1e-14)
-        w = wt.scheme_weights(wt.FBDF1, alpha, n_max + 1)
+        w = wt.scheme_weights(scheme, alpha, n_max + 1)
         for n in (0, 3, 30):
             assert np.allclose(r.D[n], h ** alpha * w.omega[n] * np.eye(2), atol=1e-14)
 
@@ -68,6 +70,17 @@ class TestImpulseExtraction:
         with pytest.raises(ValueError, match="n_max must be >= 0"):
             impulse_resolvent(wt.FBDF1, LAM, 0.5, 0.1, n_max)
 
+    def test_l1_builds_no_omega(self, monkeypatch):
+        # the O(N^2) conv_inverse serves only readers of the L1 omega table,
+        # and neither a solve nor an impulse resolvent reads it
+        def no_inverse(*args, **kwargs):
+            raise AssertionError("conv_inverse called")
+
+        monkeypatch.setattr(wt, "conv_inverse", no_inverse)
+        traj = solve(FOdeProblem(0.5, LAM, np.array([5.0])), wt.L1, 0.1, 50)
+        r = impulse_resolvent(wt.L1, LAM, 0.5, 0.1, 50)
+        assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(r.D))
+
     def test_zero_range(self):
         r = impulse_resolvent(wt.FBDF1, LAM, 0.5, 0.1, 0)
         assert r.d.shape == r.D.shape == (1, 1, 1)
@@ -76,15 +89,15 @@ class TestImpulseExtraction:
 
 class TestOverflow:
     # the unstable uncontrolled Lorenz mode +11.83: at alpha = 0.5, h = 0.01 the
-    # homogeneous F-BDF1 run first overflows at step 771
+    # homogeneous F-BDF1 run first overflows at step 772
     def test_overflow_names_the_first_non_finite_step(self):
         A = problems.lorenz_controlled(False).A
         with np.errstate(over="ignore", invalid="ignore"):
-            r = impulse_resolvent(wt.FBDF1, A, 0.5, 0.01, 770)
+            r = impulse_resolvent(wt.FBDF1, A, 0.5, 0.01, 771)
             assert np.all(np.isfinite(r.d)) and np.all(np.isfinite(r.D))
-            with pytest.raises(SolverError, match="non-finite state at step 771") as info:
-                impulse_resolvent(wt.FBDF1, A, 0.5, 0.01, 771)
-        assert info.value.step == 771
+            with pytest.raises(SolverError, match="non-finite state at step 772") as info:
+                impulse_resolvent(wt.FBDF1, A, 0.5, 0.01, 772)
+        assert info.value.step == 772
 
 
 class TestVariationOfConstants:

@@ -10,6 +10,7 @@ from mlstab.resolvent import poisson_resolvent
 from mlstab.solver import (
     BLOWUP_FACTOR,
     FOdeProblem,
+    NonConvergenceError,
     SingularStepError,
     SolverError,
     solve,
@@ -60,10 +61,11 @@ class TestLinearRuns:
         traj = solve(p, scheme, 0.1, 40)
         assert np.allclose(traj.states, p.y0, atol=1e-14)
 
-    def test_backward_euler_limit(self):
-        # alpha = 1 turns the 1-step scheme into backward Euler: y' = -y
+    @pytest.mark.parametrize("scheme", [wt.FBDF1, wt.L1])
+    def test_backward_euler_limit(self, scheme):
+        # alpha = 1 turns the 1-step schemes into backward Euler: y' = -y
         p = FOdeProblem(1.0, np.array([[-1.0]]), np.array([1.0]))
-        traj = solve(p, wt.FBDF1, 0.1, 100, form="integral")
+        traj = solve(p, scheme, 0.1, 100)
         ref = 1.1 ** -np.arange(101)
         assert np.max(np.abs(traj.states[:, 0] - ref)) < 1e-13
 
@@ -71,7 +73,7 @@ class TestLinearRuns:
         # with f = 0 each step solves its linear equation to machine precision
         p = scalar_problem()
         w = wt.scheme_weights(wt.FBDF1, 0.5, 101)
-        traj = solve(p, wt.FBDF1, 0.1, 100, form="integral")
+        traj = solve(p, wt.FBDF1, 0.1, 100)
         ha = 0.1 ** 0.5
         lam = 1 + 11j
         g = lam * traj.states[:, 0]
@@ -89,12 +91,12 @@ class TestLinearRuns:
 
 class TestFormEquivalence:
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_integral_vs_differential(self, scheme):
+    def test_integral_vs_differential(self, scheme, omega_form_run):
+        # the solver's mu-form steps against the omega-form recurrence
         p = scalar_problem()
         N = 1000
-        t1 = solve(p, scheme, 0.1, N, form="integral")
-        t2 = solve(p, scheme, 0.1, N, form="differential")
-        assert np.max(np.abs(t1.states - t2.states)) < 1e-10
+        traj = solve(p, scheme, 0.1, N)
+        assert np.max(np.abs(traj.states[:, 0] - omega_form_run(p, scheme, 0.1, N))) < 1e-10
 
 
 class TestLongTimeAsymptotics:
@@ -165,7 +167,7 @@ class TestNonlinear:
         p = problems.lorenz_controlled(alpha=0.5)
         N = 50
         w = wt.scheme_weights(wt.FBDF1, 0.5, N + 1)
-        traj = solve(p, wt.FBDF1, 0.1, N, form="integral")
+        traj = solve(p, wt.FBDF1, 0.1, N)
         ha = 0.1 ** 0.5
         g = np.array([p.A @ traj.states[j] + p.f(0.1 * j, traj.states[j])
                       for j in range(N + 1)])
@@ -186,6 +188,42 @@ class TestNonFiniteState:
                 solve(p, wt.FBDF1, 0.02, N)
         assert info.value.step == 1
 
+    def test_fallback_stops_at_first_non_finite_iterate(self):
+        # Newton's 50 iterates stay finite here (4 f calls each); the damped
+        # fixed-point fallback overflows within a few iterates and must stop
+        # there instead of running out its 400 iterations on nan
+        p = problems.lorenz_controlled(False, alpha=0.5)
+        calls = _count_f_calls(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NonConvergenceError, match="at step 1$"):
+                solve(p, wt.FBDF1, 0.02, 1)
+        assert 200 <= calls[0] <= 250
+
+    def test_newton_stops_at_first_non_finite_iterate(self):
+        # f is nan off the origin: the first Newton iterate (1 + d calls) is nan
+        p = FOdeProblem(0.5, -np.eye(2), np.array([1.0, 1.0]),
+                        f=lambda t, y: np.where(y == 0, 0.0, np.nan))
+        calls = _count_f_calls(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NonConvergenceError, match="at step 1$") as info:
+                solve(p, wt.FBDF1, 0.1, 5)
+        assert info.value.step == 1
+        assert calls[0] == 3
+
+
+def _count_f_calls(p: FOdeProblem) -> list[int]:
+    """Wrap p.f in place; the returned one-element list counts its calls."""
+    calls, f = [0], p.f
+
+    def counted(t, y):
+        calls[0] += 1
+        return f(t, y)
+
+    p.f = counted
+    return calls
+
 
 class TestBlowupGuard:
     def test_unstable_run_truncates(self):
@@ -205,10 +243,6 @@ class TestTrajectory:
         assert traj.n_steps == 8
         assert np.allclose(traj.times, 0.25 * np.arange(9))
         assert np.allclose(traj.norms(), np.abs(traj.states[:, 0]))
-
-    def test_unknown_form(self):
-        with pytest.raises(ValueError):
-            solve(scalar_problem(), wt.FBDF1, 0.1, 5, form="weak")
 
     def test_bad_grid(self):
         with pytest.raises(ValueError):

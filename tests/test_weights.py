@@ -171,9 +171,11 @@ class TestL1Weights:
         assert np.max(np.abs(partial - w.sigma[1:]) / np.abs(w.sigma[1:])) < 1e-12
 
     def test_classical_limit(self):
+        # alpha = 1 is the backward difference y_n - y_{n-1}, the alpha -> 1 limit
         w = wt.l1_weights(1.0, 6)
-        assert w.mu[0] == pytest.approx(1.0)
-        assert np.allclose(w.mu[1:], 0.0, atol=1e-15)
+        assert np.array_equal(w.mu, [1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(np.cumsum(w.mu), w.sigma[1:])
+        assert wt.l1_weights(0.999, 6).mu[1] == pytest.approx(-0.99988, abs=1e-5)
 
 
 class TestAlphaDiffKernel:
