@@ -9,6 +9,7 @@ honors --out DIR and writes only inside it; outputs are deterministic
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -40,8 +41,43 @@ def _write(out_dir: str, name: str, text: str) -> Path:
     return path
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+#: rows formatted per block by _csv.
+_CSV_BLOCK = 256
+
+
+def _csv(meta: str, columns: dict) -> str:
+    """meta, the column names, then the rows in %.17g (which round-trips a
+    double); a None column leaves its field empty."""
+    filled = [c for c in columns.values() if c is not None]
+    table = np.empty((len(filled[0]), len(filled)))
+    for j, c in enumerate(filled):
+        table[:, j] = c
+    row = ",".join("" if c is None else "%.17g" for c in columns.values()) + "\n"
+    # blocks of rows bound the Python floats alive at once
+    body = "".join((row * len(block)) % tuple(block.ravel().tolist())
+                   for block in np.split(table, range(_CSV_BLOCK, len(table), _CSV_BLOCK)))
+    return meta + ",".join(columns) + "\n" + body
+
+
+def _summary(out_dir: str, name: str, summary: dict) -> int:
+    """Write a JSON summary, print it, and return exit code 0."""
+    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    _write(out_dir, name, text)
+    print(text, end="")
+    return 0
+
+
+@contextlib.contextmanager
+def _allocation(size: str, entries: int):
+    """Report a run too large to allocate as a usage error naming `size`, the
+    count and its flags; `entries` counts the complex values of its largest array."""
+    error = ValueError(f"{size} is too large to allocate")
+    if 16 * entries > sys.maxsize:  # numpy refuses it without naming the count
+        raise error
+    try:
+        yield
+    except MemoryError:
+        raise error from None
 
 
 def _alpha_in_open_interval(value: str) -> float:
@@ -51,21 +87,21 @@ def _alpha_in_open_interval(value: str) -> float:
     return alpha
 
 
-def _add_common(p: argparse.ArgumentParser, schemes=wt.SCHEMES) -> None:
-    p.add_argument("--scheme", required=True, type=wt.scheme_name, choices=list(schemes))
-    p.add_argument("--alpha", required=True, type=_alpha_in_open_interval)
-    p.add_argument("--out", default=".", help="output directory (default: cwd)")
+def _add_common(add, p: argparse.ArgumentParser, schemes=wt.SCHEMES) -> None:
+    add(p, "--scheme", required=True, type=wt.scheme_name, choices=list(schemes))
+    add(p, "--alpha", required=True, type=_alpha_in_open_interval)
+    add(p, "--out", default=".", help="output directory (default: cwd)")
 
 
-def _add_problem_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--problem", default="scalar", choices=["scalar", "advection", "lorenz"])
-    p.add_argument("--b", type=float, default=10.0, help="scalar-test parameter")
-    p.add_argument("--y0", type=float, default=5.0, help="scalar-test initial value")
-    p.add_argument("--a", type=float, default=0.1, help="advection speed")
-    p.add_argument("--D", type=float, default=5.0, help="diffusion coefficient")
-    p.add_argument("--nx", type=int, default=64, help="advection grid size")
-    p.add_argument("--control", action=argparse.BooleanOptionalAction, default=True,
-                   help="apply the Lorenz feedback")
+def _add_problem_flags(add, p: argparse.ArgumentParser) -> None:
+    add(p, "--problem", default="scalar", choices=["scalar", "advection", "lorenz"])
+    add(p, "--b", type=float, default=10.0, help="scalar-test parameter")
+    add(p, "--y0", type=float, default=5.0, help="scalar-test initial value")
+    add(p, "--a", type=float, default=0.1, help="advection speed")
+    add(p, "--D", type=float, default=5.0, help="diffusion coefficient")
+    add(p, "--nx", type=int, default=64, help="advection grid size")
+    add(p, "--control", action=argparse.BooleanOptionalAction, default=True,
+        help="apply the Lorenz feedback")
 
 
 def _problem_from_args(args) -> slv.FOdeProblem:
@@ -74,37 +110,23 @@ def _problem_from_args(args) -> slv.FOdeProblem:
 
 
 def cmd_weights(args) -> int:
-    w = wt.scheme_weights(args.scheme, args.alpha, args.n)
-    rows = ["n,mu,omega,sigma"]
-    for n in range(args.n):
-        mu = _fmt(w.mu[n]) if w.mu is not None else ""
-        om = _fmt(w.omega[n]) if w.omega is not None else ""
-        sg = _fmt(w.sigma[n]) if w.sigma is not None else ""
-        rows.append(f"{n},{mu},{om},{sg}")
-    text = _meta_line(cmd="weights", scheme=args.scheme, alpha=args.alpha, n=args.n) \
-        + "\n".join(rows) + "\n"
-    path = _write(args.out, f"weights_{args.scheme}_a{args.alpha:g}.csv", text)
-    print(path)
+    n = args.n
+    with _allocation(f"--n {n}", n):
+        w = wt.scheme_weights(args.scheme, args.alpha, n)
+        text = _csv(_meta_line(cmd="weights", scheme=args.scheme, alpha=args.alpha, n=n),
+                    {"n": np.arange(n), "mu": w.mu[:n],
+                     "omega": None if w.omega is None else w.omega[:n],
+                     "sigma": None if w.sigma is None else w.sigma[:n]})
+    print(_write(args.out, f"weights_{args.scheme}_a{args.alpha:g}.csv", text))
     return 0
 
 
-#: rows formatted per block by _trajectory_csv.
-_CSV_BLOCK = 256
-
-
 def _trajectory_csv(traj: slv.Trajectory, meta: str) -> str:
-    d = traj.states.shape[1]
-    header = "t," + ",".join(f"y{i}_re,y{i}_im" for i in range(d)) + ",norm"
-    table = np.empty((traj.states.shape[0], 2 * d + 2))
-    table[:, 0] = traj.times
-    table[:, 1:-1:2] = traj.states.real
-    table[:, 2:-1:2] = traj.states.imag
-    table[:, -1] = traj.norms()
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"  # the digits of _fmt
-    # blocks of rows bound the Python floats alive at once
-    body = "".join((row * len(block)) % tuple(block.ravel().tolist())
-                   for block in np.split(table, range(_CSV_BLOCK, len(table), _CSV_BLOCK)))
-    return meta + header + "\n" + body
+    columns = {"t": traj.times}
+    for i, y in enumerate(traj.states.T):
+        columns[f"y{i}_re"], columns[f"y{i}_im"] = y.real, y.imag
+    columns["norm"] = traj.norms()
+    return _csv(meta, columns)
 
 
 def cmd_solve(args) -> int:
@@ -115,15 +137,16 @@ def cmd_solve(args) -> int:
     if args.t_end is not None:
         if not math.isfinite(args.t_end):
             raise ValueError(f"--t-end must be finite, got {args.t_end}")
-        N = int(round(args.t_end / args.h)) + args.m
+        N, flags = int(round(args.t_end / args.h)) + args.m, "--t-end and --h"
     elif args.n_steps is not None:
-        N = args.n_steps
+        N, flags = args.n_steps, "--n-steps"
     else:
         raise ValueError("one of --t-end/--n-steps is required")
     if N < 1:
         raise ValueError("empty run: increase --t-end or --n-steps")
     try:
-        traj = slv.solve(prob, args.scheme, args.h, N)
+        with _allocation(f"N = {N} steps (from {flags})", (N + 1) * prob.dim):
+            traj = slv.solve(prob, args.scheme, args.h, N)
     except slv.SolverError as exc:
         print(f"solver failure: {exc} (step {exc.step})", file=sys.stderr)
         return _EXIT_SOLVER
@@ -147,13 +170,8 @@ def cmd_solve(args) -> int:
                       problem=args.problem)
     stem = f"solve_{args.problem}_{args.scheme}_a{args.alpha:g}"
     _write(args.out, stem + ".csv", _trajectory_csv(traj, meta))
-    p_rows = ["t,p_alpha"] + [f"{_fmt(t)},{_fmt(p)}"
-                              for t, p in zip(report.times, report.p)]
-    _write(args.out, stem + "_pindex.csv", meta + "\n".join(p_rows) + "\n")
-    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    _write(args.out, stem + "_summary.json", text)
-    print(text, end="")
-    return 0
+    _write(args.out, stem + "_pindex.csv", _csv(meta, {"t": report.times, "p_alpha": report.p}))
+    return _summary(args.out, stem + "_summary.json", summary)
 
 
 def cmd_reproduce(args) -> int:
@@ -200,12 +218,11 @@ def _sector_svg(sample: analysis.RegionSample) -> str:
 def cmd_region(args) -> int:
     sample = analysis.region_boundary(args.scheme, args.alpha, args.h,
                                       n_theta=args.n_theta)
-    rows = ["theta,re,im"]
-    for th, z in zip(sample.theta, sample.boundary):
-        rows.append(f"{_fmt(th)},{_fmt(z.real)},{_fmt(z.imag)}")
     meta = _meta_line(cmd="region", scheme=args.scheme, alpha=args.alpha, h=args.h)
     stem = f"region_{args.scheme}_a{args.alpha:g}"
-    path = _write(args.out, stem + ".csv", meta + "\n".join(rows) + "\n")
+    path = _write(args.out, stem + ".csv",
+                  _csv(meta, {"theta": sample.theta, "re": sample.boundary.real,
+                              "im": sample.boundary.imag}))
     if args.svg:
         _write(args.out, stem + ".svg", _sector_svg(sample))
     print(path)
@@ -218,30 +235,27 @@ def cmd_resolvent(args) -> int:
     prob = _problem_from_args(args)
     summary: dict = {"scheme": args.scheme, "alpha": args.alpha, "h": args.h,
                      "n_max": args.n_max}
+    stem = f"resolvent_{args.scheme}_a{args.alpha:g}"
+    allocation = _allocation(f"--n-max {args.n_max}", (args.n_max + 1) * prob.dim ** 2)
     if args.scheme == wt.ALPHA_DIFF:
         # the quadrature identity concerns the linear part: run homogeneously
         hom = slv.FOdeProblem(prob.alpha, prob.A, prob.y0)
-        traj = slv.solve_alpha_diff(hom, args.h, args.n_max, variant="poisson")
+        with allocation:
+            traj = slv.solve_alpha_diff(hom, args.h, args.n_max, variant="poisson")
         devs = []
         for n in range(0, min(args.n_max, args.q_check) + 1, max(1, args.q_stride)):
             q1 = rsv.poisson_resolvent(prob.A, args.alpha, args.h, n, 1.0)
             devs.append(float(np.max(np.abs(q1 @ prob.y0 - traj.states[n]))) if n
                         else 0.0)
         summary["poisson_vs_impulse_max_dev"] = max(devs)
-        text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-        _write(args.out, f"resolvent_{args.scheme}_a{args.alpha:g}_summary.json", text)
-        print(text, end="")
-        return 0
+        return _summary(args.out, stem + "_summary.json", summary)
 
-    r = rsv.impulse_resolvent(args.scheme, prob.A, args.alpha, args.h, args.n_max)
-    nd = rsv.operator_norms(r.d)
-    nD = rsv.operator_norms(r.D)
-    rows = ["n,t,norm_d,norm_D"]
-    for n, t in enumerate(r.times):
-        rows.append(f"{n},{_fmt(t)},{_fmt(nd[n])},{_fmt(nD[n])}")
+    with allocation:
+        r = rsv.impulse_resolvent(args.scheme, prob.A, args.alpha, args.h, args.n_max)
     meta = _meta_line(cmd="resolvent", scheme=args.scheme, alpha=args.alpha, h=args.h)
-    stem = f"resolvent_{args.scheme}_a{args.alpha:g}"
-    path = _write(args.out, stem + ".csv", meta + "\n".join(rows) + "\n")
+    _write(args.out, stem + ".csv",
+           _csv(meta, {"n": np.arange(len(r.times)), "t": r.times,
+                       "norm_d": rsv.operator_norms(r.d), "norm_D": rsv.operator_norms(r.D)}))
 
     d0_dev = float(np.max(np.abs(r.D[0] - rsv.d0_closed_form(args.scheme, prob.A,
                                                              args.alpha, args.h))))
@@ -254,10 +268,7 @@ def cmd_resolvent(args) -> int:
                        applicable=rep.applicable)
     except rsv.InsufficientRangeError as exc:
         summary["decay_fit"] = f"not available: {exc}"
-    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    _write(args.out, stem + "_summary.json", text)
-    print(text, end="")
-    return 0
+    return _summary(args.out, stem + "_summary.json", summary)
 
 
 def _load_config(path: str) -> dict:
@@ -276,68 +287,79 @@ def _load_config(path: str) -> dict:
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, raw: str):
-    """A config-file string converted the way its flag converts it (exit 2 if bad)."""
-    try:
-        if action.nargs == 0:  # a switch: true/false/yes/no/1/0
-            return _BOOLEANS[raw.lower()]
-        return action.type(raw) if action.type else raw
-    except (KeyError, ValueError, argparse.ArgumentTypeError):
-        parser.error(f"bad config value {action.dest} = {raw!r}")
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The mlstab parser; `config` maps flag keys to --config strings, which
+    become the defaults of their flags (exit 2 if one does not convert)."""
+    config = config or {}
     parser = argparse.ArgumentParser(
         prog="mlstab",
         description="Caputo fractional-ODE schemes and their long-time decay diagnostics",
     )
     parser.add_argument("--version", action="version", version=f"mlstab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    bad = []  # reported once the usage line lists every command
+
+    def add(p: argparse.ArgumentParser, *flags, **kwargs) -> None:
+        action = p.add_argument(*flags, **kwargs)
+        raw = config.get(action.dest)
+        if raw is None:
+            return
+        try:  # converted the way the flag converts it; a switch takes _BOOLEANS
+            action.default = (_BOOLEANS[raw.lower()] if action.nargs == 0
+                              else (action.type or str)(raw))
+        except (KeyError, ValueError, argparse.ArgumentTypeError):
+            bad.append(f"bad config value {action.dest} = {raw!r}")
+        action.required = False  # the config supplies it
+        if not action.option_strings:
+            action.nargs = "?"
 
     p = sub.add_parser("weights", help="dump a scheme's weight table as CSV")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=32, help="number of weights")
+    _add_common(add, p)
+    add(p, "--n", type=int, default=32, help="number of weights")
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("solve", help="run a scheme on a named problem")
-    _add_common(p)
-    _add_problem_flags(p)
-    p.add_argument("--h", type=float, required=True)
-    p.add_argument("--t-end", type=float, default=None)
-    p.add_argument("--n-steps", type=int, default=None)
-    p.add_argument("--m", type=int, default=5, help="index offset of p")
-    p.add_argument("--checkpoints", default="", help="comma-separated t values")
+    _add_common(add, p)
+    _add_problem_flags(add, p)
+    add(p, "--h", type=float, required=True)
+    add(p, "--t-end", type=float, default=None)
+    add(p, "--n-steps", type=int, default=None)
+    add(p, "--m", type=int, default=5, help="index offset of p")
+    add(p, "--checkpoints", default="", help="comma-separated t values")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("reproduce", help="recompute a reference grid")
-    p.add_argument("table", choices=[t.lower() for t in tables.TABLE_IDS] + list(tables.TABLE_IDS))
-    p.add_argument("--m", type=int, default=5)
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="override the grid's per-cell tolerance")
-    p.add_argument("--out", default=".")
+    add(p, "table", choices=[t.lower() for t in tables.TABLE_IDS] + list(tables.TABLE_IDS))
+    add(p, "--m", type=int, default=5)
+    add(p, "--tolerance", type=float, default=None,
+        help="override the grid's per-cell tolerance")
+    add(p, "--out", default=".")
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("region", help="sample a stability-region boundary")
-    _add_common(p, schemes=(wt.FBDF1, wt.FBDF2, wt.FADAMS2, wt.L1))
-    p.add_argument("--h", type=float, default=0.1)
-    p.add_argument("--n-theta", type=int, default=2048)
-    p.add_argument("--svg", action="store_true", help="also write an SVG sketch")
+    _add_common(add, p, schemes=(wt.FBDF1, wt.FBDF2, wt.FADAMS2, wt.L1))
+    add(p, "--h", type=float, default=0.1)
+    add(p, "--n-theta", type=int, default=2048)
+    add(p, "--svg", action="store_true", help="also write an SVG sketch")
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("resolvent", help="extract discrete resolvents and their decay")
-    _add_common(p)
-    _add_problem_flags(p)
-    p.add_argument("--h", type=float, required=True)
-    p.add_argument("--n-max", type=int, default=2000)
-    p.add_argument("--q-check", type=int, default=50,
-                   help="alpha-diff only: compare Q1^n up to this n")
-    p.add_argument("--q-stride", type=int, default=10)
+    _add_common(add, p)
+    _add_problem_flags(add, p)
+    add(p, "--h", type=float, required=True)
+    add(p, "--n-max", type=int, default=2000)
+    add(p, "--q-check", type=int, default=50,
+        help="alpha-diff only: compare Q1^n up to this n")
+    add(p, "--q-stride", type=int, default=10)
     p.set_defaults(func=cmd_resolvent)
+    if bad:
+        parser.error(bad[0])
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    config = {}
     if "--config" in argv:
         i = argv.index("--config")
         try:
@@ -345,21 +367,9 @@ def main(argv=None) -> int:
         except IndexError:
             print("--config requires a path", file=sys.stderr)
             return _EXIT_USAGE
-        defaults = _load_config(cfg_path)
+        config = _load_config(cfg_path)
         del argv[i:i + 2]
-    else:
-        defaults = {}
-    parser = build_parser()
-    if defaults:
-        for action in parser._subparsers._group_actions[0].choices.values():  # noqa: SLF001
-            typed = {}
-            for sub_action in action._actions:  # noqa: SLF001
-                if sub_action.dest in defaults:
-                    typed[sub_action.dest] = _config_value(parser, sub_action,
-                                                           defaults[sub_action.dest])
-                    sub_action.required = False  # the config supplies it
-            if typed:
-                action.set_defaults(**typed)
+    parser = build_parser(config)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

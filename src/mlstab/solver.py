@@ -14,10 +14,11 @@ for its "poisson" variant (which also replaces y_0 inside the sum by z_0, see
 solve_alpha_diff).  Every step solves a linear system with the constant matrix
 M = mu_0 I - h^alpha A, whose inverse is formed once per run from its LU
 factorization.  The nonlinear part is handled by Newton iteration with a
-finite-difference Jacobian and a damped fixed-point fallback.  History sums
-are direct O(N^2) convolutions, one BLAS product per step; N up to ~2e5 is
-the supported desk scale.  The same core steps the (d, d) matrix states of
-the impulse resolvents (resolvent.impulse_resolvent).
+finite-difference Jacobian; a step Newton cannot solve raises
+NonConvergenceError.  History sums are direct O(N^2) convolutions, one BLAS
+product per step; N up to ~2e5 is the supported desk scale.  The same core
+steps the (d, d) matrix states of the impulse resolvents
+(resolvent.impulse_resolvent).
 
 All schemes are self-starting and no initial-layer correction terms are used;
 the focus is long-time behavior, not accuracy near t = 0.
@@ -147,8 +148,9 @@ class _ImplicitStep:
 
     M = c0 I - h^alpha w A folds the linear part exactly; its inverse is
     formed once from the LU factors and serves every linear solve.  Newton
-    handles f with a forward-difference Jacobian (relative step 1e-7),
-    falling back to a damped fixed-point iteration if Newton stalls.
+    handles f with a forward-difference Jacobian (relative step 1e-7); a
+    singular Jacobian, a non-finite iterate or 50 iterations without
+    convergence raise NonConvergenceError.
     """
 
     def __init__(self, M: np.ndarray, cf: float,
@@ -175,14 +177,14 @@ class _ImplicitStep:
             try:
                 delta = np.linalg.solve(J, -residual)
             except np.linalg.LinAlgError:
-                break  # go to fixed-point fallback
+                break
             y = y + delta
             ny = np.linalg.norm(y)
             if _non_finite(y, ny):  # no iteration recovers from a nan or inf iterate
                 raise _no_convergence(step)
             if math.isfinite(ny) and np.linalg.norm(delta) <= _NEWTON_ATOL + _NEWTON_RTOL * ny:
                 return y
-        return self._fixed_point(rhs, t, y, step)
+        raise _no_convergence(step)
 
     def _fd_jacobian(self, t: float, y: np.ndarray, fy: np.ndarray) -> np.ndarray:
         J = np.empty((self.dim, self.dim), dtype=complex)
@@ -192,21 +194,6 @@ class _ImplicitStep:
             yp[j] += dy
             J[:, j] = (np.asarray(self.f(t, yp)) - fy) / dy
         return J
-
-    def _fixed_point(self, rhs: np.ndarray, t: float, y: np.ndarray, step: int) -> np.ndarray:
-        damping = 0.5
-        for _ in range(400):
-            y_new = self.Minv @ (rhs + self.cf * np.asarray(self.f(t, y)))
-            y_next = damping * y_new + (1.0 - damping) * y
-            ny = np.linalg.norm(y_next)
-            if _non_finite(y_next, ny):
-                raise _no_convergence(step)
-            if math.isfinite(ny) and \
-                    np.linalg.norm(y_next - y) <= _NEWTON_ATOL + _NEWTON_RTOL * ny:
-                # one undamped polish so the step equation itself is tight
-                return self.Minv @ (rhs + self.cf * np.asarray(self.f(t, y_next)))
-            y = y_next
-        raise _no_convergence(step)
 
 
 def _no_convergence(step: int) -> NonConvergenceError:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -8,9 +10,18 @@ import pytest
 from mlstab import cli
 
 
-def run_cli(*args, cwd=None):
-    return subprocess.run([sys.executable, "-m", "mlstab.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+def run_cli(*args):
+    """`mlstab *args` in this process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse errors, --version, a bad config line
+            code = exc.code
+            if isinstance(code, str):  # the interpreter prints it and exits 1
+                print(code, file=sys.stderr)
+                code = 1
+    return subprocess.CompletedProcess(args, code or 0, out.getvalue(), err.getvalue())
 
 
 def read_csv(path):
@@ -135,6 +146,21 @@ def test_trajectory_csv_matches_per_element_format():
     assert "-0,0," in got and "nan,-inf" in got
 
 
+@pytest.mark.parametrize("columns", [
+    {"n": np.arange(300), "x": np.linspace(-1.0, 1e300, 300)},  # an integer column
+    {"n": np.arange(3), "omega": None, "sigma": np.array([0.0, 1 / 3, -2.5e-310])},
+    {"t": np.empty(0), "p_alpha": np.empty(0)},  # the p-index of a run with no t > 1
+], ids=["integer", "none", "no-rows"])
+def test_csv_matches_per_element_format(columns):
+    rows = zip(*(c for c in columns.values() if c is not None))
+    lines = [",".join(columns)]
+    for row in rows:
+        vals = iter(row)
+        lines.append(",".join("" if c is None else f"{next(vals):.17g}"
+                              for c in columns.values()))
+    assert cli._csv("# meta\n", columns) == "# meta\n" + "\n".join(lines) + "\n"
+
+
 class TestRegionCommand:
     def test_fbdf1_sector_confined(self, tmp_path):
         res = run_cli("region", "--scheme", "fbdf1", "--alpha", "0.5",
@@ -222,6 +248,41 @@ class TestUsageErrors:
     def test_rejected_before_any_output(self, tmp_path, capsys, argv):
         assert cli.main([*argv, "--alpha", "0.5", "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_subprocess_usage_error(self, tmp_path):
+        # the installed entry point, not only cli.main
+        res = subprocess.run([sys.executable, "-m", "mlstab.cli", "weights", "--scheme", "bdf9",
+                              "--alpha", "0.5", "--out", str(tmp_path / "out")],
+                             capture_output=True, text=True)
+        assert res.returncode == 2
+        assert "error: argument --scheme" in res.stderr and "'bdf9'" in res.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, size", [
+        (("solve", "--h", "0.1", "--t-end", "1e300"),
+         f"N = {round(1e300 / 0.1) + 5} steps (from --t-end and --h)"),
+        (("solve", "--h", "0.1", "--n-steps", str(2 ** 62)), f"N = {2 ** 62} steps (from --n-steps)"),
+        (("weights", "--n", str(2 ** 62)), f"--n {2 ** 62} is"),
+        (("resolvent", "--h", "0.1", "--n-max", str(2 ** 62)), f"--n-max {2 ** 62} is"),
+    ], ids=["t-end", "n-steps", "weights-n", "n-max"])
+    def test_run_too_large_to_allocate(self, tmp_path, capsys, argv, size):
+        # numpy would refuse these arrays without allocating; the CLI names the size first
+        assert cli.main([*argv, "--scheme", "fbdf1", "--alpha", "0.5",
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and size in err and "too large to allocate" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_memory_error_names_the_run(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*a, **k):
+            raise MemoryError("Unable to allocate 14.6 TiB")
+
+        monkeypatch.setattr(cli.slv, "solve", no_memory)
+        assert cli.main(["solve", "--scheme", "fbdf1", "--alpha", "0.5", "--h", "0.1",
+                         "--t-end", "1e8", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            "error: N = 1000000005 steps (from --t-end and --h) is too large to allocate\n"
         assert not (tmp_path / "out").exists()
 
     def test_nan_t_end_named(self, tmp_path, capsys):
@@ -334,6 +395,39 @@ class TestConfigFile:
         assert "svg" in res.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_table_from_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("table = t2\n")
+        res = run_cli("reproduce", "--config", str(cfg), "--out", str(tmp_path))
+        assert res.returncode == 0
+        assert res.stdout.startswith(str(tmp_path / "reproduce_T2.csv"))
+
+    def test_bad_value_rejected_before_output(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("h = abc\n")
+        res = run_cli("solve", "--config", str(cfg), "--scheme", "fbdf1", "--alpha", "0.5",
+                      "--h", "0.1", "--n-steps", "20", "--out", str(tmp_path / "out"))
+        assert res.returncode == 2
+        assert "bad config value h = 'abc'" in res.stderr
+        assert res.stdout == "" and not (tmp_path / "out").exists()
+
+    def test_unknown_key_ignored(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bogus = 3\nn = 5\n")
+        res = run_cli("weights", "--config", str(cfg), "--scheme", "fbdf1", "--alpha", "0.5",
+                      "--out", str(tmp_path))
+        assert res.returncode == 0
+        assert len((tmp_path / "weights_fbdf1_a0.5.csv").read_text().splitlines()) == 2 + 5
+
+    def test_config_before_the_command(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scheme = fbdf2\nalpha = 0.4\n")
+        res = run_cli("--config", str(cfg), "weights", "--out", str(tmp_path))
+        assert res.returncode == 0
+        assert (tmp_path / "weights_fbdf2_a0.4.csv").exists()
+
     def test_version_flag(self):
-        res = run_cli("--version")
+        # a real process: the module entry point
+        res = subprocess.run([sys.executable, "-m", "mlstab.cli", "--version"],
+                             capture_output=True, text=True)
         assert res.returncode == 0 and "mlstab" in res.stdout
