@@ -272,13 +272,19 @@ def cmd_resolvent(args) -> int:
 
 
 def _load_config(path: str) -> dict:
+    """The `key = value` lines of a --config file; a file that cannot be read
+    or a line without '=' raises ValueError."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc.strerror}") from exc
     out = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise SystemExit(f"bad config line: {raw!r}")
+            raise ValueError(f"bad config line: {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
         out[key.replace("-", "_")] = val
     return out
@@ -367,7 +373,11 @@ def main(argv=None) -> int:
         except IndexError:
             print("--config requires a path", file=sys.stderr)
             return _EXIT_USAGE
-        config = _load_config(cfg_path)
+        try:
+            config = _load_config(cfg_path)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return _EXIT_USAGE
         del argv[i:i + 2]
     parser = build_parser(config)
     try:

@@ -107,10 +107,15 @@ def lorenz_controlled(with_control: bool = True, alpha: float = 0.5) -> FOdeProb
     With control the linear part A + B K has eigenvalues -10, -11, -8/3 and
     the origin is reached with the polynomial rate.  Without control A has
     the eigenvalue lambda = +11.83 outside the sector and the motion does not
-    decay, but a run shows this only while h^alpha lambda lies outside the
-    scheme's stability region: for F-BDF1, h^alpha lambda <= 2^alpha, that is
-    h <= 0.0143 at alpha = 0.5.  Larger steps damp the unstable mode: F-BDF1
-    at alpha = 0.5 and h = 0.1 (h^alpha lambda = 3.74) gives verdict DECAYS.
+    decay.  With F-BDF1 at alpha = 0.5, 50-step runs measured at these h
+    fall in three bands:
+    - h = 0.005, 0.01, 0.011: the run shows the growth;
+    - h = 0.012, 0.0125, 0.0143, 0.015, 0.02, 0.03: Newton fails and the run
+      raises NonConvergenceError at step 1, although h^alpha lambda lies
+      inside the scheme's instability set (h^alpha lambda <= 2^alpha) up to
+      h = 0.0143;
+    - h = 0.05, 0.1: the run completes and the scheme damps the unstable
+      mode; h = 0.1 (h^alpha lambda = 3.74) gives verdict DECAYS.
     """
     A = LORENZ_A + LORENZ_B @ LORENZ_K if with_control else LORENZ_A.copy()
     return FOdeProblem(alpha=alpha, A=A, y0=np.array([1.0, -8.0, 9.0]), f=_lorenz_f)

@@ -15,10 +15,12 @@ solve_alpha_diff).  Every step solves a linear system with the constant matrix
 M = mu_0 I - h^alpha A, whose inverse is formed once per run from its LU
 factorization.  The nonlinear part is handled by Newton iteration with a
 finite-difference Jacobian; a step Newton cannot solve raises
-NonConvergenceError.  History sums are direct O(N^2) convolutions, one BLAS
-product per step; N up to ~2e5 is the supported desk scale.  The same core
-steps the (d, d) matrix states of the impulse resolvents
-(resolvent.impulse_resolvent).
+NonConvergenceError.  The history sums follow the divide-and-conquer
+schedule of Hairer, Lubich & Schlichte (1985, SIAM J. Sci. Stat. Comput.
+6:532): direct sums inside blocks of at most 64 steps, one real FFT product
+per pair of neighbouring half blocks, O(N log^2 N) in total and exact up to
+rounding.  The same core steps the (d, d) matrix states of the impulse
+resolvents (resolvent.impulse_resolvent).
 
 All schemes are self-starting and no initial-layer correction terms are used;
 the focus is long-time behavior, not accuracy near t = 0.
@@ -32,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.fft as sfft
 from scipy.linalg import lu_factor, lu_solve
 
 from . import weights as wt
@@ -71,6 +74,8 @@ _NEWTON_ATOL = 1e-12
 _NEWTON_RTOL = 1e-12
 _NEWTON_MAXIT = 50
 _FD_REL_STEP = 1e-7
+#: steps per leaf of the block history schedule (_blocks); leaves sum directly.
+_LEAF = 64
 
 
 @dataclass
@@ -205,6 +210,24 @@ def _non_finite(y: np.ndarray, ny: float) -> bool:
     return not math.isfinite(ny) and not np.all(np.isfinite(y))
 
 
+def _blocks(lo: int, hi: int):
+    """The divide-and-conquer schedule of steps [lo, hi).
+
+    Yields (lo, None, hi) for a leaf of at most _LEAF steps, which run in
+    order with direct history sums, and (lo, mid, hi) once steps [lo, mid)
+    are done, for adding their share of the history sums to steps [mid, hi).
+    Every pair of steps m < n in [lo, hi) either shares one leaf or is split
+    by exactly one (lo, mid, hi).
+    """
+    if hi - lo <= _LEAF:
+        yield lo, None, hi
+        return
+    mid = (lo + hi) // 2
+    yield from _blocks(lo, mid)
+    yield lo, mid, hi
+    yield from _blocks(mid, hi)
+
+
 def _run(w: wt.SchemeWeights, A: np.ndarray, alpha: float, h: float, N: int,
          Y0: np.ndarray, f: Callable | None = None, iv: np.ndarray | None = None,
          z0: bool = False, impulse: bool = False,
@@ -212,42 +235,61 @@ def _run(w: wt.SchemeWeights, A: np.ndarray, alpha: float, h: float, N: int,
     """The stepping core shared by every scheme and by the impulse resolvents.
 
     Step n solves sum_{j=0}^{n} mu_j H_{n-j} = iv_n Y0 + h^alpha (A Y_n + F_n)
-    for states Y of shape (d,) or (d, d), i.e. M Y_n = iv_n Y0 -
-    sum_{j=1}^{n} mu_j H_{n-j} + h^alpha F_n with M = mu_0 I - h^alpha A.
-    F_n = f(t_n, Y_n), or for impulse runs (f None) the unit impulse F_1 = I
-    and F_n = 0 after.  The history is the states, H_j = Y_j, except
-    H_0 = z_0 = M^{-1} (Y0 + h^alpha f(0, Y0)) when z0 is set (the
-    alpha-difference "poisson" variant).  iv defaults to cumsum(mu), the
-    initial-value term of L1 and the F-LMMs.  w holds at least the N + 1
-    weights mu_0 .. mu_N.  Returns the states and the step at which ||Y_n||
-    first exceeds guard (the states end there), else None.
+    for states Y of shape (d,) or (d, d), i.e. M Y_n = iv_n Y0 - S_n +
+    h^alpha F_n with M = mu_0 I - h^alpha A and the history sum
+    S_n = sum_{m=0}^{n-1} mu_{n-m} H_m.  F_n = f(t_n, Y_n), or for impulse
+    runs (f None) the unit impulse F_1 = I and F_n = 0 after.  The history is
+    the states, H_m = Y_m, except H_0 = z_0 = M^{-1} (Y0 + h^alpha f(0, Y0))
+    when z0 is set (the alpha-difference "poisson" variant).  iv defaults to
+    cumsum(mu), the initial-value term of L1 and the F-LMMs.  w holds at
+    least the N + 1 weights mu_0 .. mu_N.  Returns the states and the step at
+    which ||Y_n|| first exceeds guard (the states end there), else None.
+
+    Row n of the state array accumulates the right-hand side iv_n Y0 - S_n
+    (with the impulse) until step n overwrites it with Y_n, so the history
+    needs no array of its own.  The rows start at iv_n Y0 - mu_n H_0, and the
+    steps follow _blocks: a finished half block's share of S reaches the next
+    half through one real FFT product (mu is real, so the float view of the
+    complex states is convolved and exact zeros stay zero).  The sums are
+    exact up to rounding and cost O(N log^2 N).
     """
-    mu = w.mu
+    mu = w.mu[:N + 1]
     ha = h ** alpha
     eye = np.eye(A.shape[0], dtype=complex)
     step = _ImplicitStep(mu[0] * eye - ha * A, ha, f, A.shape[0])
     if iv is None:
-        iv = np.cumsum(mu[:N + 1])
-    rev = np.ascontiguousarray(mu[N:0:-1], dtype=complex)  # mu_N .. mu_1
+        iv = np.cumsum(mu)
+    rev = np.ascontiguousarray(mu[:0:-1])  # mu_N .. mu_1
+    mu_hat = {}  # rfft of mu per FFT length
 
+    H0 = step.Minv @ (Y0 if f is None else Y0 + ha * np.asarray(f(0.0, Y0))) if z0 else Y0
     Y = np.empty((N + 1,) + Y0.shape, dtype=complex)
-    Y2 = Y.reshape(N + 1, -1)  # the history sum is one BLAS product on this view
-    Y[0] = step.Minv @ (Y0 if f is None else Y0 + ha * np.asarray(f(0.0, Y0))) if z0 else Y0
-    stop = None
-    for n in range(1, N + 1):
-        rhs = iv[n] * Y0 - (rev[N - n:] @ Y2[:n]).reshape(Y0.shape)
-        if impulse and n == 1:
-            rhs = rhs + ha * eye
-        y = step.advance(rhs, n * h, Y[n - 1], n)
-        Y[n] = y
-        ny = np.linalg.norm(y)
-        if _non_finite(y, ny):
-            raise SolverError(f"non-finite state at step {n}", n)
-        if guard is not None and ny > guard:
-            stop = n
-            break
+    Yf = Y.reshape(N + 1, -1).view(float)  # (N + 1, 2 d^k) real view of the states
+    np.multiply.outer(iv[1:N + 1], Y0.ravel().view(float), out=Yf[1:])
+    Yf[1:] -= np.multiply.outer(mu[1:], H0.ravel().view(float))
+    if impulse:  # forced runs have N >= 1 steps
+        Y[1] += ha * eye
     Y[0] = Y0
-    return (Y, None) if stop is None else (Y[:stop + 1].copy(), stop)
+    with np.errstate(over="ignore", invalid="ignore"):  # the non-finite test names the step
+        for lo, mid, hi in _blocks(1, N + 1):
+            if mid is not None:
+                P = sfft.next_fast_len(hi - lo, True)  # no wrap-around reaches rows mid..hi
+                if P not in mu_hat:
+                    mu_hat[P] = sfft.rfft(mu[:P], P)[:, None]
+                spec = sfft.rfft(Yf[lo:mid], P, axis=0)
+                spec *= mu_hat[P]
+                Yf[mid:hi] -= sfft.irfft(spec, P, axis=0, overwrite_x=True)[mid - lo:hi - lo]
+                continue
+            for n in range(lo, hi):
+                yf = Yf[n]
+                yf -= rev[N - n + lo:] @ Yf[lo:n]
+                Y[n] = y = step.advance(Y[n], n * h, Y[n - 1], n)
+                ny = math.sqrt(yf @ yf)
+                if _non_finite(y, ny):
+                    raise SolverError(f"non-finite state at step {n}", n)
+                if guard is not None and ny > guard:
+                    return Y[:n + 1].copy(), n
+    return Y, None
 
 
 def _trajectory(w: wt.SchemeWeights, problem: FOdeProblem, h: float, N: int,

@@ -16,11 +16,8 @@ def run_cli(*args):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(list(args))
-        except SystemExit as exc:  # argparse errors, --version, a bad config line
+        except SystemExit as exc:  # argparse errors, --version
             code = exc.code
-            if isinstance(code, str):  # the interpreter prints it and exits 1
-                print(code, file=sys.stderr)
-                code = 1
     return subprocess.CompletedProcess(args, code or 0, out.getvalue(), err.getvalue())
 
 
@@ -210,12 +207,14 @@ class TestResolventCommand:
         assert "singular" in res.stderr
 
     def test_overflow_exit_code_names_the_step(self, tmp_path):
-        # the uncontrolled Lorenz resolvent first overflows at step 772
-        res = run_cli("resolvent", "--scheme", "fbdf1", "--alpha", "0.5",
-                      "--h", "0.01", "--problem", "lorenz", "--no-control",
-                      "--n-max", "772", "--out", str(tmp_path))
+        # the uncontrolled Lorenz resolvent first overflows at step 772; a real
+        # process, so that a numpy overflow warning would reach stderr too
+        res = subprocess.run([sys.executable, "-m", "mlstab.cli", "resolvent", "--scheme", "fbdf1",
+                              "--alpha", "0.5", "--h", "0.01", "--problem", "lorenz",
+                              "--no-control", "--n-max", "772", "--out", str(tmp_path)],
+                             capture_output=True, text=True)
         assert res.returncode == 3
-        assert "non-finite state at step 772" in res.stderr
+        assert res.stderr == "solver failure: non-finite state at step 772\n"
 
     def test_alpha_diff_quadrature_check(self, tmp_path):
         res = run_cli("resolvent", "--scheme", "alpha_diff", "--alpha", "0.5",
@@ -409,6 +408,21 @@ class TestConfigFile:
                       "--h", "0.1", "--n-steps", "20", "--out", str(tmp_path / "out"))
         assert res.returncode == 2
         assert "bad config value h = 'abc'" in res.stderr
+        assert res.stdout == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path, text, message", [
+        ("missing.cfg", None, "error: cannot read config file "),
+        (".", None, "error: cannot read config file "),
+        ("run.cfg", "alpha = 0.4\nn 4\n", "error: bad config line: 'n 4'"),
+    ], ids=["missing", "directory", "no-equals"])
+    def test_unusable_file_rejected_before_output(self, tmp_path, path, text, message):
+        cfg = tmp_path / path
+        if text is not None:
+            cfg.write_text(text)
+        res = run_cli("weights", "--config", str(cfg), "--scheme", "fbdf1",
+                      "--out", str(tmp_path / "out"))
+        assert res.returncode == 2
+        assert res.stderr.startswith(message)
         assert res.stdout == "" and not (tmp_path / "out").exists()
 
     def test_unknown_key_ignored(self, tmp_path):

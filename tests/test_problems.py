@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from mlstab import problems
+from mlstab import weights as wt
+from mlstab.analysis import DECAYS, p_index
+from mlstab.solver import NonConvergenceError, solve
 
 
 class TestScalarTest:
@@ -90,6 +93,20 @@ class TestLorenz:
     def test_uncontrolled_matrix(self):
         p = problems.lorenz_controlled(with_control=False)
         assert np.array_equal(p.A.real, problems.LORENZ_A)
+
+    # the step-size band of the uncontrolled docstring: F-BDF1, alpha = 0.5, N = 50
+    def test_uncontrolled_small_step_grows(self):
+        traj = solve(problems.lorenz_controlled(False, alpha=0.5), wt.FBDF1, 0.01, 50)
+        assert traj.truncated_at is None
+        assert traj.norms()[-1] > traj.norms()[0]
+
+    def test_uncontrolled_middle_step_fails_at_step_one(self):
+        with pytest.raises(NonConvergenceError, match="at step 1$"):
+            solve(problems.lorenz_controlled(False, alpha=0.5), wt.FBDF1, 0.02, 50)
+
+    def test_uncontrolled_large_step_decays(self):
+        traj = solve(problems.lorenz_controlled(False, alpha=0.5), wt.FBDF1, 0.1, 50)
+        assert p_index(traj).verdict == DECAYS
 
 
 class TestByName:

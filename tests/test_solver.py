@@ -6,13 +6,15 @@ import pytest
 
 from mlstab import problems
 from mlstab import weights as wt
-from mlstab.resolvent import poisson_resolvent
+from mlstab.resolvent import impulse_resolvent, poisson_resolvent
 from mlstab.solver import (
+    _LEAF,
     BLOWUP_FACTOR,
     FOdeProblem,
     NonConvergenceError,
     SingularStepError,
     SolverError,
+    _blocks,
     solve,
     solve_alpha_diff,
 )
@@ -233,6 +235,81 @@ class TestBlowupGuard:
         assert traj.truncated_at is not None
         assert traj.states.shape[0] == traj.truncated_at + 1
         assert traj.norms()[-1] > BLOWUP_FACTOR * 5.0
+
+
+def _assert_close(got, ref):
+    """Within 1e-12 max ||y|| of the direct-sum reference."""
+    assert got.shape == ref.shape
+    scale = np.max(np.linalg.norm(ref.reshape(len(ref), -1), axis=1))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+
+class TestBlockHistory:
+    # the block FFT history sums against the direct per-step sums of
+    # conftest's mu_form_run; every N here spans at least three block levels
+
+    @pytest.mark.parametrize("lo, hi", [(1, 1), (1, 2), (1, _LEAF + 1), (1, _LEAF + 2),
+                                        (1, 1001), (7, 300)])
+    def test_schedule_adds_every_pair_once(self, lo, hi):
+        added = np.zeros((hi, hi), dtype=int)  # added[n, m]: H_m counted in S_n
+        done = lo
+        for a, mid, b in _blocks(lo, hi):
+            if mid is None:  # a leaf: its steps run in order, next after the last
+                assert a == done and b - a <= _LEAF
+                for n in range(a, b):
+                    added[n, a:n] += 1
+                done = b
+            else:  # the left half is stepped, no step of the right half yet
+                assert done == mid
+                added[mid:b, a:mid] += 1
+        expected = np.tril(np.ones((hi, hi), dtype=int), -1)
+        expected[:lo] = 0
+        expected[:, :lo] = 0
+        assert done == hi and np.array_equal(added, expected)
+
+    def test_advection_states_stay_real(self, mu_form_run):
+        p = problems.advection_diffusion(n_x=64, alpha=0.7)
+        traj = solve(p, wt.FBDF1, 0.01, 1000)
+        ref, _ = mu_form_run(wt.scheme_weights(wt.FBDF1, 0.7, 1001).mu, p.A, 0.7, 0.01,
+                             1000, p.y0)
+        _assert_close(traj.states, ref)
+        assert np.all(traj.states.imag == 0.0)
+
+    def test_lorenz_impulse_resolvent(self, mu_form_run):
+        A = problems.lorenz_controlled().A
+        r = impulse_resolvent(wt.FBDF2, A, 0.5, 0.1, 500)
+        mu = wt.scheme_weights(wt.FBDF2, 0.5, 502).mu
+        d, _ = mu_form_run(mu, A, 0.5, 0.1, 500, np.eye(3, dtype=complex))
+        forced, _ = mu_form_run(mu, A, 0.5, 0.1, 501, np.zeros((3, 3), dtype=complex),
+                                impulse=True)
+        _assert_close(r.d, d)
+        _assert_close(r.D, forced[1:])
+
+    def test_poisson_variant_seed(self, mu_form_run):
+        p = problems.lorenz_controlled(alpha=0.5)
+        traj = solve_alpha_diff(p, 0.1, 500, "poisson")
+        ref, _ = mu_form_run(wt.alpha_diff_weights(0.5, 501).mu, p.A, 0.5, 0.1, 500, p.y0, p.f,
+                             iv=wt.alpha_diff_kernel(0.5, 501), z0=True)
+        _assert_close(traj.states, ref)
+
+    def test_lorenz_newton(self, mu_form_run):
+        p = problems.lorenz_controlled(alpha=0.5)
+        traj = solve(p, wt.FBDF2, 0.1, 300)
+        ref, _ = mu_form_run(wt.scheme_weights(wt.FBDF2, 0.5, 301).mu, p.A, 0.5, 0.1, 300,
+                             p.y0, p.f)
+        _assert_close(traj.states, ref)
+
+    def test_guard_truncates_inside_a_leaf(self, mu_form_run):
+        # lambda = 1.2 grows past the guard at step 174, inside the leaf
+        # [151, 188), which starts after the update of steps [151, 301) by [1, 151)
+        p = scalar_problem(lam=1.2, y0=1.0)
+        with pytest.warns(UserWarning, match="blow-up"):
+            traj = solve(p, wt.FBDF1, 0.1, 600)
+        ref, stop = mu_form_run(wt.scheme_weights(wt.FBDF1, 0.5, 601).mu, p.A, 0.5, 0.1, 600,
+                                p.y0, guard=BLOWUP_FACTOR)
+        assert traj.truncated_at == stop == 174
+        assert (151, None, 188) in _blocks(1, 601) and (1, 151, 301) in _blocks(1, 601)
+        _assert_close(traj.states, ref)
 
 
 class TestTrajectory:
