@@ -22,20 +22,27 @@ continuous resolvents directly:
     rho_n^h(t) = e^(-t/h) (t/h)^n / (h n!),
 
 computed by adaptive quadrature over a window of +-12 standard deviations of
-the Poisson density (mean n h, std sqrt(n) h) plus padding.  The homogeneous
-impulse of the "poisson" solver variant equals Q_1^n, and the forced impulse
-of either variant equals h Q_alpha^n.
+the Poisson density (mean n h, std sqrt(n) h) plus padding.  One integrand
+serves every n and both betas: in u = s^alpha, s = t/h, the integrand
+
+    h^(beta-1)/alpha exp(-s + (n+beta-alpha) ln s - ln n!) E_{alpha,beta}(h^alpha u lam)
+
+is bounded at u = 0 for beta in {alpha, 1}, and at lam = 0 (E = 1, beta = 1)
+it integrates the density's mass.  The homogeneous impulse of the "poisson"
+solver variant equals Q_1^n, and the forced impulse of either variant equals
+h Q_alpha^n.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 from . import weights as wt
 from .solver import _check_grid, _run
@@ -56,10 +63,9 @@ __all__ = [
     "power_law_tail",
 ]
 
-#: relative tolerances of the Poisson quadratures (Q_beta^n, the density's mass)
-#: and of the Mittag-Leffler values inside the Q_beta^n integrand.
+#: relative tolerances of the Poisson quadrature and of the Mittag-Leffler
+#: values inside its integrand.
 _Q_EPSREL = 1e-8
-_MASS_EPSREL = 1e-11
 _Q_ML_RTOL = 3e-9
 
 
@@ -119,12 +125,6 @@ def d0_closed_form(scheme_id: str, A, alpha: float, h: float) -> np.ndarray:
     return np.linalg.inv(np.eye(A.shape[0], dtype=complex) / c - A)
 
 
-def _poisson_log_weight(s: float, n: int) -> float:
-    if s <= 0.0:
-        return -math.inf if n > 0 else -s
-    return n * math.log(s) - s - float(gammaln(n + 1))
-
-
 def _poisson_window(n: int) -> tuple[float, float]:
     """Integration window in s = t/h: +-12 standard deviations of the Poisson
     density around its mean n, padded by 30 on the right."""
@@ -132,59 +132,45 @@ def _poisson_window(n: int) -> tuple[float, float]:
     return max(0.0, n - spread), n + spread + 30.0
 
 
+def _check_index(n) -> None:
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+
+
 def poisson_mass(n: int) -> float:
-    """Quadrature of the Poisson density over the working window (exactly 1)."""
-    lo, hi = _poisson_window(n)
-    val, _ = integrate.quad(lambda s: math.exp(_poisson_log_weight(s, n)),
-                            lo, hi, epsabs=1e-14, epsrel=_MASS_EPSREL, limit=300)
-    return val
+    """Quadrature of the Poisson density over the working window (exactly 1):
+    Q_1^n at lam = 0, where E = 1."""
+    _check_index(n)
+    return _poisson_scalar(0j, 1.0, 1.0, n, 1.0).real
 
 
 def _poisson_scalar(lam: complex, alpha: float, h: float, n: int, beta: float) -> complex:
-    """Q_beta^n for a scalar eigenvalue: Poisson average of t^{beta-1} E."""
+    """Q_beta^n for a scalar eigenvalue: the module docstring's integrand in
+    u = s^alpha over the window's image."""
+    if abs(cmath.phase(lam)) < alpha * math.pi and ((h ** alpha * lam) ** (1.0 / alpha)).real >= 1:
+        raise ValueError(f"the Poisson transform diverges for eigenvalue {lam:.6g} "
+                         f"at alpha = {alpha:g}, h = {h:g}")
     lo, hi = _poisson_window(n)
+    scale = h ** (beta - 1.0) / alpha
+    expo, log_fact = n + beta - alpha, float(gammaln(n + 1))
     real_line = lam.imag == 0.0  # then E stays real along the path
 
     @functools.cache  # the imaginary-part quadrature revisits the real part's nodes
-    def integrand(s: float) -> complex:
-        lw = _poisson_log_weight(s, n)
+    def integrand(u: float) -> complex:
+        s = u ** (1.0 / alpha)
+        lw = float(xlogy(expo, s)) - s - log_fact
         if lw < -745.0:
             return 0j
-        hs = h * s
-        return (math.exp(lw) * hs ** (beta - 1.0)
-                * mittag_leffler(hs ** alpha * lam, alpha, beta, _Q_ML_RTOL))
+        return scale * math.exp(lw) * mittag_leffler(h ** alpha * u * lam, alpha, beta, _Q_ML_RTOL)
 
-    pieces = []
-    if beta < 1.0 and lo == 0.0:
-        # remove the s^(beta-1) endpoint singularity with u = s^alpha
-        s1 = min(1.0, hi / 2.0)
-
-        @functools.cache
-        def integrand_u(u: float) -> complex:
-            if u <= 0.0:
-                return 0j
-            s = u ** (1.0 / alpha)
-            expo = (n + beta - alpha) / alpha
-            return (math.exp(-s - float(gammaln(n + 1))) * u ** expo / alpha
-                    * h ** (beta - 1.0)
-                    * mittag_leffler(h ** alpha * u * lam, alpha, beta, _Q_ML_RTOL))
-
-        pieces.append((integrand_u, 0.0, s1 ** alpha))
-        pieces.append((integrand, s1, hi))
-    else:
-        pieces.append((integrand, lo, hi))
-
-    total = 0j
-    for func, a, b in pieces:
-        re, _ = integrate.quad(lambda s: func(s).real, a, b,
-                               epsabs=1e-14, epsrel=_Q_EPSREL, limit=300)
-        if real_line:
-            total += re
-            continue
-        im, _ = integrate.quad(lambda s: func(s).imag, a, b,
-                               epsabs=1e-14, epsrel=_Q_EPSREL, limit=300)
-        total += re + 1j * im
-    return total
+    a, b = lo ** alpha, hi ** alpha
+    re, _ = integrate.quad(lambda u: integrand(u).real, a, b,
+                           epsabs=1e-14, epsrel=_Q_EPSREL, limit=300)
+    if real_line:
+        return complex(re)
+    im, _ = integrate.quad(lambda u: integrand(u).imag, a, b,
+                           epsabs=1e-14, epsrel=_Q_EPSREL, limit=300)
+    return complex(re, im)
 
 
 def poisson_resolvent(A, alpha: float, h: float, n: int, beta: float) -> np.ndarray:
@@ -193,10 +179,14 @@ def poisson_resolvent(A, alpha: float, h: float, n: int, beta: float) -> np.ndar
     beta is 1 (initial-value resolvent) or alpha (forcing resolvent, whose
     h-multiple is the scheme's D_n).  A must be diagonalizable; the scalar
     quadrature runs per eigenvalue and is recomposed through the eigenbasis.
+    The transform diverges, and ValueError names the eigenvalue, when
+    |arg lam| < alpha pi and Re((h^alpha lam)^(1/alpha)) >= 1: E then grows
+    like exp(t lam^(1/alpha)), no slower than the density's e^(-t/h) decays.
     """
     if beta not in (1.0, alpha):
         raise ValueError("beta must be 1 or alpha")
     _check_grid(h)
+    _check_index(n)
     return matrix_function(A, lambda lam: _poisson_scalar(lam, alpha, h, n, beta))
 
 

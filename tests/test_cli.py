@@ -225,6 +225,43 @@ class TestResolventCommand:
             (tmp_path / "resolvent_alpha_diff_a0.5_summary.json").read_text())
         assert summary["poisson_vs_impulse_max_dev"] < 1e-6
 
+    def test_alpha_diff_check_skips_n0(self, tmp_path, monkeypatch):
+        seen = []
+        orig = cli.rsv.poisson_resolvent
+        monkeypatch.setattr(cli.rsv, "poisson_resolvent",
+                            lambda A, alpha, h, n, beta: seen.append(n) or orig(A, alpha, h, n, beta))
+        res = run_cli("resolvent", "--scheme", "alpha_diff", "--alpha", "0.5",
+                      "--h", "0.1", "--problem", "lorenz", "--n-max", "30",
+                      "--q-check", "20", "--q-stride", "10", "--out", str(tmp_path))
+        assert res.returncode == 0
+        assert seen == [10, 20]
+
+    def test_alpha_diff_nothing_compared_is_null(self, tmp_path):
+        res = run_cli("resolvent", "--scheme", "alpha_diff", "--alpha", "0.5",
+                      "--h", "0.1", "--problem", "lorenz", "--n-max", "30",
+                      "--q-check", "5", "--q-stride", "10", "--out", str(tmp_path))
+        assert res.returncode == 0
+        summary = json.loads(
+            (tmp_path / "resolvent_alpha_diff_a0.5_summary.json").read_text())
+        assert summary["poisson_vs_impulse_max_dev"] is None
+
+    def test_alpha_diff_divergent_transform_usage_error(self, tmp_path):
+        res = run_cli("resolvent", "--scheme", "alpha_diff", "--problem", "lorenz",
+                      "--no-control", "--alpha", "0.5", "--h", "0.1", "--n-max", "50",
+                      "--out", str(tmp_path / "out"))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: the Poisson transform diverges for eigenvalue 11.8277")
+        assert not (tmp_path / "out").exists()
+
+    def test_alpha_diff_convergent_small_step(self, tmp_path):
+        res = run_cli("resolvent", "--scheme", "alpha_diff", "--problem", "lorenz",
+                      "--no-control", "--alpha", "0.5", "--h", "0.001", "--n-max", "20",
+                      "--q-check", "20", "--out", str(tmp_path))
+        assert res.returncode == 0
+        summary = json.loads(
+            (tmp_path / "resolvent_alpha_diff_a0.5_summary.json").read_text())
+        assert summary["poisson_vs_impulse_max_dev"] < 1e-6
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
@@ -236,6 +273,7 @@ class TestUsageErrors:
         ("solve", "--scheme", "fbdf1", "--h", "0", "--t-end", "5"),
         ("solve", "--scheme", "fbdf1", "--h", "0.1"),
         ("resolvent", "--scheme", "alpha_diff", "--h", "0.1", "--q-check", "-1"),
+        ("resolvent", "--scheme", "alpha_diff", "--h", "0.1", "--q-stride", "0"),
         ("weights", "--scheme", "l1", "--n", "0"),
         ("solve", "--scheme", "fbdf1", "--h", "0.1", "--n-steps", "3"),
         ("solve", "--scheme", "fbdf1", "--h", "0.1", "--t-end", "inf"),

@@ -179,6 +179,27 @@ class TestPoisson:
         with pytest.raises(ValueError):
             poisson_resolvent(LAM, 0.5, 0.1, 3, 0.7)
 
+    @pytest.mark.parametrize("n", [-1, 2.5])
+    def test_bad_order_rejected(self, n):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            poisson_resolvent(np.array([[-1.0]]), 0.5, 0.1, n, 1.0)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            poisson_mass(n)
+
+    @pytest.mark.parametrize("lam", [-2.0, -11.0, 1 + 11j])
+    @pytest.mark.parametrize("n", [0, 1, 10])
+    def test_alpha_one_closed_form(self, lam, n):
+        # E_{1,1} = exp, so Q_1^n(lam) = int rho_n^h(t) e^(t lam) dt = (1 - h lam)^-(n+1)
+        h = 0.1
+        q = poisson_resolvent(np.array([[lam]]), 1.0, h, n, 1.0)[0, 0]
+        assert q == pytest.approx((1.0 - h * lam) ** -(n + 1), rel=1e-8)
+
+    def test_divergent_transform_rejected(self):
+        # the uncontrolled Lorenz eigenvalue +11.83 has (h^alpha lam)^(1/alpha) = 1.18 at h = 0.1
+        A = problems.lorenz_controlled(False).A
+        with pytest.raises(ValueError, match=r"diverges for eigenvalue 11\.8277"):
+            poisson_resolvent(A, 0.5, 0.1, 1, 1.0)
+
 
 class TestDecayReport:
     def test_scalar_slopes(self):
