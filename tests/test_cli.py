@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,24 @@ class TestSolveCommand:
         assert res.returncode == 0
         summary = json.loads((tmp_path / "solve_scalar_fbdf1_a0.5_summary.json").read_text())
         assert summary["verdict"] == "GROWS"
+
+    def test_extreme_initial_value_keeps_its_verdict(self, tmp_path):
+        # the squares of states near 1e160 overflow, and those near 1e-170
+        # underflow to 0; the norms are scaled instead
+        slopes = {}
+        for y0 in ("1", "1e160", "1e-170"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                res = run_cli("solve", "--problem", "scalar", "--scheme", "fbdf1",
+                              "--alpha", "0.5", "--h", "0.1", "--t-end", "100",
+                              "--y0", y0, "--out", str(tmp_path / y0))
+            assert res.returncode == 0
+            text = (tmp_path / y0 / "solve_scalar_fbdf1_a0.5_summary.json").read_text()
+            summary = json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
+            assert summary["verdict"] == "DECAYS"
+            slopes[y0] = summary["fitted_slope"]
+        assert abs(slopes["1e160"] - slopes["1"]) <= 1e-9
+        assert abs(slopes["1e-170"] - slopes["1"]) <= 1e-9
 
     def test_deterministic_output(self, tmp_path):
         (tmp_path / "a").mkdir()

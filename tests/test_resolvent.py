@@ -99,6 +99,17 @@ class TestOverflow:
                 impulse_resolvent(wt.FBDF1, A, 0.5, 0.01, 772)
         assert info.value.step == 772
 
+    def test_scalar_overflow_names_the_first_non_finite_step(self):
+        # the mode alone: |d_n| passes 1.4e154, where its square overflows, at
+        # step 387, long before the first inf entry at step 773
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = impulse_resolvent(wt.FBDF1, [[11.83]], 0.5, 0.01, 772)
+            assert np.all(np.isfinite(r.d)) and np.all(np.isfinite(r.D))
+            assert np.abs(r.d[387, 0, 0]) > 1.4e154
+            with pytest.raises(SolverError, match="non-finite state at step 773") as info:
+                impulse_resolvent(wt.FBDF1, [[11.83]], 0.5, 0.01, 773)
+        assert info.value.step == 773
+
 
 class TestVariationOfConstants:
     @pytest.mark.parametrize("scheme", SCHEMES)

@@ -3,12 +3,17 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import _mu_form_run
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlstab import problems
+from mlstab import solver as slv
 from mlstab import weights as wt
 from mlstab.resolvent import impulse_resolvent, poisson_resolvent
 from mlstab.solver import (
     _LEAF,
+    _LEAF_ROWS,
     BLOWUP_FACTOR,
     FOdeProblem,
     NonConvergenceError,
@@ -236,6 +241,16 @@ class TestBlowupGuard:
         assert traj.states.shape[0] == traj.truncated_at + 1
         assert traj.norms()[-1] > BLOWUP_FACTOR * 5.0
 
+    def test_large_initial_value_keeps_the_guard(self):
+        # squares of states near 1e160 overflow: the norms, and so the guard
+        # 1e12 * ||y0||, are scaled; linearity keeps step 174 of y0 = 1
+        # (test_guard_truncates_inside_a_leaf)
+        p = scalar_problem(lam=1.2, y0=1e160)
+        with pytest.warns(UserWarning, match="blow-up"):
+            traj = solve(p, wt.FBDF1, 0.1, 600)
+        assert traj.truncated_at == 174
+        assert np.all(np.isfinite(traj.norms()))
+
 
 def _assert_close(got, ref):
     """Within 1e-12 max ||y|| of the direct-sum reference."""
@@ -310,6 +325,87 @@ class TestBlockHistory:
         assert traj.truncated_at == stop == 174
         assert (151, None, 188) in _blocks(1, 601) and (1, 151, 301) in _blocks(1, 601)
         _assert_close(traj.states, ref)
+
+
+class TestLeafProducts:
+    # linear runs of dimension d <= 4 solve each leaf with one product of the
+    # run's discrete resolvent; the direct per-step sums of conftest's
+    # mu_form_run are the reference
+
+    @pytest.mark.parametrize("d, batched", [(1, True), (4, True), (5, False), (64, False)])
+    def test_path_rule(self, d, batched, monkeypatch):
+        built = []
+        leaf_resolvent = slv._leaf_resolvent
+        monkeypatch.setattr(slv, "_leaf_resolvent", lambda *a: built.append(a) or
+                            leaf_resolvent(*a))
+        solve(FOdeProblem(0.5, -np.eye(d), np.ones(d)), wt.FBDF1, 0.1, 100)
+        assert _LEAF * 4 <= _LEAF_ROWS < _LEAF * 5
+        assert bool(built) == batched
+        built.clear()
+        solve(problems.lorenz_controlled(alpha=0.5), wt.FBDF1, 0.1, 10)
+        assert not built  # nonlinear runs step every leaf
+
+    def test_overflowing_resolvent_steps_the_leaves(self):
+        # h^alpha lambda = 1 - 1e-8 makes M nearly singular: G_k ~ 1e8^k
+        # overflows inside the first leaf while y_n, from y0 = 1e-300, is still
+        # below the guard, so the run steps its leaves and truncates there
+        p = FOdeProblem(0.5, np.array([[(1 - 1e-8) / 0.1 ** 0.5]]), np.array([1e-300]))
+        with pytest.warns(UserWarning, match="blow-up"):
+            traj = solve(p, wt.FBDF1, 0.1, 100)
+        ref, stop = _mu_form_run(wt.scheme_weights(wt.FBDF1, 0.5, 101).mu, p.A, 0.5, 0.1, 100,
+                                 p.y0, guard=BLOWUP_FACTOR)
+        assert traj.truncated_at == stop == 41
+        _assert_close(traj.states, ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 4), case=st.sampled_from(
+               [wt.FBDF1, wt.FBDF2, wt.FADAMS2, wt.L1, "difference", "poisson"]),
+           alpha=st.floats(0.3, 0.9), h=st.floats(0.01, 0.1), N=st.integers(257, 400),
+           n_unstable=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_linear_runs_are_exact(self, d, case, alpha, h, N, n_unstable, seed):
+        # complex A with eigenvalues on both sides of the imaginary axis; N
+        # spans at least three block levels
+        rng = np.random.default_rng(seed)
+        re = rng.uniform(-5.0, -0.1, d)
+        re[:n_unstable] = rng.uniform(0.05, 3.0, d)[:n_unstable]
+        lam = re + 1j * rng.uniform(-1.0, 1.0, d) * np.where(re < 0, 5.0, 1.0)
+        V = np.eye(d) + 0.3 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        A = V @ np.diag(lam) @ np.linalg.inv(V)
+        p = FOdeProblem(alpha, A, rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        guard = BLOWUP_FACTOR * max(np.linalg.norm(p.y0), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the blow-up guard's
+            if case in ("difference", "poisson"):
+                traj = solve_alpha_diff(p, h, N, case)
+            else:
+                traj = solve(p, case, h, N)
+        if case in ("difference", "poisson"):
+            mu = wt.alpha_diff_weights(alpha, N + 1).mu
+            iv = (np.zeros(N + 1) if case == "difference"
+                  else wt.alpha_diff_kernel(1.0 - alpha, N + 1))
+        else:
+            mu, iv = wt.scheme_weights(case, alpha, N + 1).mu, None
+        ref, stop = _mu_form_run(mu, A, alpha, h, N, p.y0, iv=iv, z0=case == "poisson",
+                                 guard=guard)
+        assert traj.truncated_at == stop
+        _assert_close(traj.states, ref)
+
+    @settings(max_examples=10, deadline=None)
+    @given(scheme=st.sampled_from(SCHEMES), alpha=st.floats(0.3, 0.9),
+           n_max=st.integers(257, 400), seed=st.integers(0, 2 ** 32 - 1))
+    def test_impulse_runs_are_exact(self, scheme, alpha, n_max, seed):
+        # the (3, 3) matrix states of both impulse runs, as for Lorenz above
+        rng = np.random.default_rng(seed)
+        lam = np.array([-2.0 + 3j, -0.5 - 1j, 0.5 + 0.5j]) * rng.uniform(0.5, 1.5, 3)
+        V = np.eye(3) + 0.3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        A = V @ np.diag(lam) @ np.linalg.inv(V)
+        r = impulse_resolvent(scheme, A, alpha, 0.05, n_max)
+        mu = wt.scheme_weights(scheme, alpha, n_max + 2).mu
+        d, _ = _mu_form_run(mu, A, alpha, 0.05, n_max, np.eye(3, dtype=complex))
+        forced, _ = _mu_form_run(mu, A, alpha, 0.05, n_max + 1,
+                                 np.zeros((3, 3), dtype=complex), impulse=True)
+        _assert_close(r.d, d)
+        _assert_close(r.D, forced[1:])
 
 
 class TestTrajectory:
