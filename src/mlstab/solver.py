@@ -13,8 +13,11 @@ F-LMMs, zero for the alpha-difference "difference" variant and k^(1-alpha)
 for its "poisson" variant (which also replaces y_0 inside the sum by z_0, see
 solve_alpha_diff).  Every step solves a linear system with the constant matrix
 M = mu_0 I - h^alpha A, whose inverse is formed once per run from its LU
-factorization.  The nonlinear part is handled by Newton iteration with a
-finite-difference Jacobian; a step Newton cannot solve raises
+factorization and applied as one real product of its stacked real and
+imaginary parts.  The nonlinear part is handled by the chord (simplified
+Newton) iteration: one finite-difference Jacobian per step, formed again only
+after an iterate that contracts by less than half or moves by more than a
+tenth of the state; a step the iteration cannot solve raises
 NonConvergenceError.  The history sums follow the divide-and-conquer
 schedule of Hairer, Lubich & Schlichte (1985, SIAM J. Sci. Stat. Comput.
 6:532): direct sums inside blocks of at most 64 steps, one real FFT product
@@ -78,6 +81,11 @@ _NEWTON_ATOL = 1e-12
 _NEWTON_RTOL = 1e-12
 _NEWTON_MAXIT = 50
 _FD_REL_STEP = 1e-7
+#: the chord iteration forms its Jacobian again after an iterate whose step
+#: exceeds _CHORD_RATE times the step before it, or _CHORD_JUMP max(||y||, 1):
+#: without the second test a step overshoots on a stale Jacobian and fails.
+_CHORD_RATE = 0.5
+_CHORD_JUMP = 0.1
 #: steps per leaf of the block history schedule (_blocks); leaves sum directly.
 _LEAF = 64
 #: a linear run of dimension d solves its leaves by one product with the
@@ -180,10 +188,17 @@ class _ImplicitStep:
     """Solves M y = rhs + cf * f(t, y) with constant M, factored once.
 
     M = c0 I - h^alpha w A folds the linear part exactly; its inverse is
-    formed once from the LU factors and serves every linear solve.  Newton
-    handles f with a forward-difference Jacobian (relative step 1e-7); a
-    singular Jacobian, a non-finite iterate or 50 iterations without
-    convergence raise NonConvergenceError.
+    formed once from the LU factors and serves every linear solve as one real
+    product of its stacked parts [Re M^{-1}; Im M^{-1}] with the float view
+    of rhs.  f is handled by the chord (simplified Newton) iteration: the
+    forward-difference Jacobian J = M - cf df/dy (relative step 1e-7) is
+    formed and inverted at the step's first iterate and kept while the
+    iteration contracts.  It is formed again after an iterate whose step
+    ||delta_k|| exceeds half the step before it, or 0.1 max(||y_k||, 1), so
+    that far from the root the iteration is full Newton.  The iteration stops
+    once ||delta_k|| <= 1e-12 + 1e-12 ||y_k||; a singular Jacobian, a
+    non-finite iterate or 50 iterations without convergence raise
+    NonConvergenceError.
     """
 
     def __init__(self, M: np.ndarray, cf: float,
@@ -198,25 +213,35 @@ class _ImplicitStep:
         if not np.all(np.isfinite(lu[0])) or np.min(np.abs(np.diag(lu[0]))) == 0.0:
             raise SingularStepError("singular implicit step matrix")
         self.Minv = lu_solve(lu, np.eye(dim, dtype=complex))
+        self._Minv_parts = np.vstack([self.Minv.real, self.Minv.imag])  # (2 d, d)
 
     def advance(self, rhs: np.ndarray, t: float, guess: np.ndarray, step: int) -> np.ndarray:
-        if self.f is None:
-            return self.Minv @ rhs
+        if self.f is None:  # rhs is (d,) or (d, d), each row contiguous
+            d = self.dim
+            parts = self._Minv_parts @ rhs.reshape(d, -1).view(float)
+            y = _combine_parts(parts[:d], parts[d:], np.empty((d, parts.shape[1])))
+            return y.view(complex).reshape(rhs.shape)
         y = guess.copy()
+        Jinv = None
+        nd_prev = math.inf
         for _ in range(_NEWTON_MAXIT):
             fy = np.asarray(self.f(t, y))
-            residual = self.M @ y - rhs - self.cf * fy
-            J = self.M - self.cf * self._fd_jacobian(t, y, fy)
-            try:
-                delta = np.linalg.solve(J, -residual)
-            except np.linalg.LinAlgError:
-                break
-            y = y + delta
-            ny = np.linalg.norm(y)
+            if Jinv is None:
+                try:
+                    Jinv = np.linalg.inv(self.M - self.cf * self._fd_jacobian(t, y, fy))
+                except np.linalg.LinAlgError:
+                    break
+            delta = Jinv @ (self.M @ y - rhs - self.cf * fy)
+            y = y - delta
+            ny = _norm(y)
             if _non_finite(y, ny):  # no iteration recovers from a nan or inf iterate
                 raise _no_convergence(step)
-            if math.isfinite(ny) and np.linalg.norm(delta) <= _NEWTON_ATOL + _NEWTON_RTOL * ny:
+            nd = _norm(delta)
+            if math.isfinite(ny) and nd <= _NEWTON_ATOL + _NEWTON_RTOL * ny:
                 return y
+            if nd > _CHORD_RATE * nd_prev or nd > _CHORD_JUMP * max(ny, 1.0):
+                Jinv = None
+            nd_prev = nd
         raise _no_convergence(step)
 
     def _fd_jacobian(self, t: float, y: np.ndarray, fy: np.ndarray) -> np.ndarray:
@@ -227,6 +252,25 @@ class _ImplicitStep:
             yp[j] += dy
             J[:, j] = (np.asarray(self.f(t, yp)) - fy) / dy
         return J
+
+
+def _combine_parts(re: np.ndarray, im: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write to out, a float view of (re, im) column pairs, the product P X
+    of a complex matrix P and complex columns X, given the real products
+    re = Re(P) Xf and im = Im(P) Xf with the float view Xf of X."""
+    out[:, 0::2] = re[:, 0::2] - im[:, 1::2]
+    out[:, 1::2] = re[:, 1::2] + im[:, 0::2]
+    return out
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector, complex or its float view: the square root
+    of a dot product, scaled (_row_norms) only when the squares overflow."""
+    vf = v.view(float)
+    nv = math.sqrt(vf @ vf)
+    if nv == math.inf:  # an inf entry, or squares that overflow
+        nv = _row_norms(vf[None])[0]
+    return nv
 
 
 def _no_convergence(step: int) -> NonConvergenceError:
@@ -348,9 +392,7 @@ def _run(w: wt.SchemeWeights, A: np.ndarray, alpha: float, h: float, N: int,
             if G is not None:
                 L = hi - lo
                 leaf = Yf[lo:hi].reshape(L * d, Yf.shape[1] // d)  # (re, im) column pairs
-                re, im = G[:, :L * d, :L * d] @ leaf  # Re G and Im G times the leaf
-                leaf[:, 0::2] = re[:, 0::2] - im[:, 1::2]
-                leaf[:, 1::2] = re[:, 1::2] + im[:, 0::2]
+                _combine_parts(*(G[:, :L * d, :L * d] @ leaf), leaf)
                 stop = ~np.isfinite(Yf[lo:hi]).all(axis=1)
                 if guard is not None:
                     stop |= _row_norms(Yf[lo:hi]) > guard
@@ -361,9 +403,7 @@ def _run(w: wt.SchemeWeights, A: np.ndarray, alpha: float, h: float, N: int,
                     yf = Yf[m]
                     yf -= rev[N - m + lo:] @ Yf[lo:m]
                     Y[m] = y = step.advance(Y[m], m * h, Y[m - 1], m)
-                    ny = math.sqrt(yf @ yf)
-                    if ny == math.inf:  # an inf entry, or squares that overflow
-                        ny = _row_norms(yf[None])[0]
+                    ny = _norm(yf)
                     if _non_finite(y, ny) or (guard is not None and ny > guard):
                         n = m
                         break

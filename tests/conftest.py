@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from mlstab import solver as slv
 from mlstab import weights as wt
 
 
@@ -29,26 +28,50 @@ def _mu_form_run(mu, A, alpha: float, h: float, N: int, y0, f=None, iv=None,
     """States and blow-up step of the mu-form recurrence
     sum_{j=0}^{n} mu_j H_{n-j} = iv_n y0 + h^alpha (A y_n + F_n), with the
     whole history summed directly at every step (O(N^2)), written out here
-    independently of the solver's block schedule.  H_j = y_j except
-    H_0 = M^{-1} (y0 + h^alpha f(0, y0)) when z0 is set; impulse runs force
-    F_1 = I.  The implicit solve is the solver's own (Newton for f)."""
+    independently of the solver's block schedule and implicit step.  H_j = y_j
+    except H_0 = M^{-1} (y0 + h^alpha f(0, y0)) when z0 is set; impulse runs
+    force F_1 = I.  Each step solves M y_n = rhs + h^alpha f(t_n, y_n) with
+    M = mu_0 I - h^alpha A directly (_newton for f)."""
     mu = np.asarray(mu[:N + 1], dtype=float)
     ha = h ** alpha
     eye = np.eye(A.shape[0], dtype=complex)
-    step = slv._ImplicitStep(mu[0] * eye - ha * A, ha, f, A.shape[0])
+    M = mu[0] * eye - ha * A
     iv = np.cumsum(mu) if iv is None else iv
     H = np.empty((N + 1,) + y0.shape, dtype=complex)
-    H[0] = step.Minv @ (y0 if f is None else y0 + ha * f(0.0, y0)) if z0 else y0
+    H[0] = np.linalg.solve(M, y0 if f is None else y0 + ha * f(0.0, y0)) if z0 else y0
     Y = H.copy()
     Y[0] = y0
     for n in range(1, N + 1):
         rhs = iv[n] * y0 - np.tensordot(mu[n:0:-1], H[:n], axes=1)
         if impulse and n == 1:
             rhs = rhs + ha * eye
-        Y[n] = H[n] = step.advance(rhs, n * h, Y[n - 1], n)
+        if f is None:
+            Y[n] = H[n] = np.linalg.solve(M, rhs)
+        else:
+            Y[n] = H[n] = _newton(M, rhs, ha, f, n * h, Y[n - 1])
         if guard is not None and np.linalg.norm(Y[n]) > guard:
             return Y[:n + 1], n
     return Y, None
+
+
+def _newton(M, rhs, cf: float, f, t: float, y):
+    """The root of M y - rhs - cf f(t, y) by full Newton from y: a fresh
+    forward-difference Jacobian (relative step 1e-7) at every iteration, and
+    the solver's stop rule, 1e-12 + 1e-12 ||y||, within 50 iterations."""
+    y = np.array(y, dtype=complex)
+    for _ in range(50):
+        fy = np.asarray(f(t, y))
+        J = np.empty(M.shape, dtype=complex)
+        for j in range(len(y)):
+            dy = 1e-7 * max(abs(y[j]), 1.0)
+            yp = y.copy()
+            yp[j] += dy
+            J[:, j] = (np.asarray(f(t, yp)) - fy) / dy
+        delta = np.linalg.solve(M - cf * J, rhs + cf * fy - M @ y)
+        y = y + delta
+        if np.linalg.norm(delta) <= 1e-12 + 1e-12 * np.linalg.norm(y):
+            return y
+    raise AssertionError(f"reference Newton did not converge at t = {t}")
 
 
 @pytest.fixture

@@ -104,6 +104,17 @@ class TestLorenz:
         with pytest.raises(NonConvergenceError, match="at step 1$"):
             solve(problems.lorenz_controlled(False, alpha=0.5), wt.FBDF1, 0.02, 50)
 
+    # the edges between the first two bands, which Newton moves when it keeps
+    # a stale Jacobian after an overshoot
+    def test_uncontrolled_growth_band_edge(self):
+        traj = solve(problems.lorenz_controlled(False, alpha=0.5), wt.FBDF1, 0.011, 50)
+        assert traj.truncated_at is None
+        assert traj.norms()[-1] > traj.norms()[0]
+
+    def test_uncontrolled_failure_band_edge(self):
+        with pytest.raises(NonConvergenceError, match="at step 1$"):
+            solve(problems.lorenz_controlled(False, alpha=0.5), wt.FBDF1, 0.012, 50)
+
     def test_uncontrolled_large_step_decays(self):
         traj = solve(problems.lorenz_controlled(False, alpha=0.5), wt.FBDF1, 0.1, 50)
         assert p_index(traj).verdict == DECAYS

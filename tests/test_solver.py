@@ -161,6 +161,82 @@ class TestAlphaDifference:
             solve_alpha_diff(scalar_problem(alpha=1.0), 0.1, 5)
 
 
+# controlled Lorenz states at t = 20, 40, ..., 100 (h = 0.1, N = 1005) as
+# stepped by full Newton, with a fresh FD Jacobian at every iteration
+LORENZ_PINS = {
+    (wt.FBDF1, 0.3): [
+        [0.030650852474657563, -0.15116609153833427, 1.4856204965692856],
+        [0.02499643694792733, -0.12236753714592415, 1.2255214672730212],
+        [0.022179283021357403, -0.10816854220932025, 1.09357011147564],
+        [0.02037269256812384, -0.0991159563759442, 1.0081245041544513],
+        [0.019072071120309154, -0.09262456624947787, 0.9462092698817278],
+    ],
+    (wt.FBDF1, 0.9): [
+        [0.0007203457326389741, -0.003385341473124763, 0.03841065473492224],
+        [0.00038314444858417624, -0.0018055680409443853, 0.020088113252027303],
+        [0.00026531474428903557, -0.0012514933102537975, 0.01383081364817642],
+        [0.00020452412152696816, -0.0009652204125948552, 0.010630662368218389],
+        [0.00016717697900916234, -0.0007892063727717932, 0.008673941415081378],
+    ],
+    (wt.FBDF2, 0.3): [
+        [0.03064439870505035, -0.15113263677778457, 1.485378243152115],
+        [0.024993777625609743, -0.12235399395594716, 1.2254153663625738],
+        [0.022177700898174467, -0.10816055808634437, 1.0935051140718757],
+        [0.02037159845832005, -0.09911046780659542, 1.0080787218250646],
+        [0.019071249409108024, -0.09262046203125679, 0.9461744344080804],
+    ],
+    (wt.FBDF2, 0.9): [
+        [0.0007188211868132276, -0.003378571495051154, 0.038322476801874256],
+        [0.0003827474555331738, -0.0018037836218084188, 0.02006669012894323],
+        [0.00026513279763546826, -0.001250672048978258, 0.013821221838019357],
+        [0.00020441931711422324, -0.0009647463289730894, 0.010625202590972748],
+        [0.00016710860057772675, -0.0007888966520544053, 0.008670404965099692],
+    ],
+    (wt.FADAMS2, 0.3): [
+        [0.030644412176189264, -0.15113277319811458, 1.4853794772960929],
+        [0.02499378039797972, -0.12235403488295823, 1.225415792459482],
+        [0.02217770199814202, -0.1081605794267952, 1.0935053502529426],
+        [0.020371599029098443, -0.099110481523015, 1.0080788790351403],
+        [0.019071249752199263, -0.09262047186163214, 0.9461745496958441],
+    ],
+    (wt.FADAMS2, 0.9): [
+        [0.0007188282740466482, -0.0033786254996296507, 0.03832183249841362],
+        [0.000382748365296496, -0.0018037937627943354, 0.02006646500898456],
+        [0.0002651330742491688, -0.0012506760947503472, 0.01382111119751504],
+        [0.0002044194363162311, -0.000964748485779066, 0.010625136841800414],
+        [0.00016710866270028957, -0.0007888979912229765, 0.008670361305251294],
+    ],
+    (wt.L1, 0.3): [
+        [0.03064446696678005, -0.15113289018935605, 1.4853821063161396],
+        [0.024993791723782844, -0.12235403155793065, 1.2254160452899139],
+        [0.022177706496974155, -0.1081605675283989, 1.0935053248459394],
+        [0.020371601364610352, -0.0991104699314076, 1.008078798461449],
+        [0.019071251156339612, -0.09262046166350649, 0.9461744600878635],
+    ],
+    (wt.L1, 0.9): [
+        [0.0007188562461108653, -0.0033784662577233436, 0.03832695638760931],
+        [0.00038275200238734573, -0.001803742938936623, 0.02006701526853099],
+        [0.00026513418496024616, -0.0012506513318979646, 0.013821254812775362],
+        [0.00020441991602409136, -0.0009647337936864738, 0.010625189426094164],
+        [0.0001671089130397797, -0.0007888882367251694, 0.008670384047045584],
+    ],
+    (wt.ALPHA_DIFF, 0.3): [
+        [5.383020515941085e-05, -0.00023595643836222448, 0.0035752151311271305],
+        [2.205130000480517e-05, -9.605523470936012e-05, 0.0015036386885946059],
+        [1.3073722052567163e-05, -5.677334950695248e-05, 0.0009031425693324076],
+        [9.019669138915636e-06, -3.909126655866332e-05, 0.0006282762344462279],
+        [6.762093813376418e-06, -2.9265496929949777e-05, 0.00047383311984961976],
+    ],
+    (wt.ALPHA_DIFF, 0.9): [
+        [5.8833545642351535e-06, -2.1155501395044075e-05, 0.0007602340669691512],
+        [1.5562553287125465e-06, -5.641537596848601e-06, 0.0001947067305185604],
+        [7.170943023872543e-07, -2.606808055115314e-06, 8.874572603623469e-05],
+        [4.1419270357546957e-07, -1.5078582569780105e-06, 5.0976065837550893e-05],
+        [2.706871702913418e-07, -9.863006629813424e-07, 3.3201927847912356e-05],
+    ],
+}
+
+
 class TestNonlinear:
     def test_lorenz_newton_converges_and_decays(self):
         p = problems.lorenz_controlled(alpha=0.5)
@@ -182,6 +258,40 @@ class TestNonlinear:
         rhs = p.y0 + ha * np.einsum("i,ij->j", w.omega[1:n][::-1], g[1:n])
         lhs = traj.states[n] - ha * w.omega[0] * g[n]
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.linalg.norm(traj.states[n]))
+
+    @pytest.mark.parametrize("scheme, alpha", LORENZ_PINS)
+    def test_lorenz_pins(self, scheme, alpha):
+        traj = solve(problems.lorenz_controlled(alpha=alpha), scheme, 0.1, 1005)
+        assert traj.truncated_at is None
+        pinned = np.array(LORENZ_PINS[scheme, alpha])
+        assert np.max(np.abs(traj.states[200:1001:200] - pinned)) <= 1e-12 * np.max(traj.norms())
+
+    def test_newton_reuses_its_jacobian(self):
+        # one FD Jacobian (d = 3 f calls) per step while the iterates contract:
+        # this run made 12064 f calls with a fresh Jacobian at every iteration
+        p = problems.lorenz_controlled(alpha=0.5)
+        calls = _count_f_calls(p)
+        solve(p, wt.FBDF1, 0.1, 1005)
+        assert calls[0] <= 7000
+
+
+class TestLinearStep:
+    # the constant step matrix of a linear run of dimension d > 4, which steps
+    # its leaves, against a direct solve
+    @pytest.mark.parametrize("d", [5, 8])
+    @pytest.mark.parametrize("shape", ["vector", "matrix"])
+    def test_step_is_exact(self, d, shape):
+        rng = np.random.default_rng(d)
+        V = np.eye(d) + 0.3 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        lam = rng.uniform(-5.0, -0.1, d) + 5j * rng.uniform(-1.0, 1.0, d)
+        A = V @ np.diag(lam) @ np.linalg.inv(V)
+        M = wt.scheme_weights(wt.FBDF1, 0.5, 1).mu[0] * np.eye(d) - 0.1 ** 0.5 * A
+        dims = (d,) if shape == "vector" else (d, d)
+        rhs = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+        got = slv._ImplicitStep(M, 0.1 ** 0.5, None, d).advance(rhs, 0.1, rhs, 1)
+        ref = np.linalg.solve(M, rhs)
+        assert got.shape == ref.shape
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 class TestNonFiniteState:
