@@ -129,9 +129,23 @@ def _trajectory_csv(traj: slv.Trajectory, meta: str) -> str:
     return _csv(meta, columns)
 
 
+def _checkpoint_times(text: str) -> list[float]:
+    """The t values of a --checkpoints list ("" for none), checked before the
+    run: an entry that is not a finite number raises ValueError."""
+    error = ValueError(f"--checkpoints must be comma-separated finite t values, got {text!r}")
+    try:
+        ts = [float(s) for s in text.split(",")] if text else []
+    except ValueError:
+        raise error from None
+    if not all(map(math.isfinite, ts)):
+        raise error
+    return ts
+
+
 def cmd_solve(args) -> int:
     if args.m < 1:
         raise ValueError(f"--m must be at least 1, got {args.m}")
+    checkpoints = _checkpoint_times(args.checkpoints)
     slv._check_grid(args.h)  # N below divides by h
     prob = _problem_from_args(args)
     if args.t_end is not None:
@@ -162,10 +176,9 @@ def cmd_solve(args) -> int:
         "fitted_constant": report.fitted_constant,
         "verdict": report.verdict,
     }
-    if args.checkpoints:
-        ts = [float(s) for s in args.checkpoints.split(",")]
+    if checkpoints:
         summary["p_at"] = {f"{t:g}": round(p, 4)
-                           for t, p in analysis.p_at_checkpoints(traj, ts, m=args.m)}
+                           for t, p in analysis.p_at_checkpoints(traj, checkpoints, m=args.m)}
     meta = _meta_line(cmd="solve", scheme=args.scheme, alpha=args.alpha, h=args.h,
                       problem=args.problem)
     stem = f"solve_{args.problem}_{args.scheme}_a{args.alpha:g}"
@@ -234,6 +247,11 @@ def cmd_resolvent(args) -> int:
         raise ValueError(f"--q-check must be at least 0, got {args.q_check}")
     if args.q_stride < 1:
         raise ValueError(f"--q-stride must be at least 1, got {args.q_stride}")
+    # an impulse run of n_max = 0 gives d_0 = I alone; the alpha-difference solve takes a step
+    least = 1 if args.scheme == wt.ALPHA_DIFF else 0
+    if args.n_max < least:
+        raise ValueError(f"--n-max must be at least {least} for --scheme {args.scheme}, "
+                         f"got {args.n_max}")
     prob = _problem_from_args(args)
     summary: dict = {"scheme": args.scheme, "alpha": args.alpha, "h": args.h,
                      "n_max": args.n_max}

@@ -13,21 +13,25 @@ F-LMMs, zero for the alpha-difference "difference" variant and k^(1-alpha)
 for its "poisson" variant (which also replaces y_0 inside the sum by z_0, see
 solve_alpha_diff).  Every step solves a linear system with the constant matrix
 M = mu_0 I - h^alpha A, whose inverse is formed once per run from its LU
-factorization and applied as one real product of its stacked real and
-imaginary parts.  The nonlinear part is handled by the chord (simplified
-Newton) iteration: one finite-difference Jacobian per step, formed again only
-after an iterate that contracts by less than half or moves by more than a
-tenth of the state; a step the iteration cannot solve raises
-NonConvergenceError.  The history sums follow the divide-and-conquer
-schedule of Hairer, Lubich & Schlichte (1985, SIAM J. Sci. Stat. Comput.
-6:532): direct sums inside blocks of at most 64 steps, one real FFT product
-per pair of neighbouring half blocks, O(N log^2 N) in total and exact up to
-rounding.  A linear run (f None) of small dimension (_LEAF d <= _LEAF_ROWS,
-i.e. d <= 4) solves each leaf at once, with one product of the block
-Toeplitz matrix of its own discrete resolvent, the coefficients of
-(M + sum_{j>=1} mu_j z^j)^{-1}; larger and nonlinear runs step the leaf one
-step at a time.  The same core steps the (d, d) matrix states of the impulse
-resolvents (resolvent.impulse_resolvent).
+factorization.  A run is real when f is None and A and y0 are real (the
+impulse resolvents of a real A too): it steps d real rows.  Every other run
+steps each complex row of its states as a pair of real rows (Re, Im), and its
+complex matrices act through their real (2 d) x (2 d) forms, so every product
+and FFT of the core is real; the complex states are returned as before.  The
+nonlinear part is handled on complex vectors by the chord (simplified Newton)
+iteration: one finite-difference Jacobian per step, formed again only after
+an iterate that contracts by less than half or moves by more than a tenth of
+the state; a step the iteration cannot solve raises NonConvergenceError.
+The history sums follow the divide-and-conquer schedule of Hairer, Lubich &
+Schlichte (1985, SIAM J. Sci. Stat. Comput. 6:532): direct sums inside
+blocks of at most 64 steps, one real FFT product per pair of neighbouring
+half blocks, O(N log^2 N) in total and exact up to rounding.  A linear run
+(f None) of small dimension (_LEAF d <= _LEAF_ROWS, i.e. d <= 4) solves each
+leaf at once, with one product of the block Toeplitz matrix of its own
+discrete resolvent, the coefficients of (M + sum_{j>=1} mu_j z^j)^{-1};
+larger and nonlinear runs step the leaf one step at a time.  The same core
+steps the (d, d) matrix states of the impulse resolvents
+(resolvent.impulse_resolvent).
 
 All schemes are self-starting and no initial-layer correction terms are used;
 the focus is long-time behavior, not accuracy near t = 0.
@@ -102,8 +106,10 @@ class FOdeProblem:
     """A Caputo fractional ODE D^alpha y = A y + f(t, y), y(0) = y0.
 
     f is None for homogeneous (linear) problems, else a callable
-    (t, y) -> vector.  States are complex throughout; A may carry complex
-    entries (the scalar test problem uses a complex eigenvalue directly).
+    (t, y) -> vector.  A and y0 are stored complex and trajectories are
+    complex; A may carry complex entries (the scalar test problem uses a
+    complex eigenvalue directly).  The solver steps a linear problem with
+    real A and y0 in real arithmetic, and f on complex vectors.
     For the stability experiments f(t, 0) = 0 is expected; a violation at
     t = 0 is flagged with a warning and recorded in `f_vanishes_at_zero`.
     """
@@ -188,10 +194,12 @@ class _ImplicitStep:
     """Solves M y = rhs + cf * f(t, y) with constant M, factored once.
 
     M = c0 I - h^alpha w A folds the linear part exactly; its inverse is
-    formed once from the LU factors and serves every linear solve as one real
-    product of its stacked parts [Re M^{-1}; Im M^{-1}] with the float view
-    of rhs.  f is handled by the chord (simplified Newton) iteration: the
-    forward-difference Jacobian J = M - cf df/dy (relative step 1e-7) is
+    formed once from the LU factors.  A linear step (f None) is one real
+    product Minv_r @ rhs with the real form Minv_r of M^{-1}: M^{-1} itself
+    when M is real, else its (2 d) x (2 d) form acting on (re, im) row pairs
+    (_real_matrix); rhs is a state in the same real rows, (r,) or (r, d).  f
+    is handled on complex vectors by the chord (simplified Newton) iteration:
+    the forward-difference Jacobian J = M - cf df/dy (relative step 1e-7) is
     formed and inverted at the step's first iterate and kept while the
     iteration contracts.  It is formed again after an iterate whose step
     ||delta_k|| exceeds half the step before it, or 0.1 max(||y_k||, 1), so
@@ -201,26 +209,22 @@ class _ImplicitStep:
     NonConvergenceError.
     """
 
-    def __init__(self, M: np.ndarray, cf: float,
-                 f: Callable | None, dim: int):
+    def __init__(self, M: np.ndarray, cf: float, f: Callable | None):
         self.M = M
         self.cf = cf
         self.f = f
-        self.dim = dim
+        self.dim = dim = M.shape[0]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # we detect singularity below
             lu = lu_factor(M)
         if not np.all(np.isfinite(lu[0])) or np.min(np.abs(np.diag(lu[0]))) == 0.0:
             raise SingularStepError("singular implicit step matrix")
-        self.Minv = lu_solve(lu, np.eye(dim, dtype=complex))
-        self._Minv_parts = np.vstack([self.Minv.real, self.Minv.imag])  # (2 d, d)
+        Minv = lu_solve(lu, np.eye(dim, dtype=M.dtype))
+        self.Minv_r = Minv if M.dtype == float else _real_matrix(Minv)
 
     def advance(self, rhs: np.ndarray, t: float, guess: np.ndarray, step: int) -> np.ndarray:
-        if self.f is None:  # rhs is (d,) or (d, d), each row contiguous
-            d = self.dim
-            parts = self._Minv_parts @ rhs.reshape(d, -1).view(float)
-            y = _combine_parts(parts[:d], parts[d:], np.empty((d, parts.shape[1])))
-            return y.view(complex).reshape(rhs.shape)
+        if self.f is None:
+            return self.Minv_r @ rhs
         y = guess.copy()
         Jinv = None
         nd_prev = math.inf
@@ -254,13 +258,37 @@ class _ImplicitStep:
         return J
 
 
-def _combine_parts(re: np.ndarray, im: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write to out, a float view of (re, im) column pairs, the product P X
-    of a complex matrix P and complex columns X, given the real products
-    re = Re(P) Xf and im = Im(P) Xf with the float view Xf of X."""
-    out[:, 0::2] = re[:, 0::2] - im[:, 1::2]
-    out[:, 1::2] = re[:, 1::2] + im[:, 0::2]
-    return out
+def _real_matrix(P: np.ndarray) -> np.ndarray:
+    """The real (2 d) x (2 d) form of a complex d x d matrix P: it maps the
+    (re, im) row pairs of Z to those of P Z, entry (i, j) becoming the block
+    [[Re P_ij, -Im P_ij], [Im P_ij, Re P_ij]]."""
+    d = P.shape[0]
+    R = np.empty((d, 2, d, 2))
+    R[:, 0, :, 0] = R[:, 1, :, 1] = P.real
+    R[:, 0, :, 1] = -P.imag
+    R[:, 1, :, 0] = P.imag
+    return R.reshape(2 * d, 2 * d)
+
+
+def _real_rows(Z: np.ndarray, real: bool) -> np.ndarray:
+    """A complex state Z, (d,) or (d, d), in the real rows of a run: Z.real
+    for a real run, else each row of Z as the pair of rows (Re, Im)."""
+    if real:
+        return Z.real
+    R = np.empty((Z.shape[0], 2) + Z.shape[1:])
+    R[:, 0], R[:, 1] = Z.real, Z.imag
+    return R.reshape((-1,) + Z.shape[1:])
+
+
+def _complex_states(X: np.ndarray, real: bool) -> np.ndarray:
+    """The complex states of the real rows X, (n, r) or (n, r, d), of a run:
+    a view for complex vectors, else one copy."""
+    if real:
+        return X.astype(complex)
+    if X.ndim == 2:
+        return X.view(complex)
+    n, r, d = X.shape
+    return np.ascontiguousarray(X.reshape(n, d, 2, d).swapaxes(2, 3)).view(complex)[..., 0]
 
 
 def _norm(v: np.ndarray) -> float:
@@ -285,15 +313,14 @@ def _non_finite(y: np.ndarray, ny: float) -> bool:
 def _leaf_resolvent(Minv: np.ndarray, mu: np.ndarray, L: int) -> np.ndarray | None:
     """Block lower-triangular Toeplitz matrix of G_0 .. G_{L-1}, the run's
     discrete resolvent: the coefficients of (M + sum_{j>=1} mu_j z^j)^{-1},
-    G_0 = M^{-1} and G_k = -M^{-1} sum_{j=1}^{k} mu_j G_{k-j}.  Block (i, j)
-    of the (L d) x (L d) matrix is G_{i-j}, zero above the diagonal; its real
-    and imaginary parts are returned stacked, shape (2, L d, L d), because
-    real products of these sizes stay on one BLAS thread, where complex ones
-    measured slower and noisier on a loaded 2-CPU machine.  None when a G_k
-    overflows: stepping then fails at the same step as without it.
+    G_0 = M^{-1} and G_k = -M^{-1} sum_{j=1}^{k} mu_j G_{k-j}.  Minv is the
+    real r x r form of M^{-1} (_ImplicitStep.Minv_r), so every G_k is the
+    real form of its complex coefficient, and block (i, j) of the real
+    (L r) x (L r) matrix is G_{i-j}, zero above the diagonal.  None when a
+    G_k overflows: stepping then fails at the same step as without it.
     """
-    d = Minv.shape[0]
-    G = np.zeros((L + 1, d, d), dtype=complex)  # G[L] stays zero
+    r = Minv.shape[0]
+    G = np.zeros((L + 1, r, r))  # G[L] stays zero
     G[0] = Minv
     for k in range(1, L):
         G[k] = -Minv @ np.tensordot(mu[k:0:-1], G[:k], axes=1)
@@ -301,8 +328,7 @@ def _leaf_resolvent(Minv: np.ndarray, mu: np.ndarray, L: int) -> np.ndarray | No
         return None
     lag = np.subtract.outer(np.arange(L), np.arange(L))
     lag[lag < 0] = L
-    T = G[lag].transpose(0, 2, 1, 3).reshape(L * d, L * d)
-    return np.stack([T.real, T.imag])
+    return G[lag].transpose(0, 2, 1, 3).reshape(L * r, L * r)
 
 
 def _blocks(lo: int, hi: int):
@@ -337,22 +363,28 @@ def _run(w: wt.SchemeWeights, A: np.ndarray, alpha: float, h: float, N: int,
     the states, H_m = Y_m, except H_0 = z_0 = M^{-1} (Y0 + h^alpha f(0, Y0))
     when z0 is set (the alpha-difference "poisson" variant).  iv defaults to
     cumsum(mu), the initial-value term of L1 and the F-LMMs.  w holds at
-    least the N + 1 weights mu_0 .. mu_N.  Returns the states and the step at
-    which ||Y_n|| first exceeds guard (the states end there), else None.
+    least the N + 1 weights mu_0 .. mu_N.  Returns the complex states and the
+    step at which ||Y_n|| first exceeds guard (the states end there), else
+    None.
 
-    Row n of the state array accumulates the right-hand side iv_n Y0 - S_n
-    (with the impulse) until step n overwrites it with Y_n, so the history
-    needs no array of its own.  The rows start at iv_n Y0 - mu_n H_0, and the
-    steps follow _blocks: a finished half block's share of S reaches the next
-    half through one real FFT product (mu is real, so the float view of the
-    complex states is convolved and exact zeros stay zero).  The sums are
-    exact up to rounding and cost O(N log^2 N).
+    The run is real when f is None and A and Y0 have no imaginary part: its
+    states are r = d real rows.  Every other run keeps each complex row as
+    the pair of real rows (Re, Im), r = 2 d, so that a complex vector state
+    is the float view of its complex values (Newton works on that view) and
+    the step and leaf products are real products of (2 d)-row matrices.
+    Row n of the real state array, (N + 1, r) or (N + 1, r, d), accumulates
+    the right-hand side iv_n Y0 - S_n (with the impulse) until step n
+    overwrites it with Y_n, so the history needs no array of its own.  The
+    rows start at iv_n Y0 - mu_n H_0, and the steps follow _blocks: a finished
+    half block's share of S reaches the next half through one real FFT
+    product (mu is real).  The sums are exact up to rounding and cost
+    O(N log^2 N).
 
     When a leaf [lo, hi) starts, its rows R_n hold every history term from
     steps before lo.  A linear run with _LEAF d <= _LEAF_ROWS then solves the
     leaf at once, Y_{lo+i} = sum_{k<=i} G_k R_{lo+i-k} with the run's
     discrete resolvent G (_leaf_resolvent): one product of the resolvent
-    matrix's top-left corner with the leaf's states stacked into L d rows.
+    matrix's top-left corner with the leaf's states stacked into L r rows.
     The leaf's first row with a non-finite entry, or with a norm above
     guard, ends the run as the same step would have.  Other runs step the
     leaf, adding the in-leaf history directly.
@@ -360,58 +392,63 @@ def _run(w: wt.SchemeWeights, A: np.ndarray, alpha: float, h: float, N: int,
     mu = w.mu[:N + 1]
     ha = h ** alpha
     d = A.shape[0]
-    eye = np.eye(d, dtype=complex)
-    step = _ImplicitStep(mu[0] * eye - ha * A, ha, f, d)
+    real = f is None and not np.any(A.imag) and not np.any(Y0.imag)
+    step = _ImplicitStep(mu[0] * np.eye(d) - ha * (A.real if real else A), ha, f)
     G = None  # the resolvent matrix of a linear run's leaves
     if f is None and _LEAF * d <= _LEAF_ROWS:
         with np.errstate(over="ignore", invalid="ignore"):  # None if G overflows
-            G = _leaf_resolvent(step.Minv, mu, min(_LEAF, N))
+            G = _leaf_resolvent(step.Minv_r, mu, min(_LEAF, N))
     if iv is None:
         iv = np.cumsum(mu)
     rev = np.ascontiguousarray(mu[:0:-1])  # mu_N .. mu_1
     mu_hat = {}  # rfft of mu per FFT length
 
-    H0 = step.Minv @ (Y0 if f is None else Y0 + ha * np.asarray(f(0.0, Y0))) if z0 else Y0
-    Y = np.empty((N + 1,) + Y0.shape, dtype=complex)
-    Yf = Y.reshape(N + 1, -1).view(float)  # (N + 1, 2 d^k) real view of the states
-    np.multiply.outer(iv[1:N + 1], Y0.ravel().view(float), out=Yf[1:])
-    Yf[1:] -= np.multiply.outer(mu[1:], H0.ravel().view(float))
-    if impulse:  # forced runs have N >= 1 steps
-        Y[1] += ha * eye
-    Y[0] = Y0
+    X0 = H0 = _real_rows(Y0, real)
+    r = X0.shape[0]
+    if z0:
+        F0 = 0.0 if f is None else ha * np.asarray(f(0.0, Y0))
+        H0 = step.Minv_r @ _real_rows(Y0 + F0, real)
+    X = np.empty((N + 1,) + X0.shape)
+    Xf = X.reshape(N + 1, -1)  # one real row per state
+    np.multiply.outer(iv[1:N + 1], X0.ravel(), out=Xf[1:])
+    Xf[1:] -= np.multiply.outer(mu[1:], H0.ravel())
+    if impulse:  # forced runs have N >= 1 steps; the real rows of I
+        X[1, ::r // d] += ha * np.eye(d)
+    X[0] = X0
+    S = X if f is None else Xf.view(complex)  # what step.advance reads and returns
     with np.errstate(over="ignore", invalid="ignore"):  # the non-finite test names the step
         for lo, mid, hi in _blocks(1, N + 1):
             if mid is not None:
                 P = sfft.next_fast_len(hi - lo, True)  # no wrap-around reaches rows mid..hi
                 if P not in mu_hat:
                     mu_hat[P] = sfft.rfft(mu[:P], P)[:, None]
-                spec = sfft.rfft(Yf[lo:mid], P, axis=0)
+                spec = sfft.rfft(Xf[lo:mid], P, axis=0)
                 spec *= mu_hat[P]
-                Yf[mid:hi] -= sfft.irfft(spec, P, axis=0, overwrite_x=True)[mid - lo:hi - lo]
+                Xf[mid:hi] -= sfft.irfft(spec, P, axis=0, overwrite_x=True)[mid - lo:hi - lo]
                 continue
             if G is not None:
                 L = hi - lo
-                leaf = Yf[lo:hi].reshape(L * d, Yf.shape[1] // d)  # (re, im) column pairs
-                _combine_parts(*(G[:, :L * d, :L * d] @ leaf), leaf)
-                stop = ~np.isfinite(Yf[lo:hi]).all(axis=1)
+                leaf = X[lo:hi].reshape(L * r, Xf.shape[1] // r)
+                leaf[:] = G[:L * r, :L * r] @ leaf
+                stop = ~np.isfinite(Xf[lo:hi]).all(axis=1)
                 if guard is not None:
-                    stop |= _row_norms(Yf[lo:hi]) > guard
+                    stop |= _row_norms(Xf[lo:hi]) > guard
                 n = lo + int(np.argmax(stop)) if stop.any() else None
             else:
                 n = None
                 for m in range(lo, hi):
-                    yf = Yf[m]
-                    yf -= rev[N - m + lo:] @ Yf[lo:m]
-                    Y[m] = y = step.advance(Y[m], m * h, Y[m - 1], m)
-                    ny = _norm(yf)
+                    xf = Xf[m]
+                    xf -= rev[N - m + lo:] @ Xf[lo:m]
+                    S[m] = y = step.advance(S[m], m * h, S[m - 1], m)
+                    ny = _norm(xf)
                     if _non_finite(y, ny) or (guard is not None and ny > guard):
                         n = m
                         break
             if n is not None:
-                if not np.all(np.isfinite(Yf[n])):
+                if not np.all(np.isfinite(Xf[n])):
                     raise SolverError(f"non-finite state at step {n}", n)
-                return Y[:n + 1].copy(), n
-    return Y, None
+                return _complex_states(X[:n + 1].copy(), real), n
+    return _complex_states(X, real), None
 
 
 def _trajectory(w: wt.SchemeWeights, problem: FOdeProblem, h: float, N: int,

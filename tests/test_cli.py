@@ -300,6 +300,8 @@ class TestUsageErrors:
         ("solve", "--scheme", "fbdf1", "--h", "0.1", "--t-end", "nan"),
         ("solve", "--scheme", "fbdf1", "--h", "0.1", "--t-end", "5", "--checkpoints", "inf"),
         ("solve", "--scheme", "fbdf1", "--h", "0.1", "--t-end", "5", "--checkpoints", "2,nan"),
+        ("solve", "--scheme", "fbdf1", "--h", "0.1", "--t-end", "5", "--checkpoints", "1,,2"),
+        ("resolvent", "--scheme", "alpha_diff", "--h", "0.1", "--n-max", "0"),
     ])
     def test_rejected_before_any_output(self, tmp_path, capsys, argv):
         assert cli.main([*argv, "--alpha", "0.5", "--out", str(tmp_path / "out")]) == 2
@@ -340,6 +342,29 @@ class TestUsageErrors:
         assert capsys.readouterr().err == \
             "error: N = 1000000005 steps (from --t-end and --h) is too large to allocate\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", ["1,,2", "10,x", "inf", "2,nan"])
+    def test_checkpoints_checked_before_the_solve(self, tmp_path, capsys, monkeypatch, text):
+        def no_solve(*a, **k):
+            raise AssertionError("the solve ran")
+
+        monkeypatch.setattr(cli.slv, "solve", no_solve)
+        assert cli.main(["solve", "--scheme", "fbdf1", "--alpha", "0.5", "--h", "0.1",
+                         "--t-end", "30", "--checkpoints", text,
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --checkpoints must be comma-separated finite t values, got {text!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_alpha_diff_needs_a_step(self, tmp_path, capsys):
+        # the impulse schemes accept --n-max 0 (d_0 = I alone); alpha_diff
+        # steps at least once
+        argv = ["resolvent", "--alpha", "0.5", "--h", "0.1", "--n-max", "0"]
+        assert cli.main([*argv, "--scheme", "alpha_diff", "--out", str(tmp_path / "ad")]) == 2
+        assert capsys.readouterr().err == \
+            "error: --n-max must be at least 1 for --scheme alpha_diff, got 0\n"
+        assert not (tmp_path / "ad").exists()
+        assert cli.main([*argv, "--scheme", "fbdf1", "--out", str(tmp_path / "fbdf1")]) == 0
 
     def test_nan_t_end_named(self, tmp_path, capsys):
         # not numpy's "cannot convert float NaN to integer"

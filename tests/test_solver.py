@@ -277,21 +277,39 @@ class TestNonlinear:
 
 class TestLinearStep:
     # the constant step matrix of a linear run of dimension d > 4, which steps
-    # its leaves, against a direct solve
+    # its leaves, against a direct solve: a real M acts on the d real rows of
+    # a real run, a complex M on the (re, im) row pairs of a complex one
     @pytest.mark.parametrize("d", [5, 8])
     @pytest.mark.parametrize("shape", ["vector", "matrix"])
     def test_step_is_exact(self, d, shape):
         rng = np.random.default_rng(d)
-        V = np.eye(d) + 0.3 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        lam = rng.uniform(-5.0, -0.1, d) + 5j * rng.uniform(-1.0, 1.0, d)
-        A = V @ np.diag(lam) @ np.linalg.inv(V)
-        M = wt.scheme_weights(wt.FBDF1, 0.5, 1).mu[0] * np.eye(d) - 0.1 ** 0.5 * A
         dims = (d,) if shape == "vector" else (d, d)
-        rhs = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
-        got = slv._ImplicitStep(M, 0.1 ** 0.5, None, d).advance(rhs, 0.1, rhs, 1)
-        ref = np.linalg.solve(M, rhs)
-        assert got.shape == ref.shape
-        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        mu0 = wt.scheme_weights(wt.FBDF1, 0.5, 1).mu[0]
+        for field in (float, complex):
+            V = np.eye(d) + 0.3 * rng.standard_normal((d, d))
+            lam = rng.uniform(-5.0, -0.1, d)
+            rhs = rng.standard_normal(dims)
+            if field is complex:
+                V = V + 0.3j * rng.standard_normal((d, d))
+                lam = lam + 5j * rng.uniform(-1.0, 1.0, d)
+                rhs = rhs + 1j * rng.standard_normal(dims)
+            A = V @ np.diag(lam) @ np.linalg.inv(V)
+            M = mu0 * np.eye(d) - 0.1 ** 0.5 * A
+            if field is float:
+                M = M.real
+            step = slv._ImplicitStep(M, 0.1 ** 0.5, None)
+            ref = np.linalg.solve(M, rhs)
+            if field is float:
+                got = step.advance(rhs, 0.1, rhs, 1)
+                assert step.Minv_r.shape == (d, d)
+            else:  # row i of a state is rows 2i (re) and 2i + 1 (im)
+                rows = np.stack([rhs.real, rhs.imag], axis=1).reshape((2 * d,) + dims[1:])
+                out = step.advance(rows, 0.1, rows, 1)
+                got = out[0::2] + 1j * out[1::2]
+                assert step.Minv_r.shape == (2 * d, 2 * d)
+            assert step.Minv_r.dtype == float
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 class TestNonFiniteState:
@@ -467,21 +485,58 @@ class TestLeafProducts:
         assert traj.truncated_at == stop == 41
         _assert_close(traj.states, ref)
 
-    @settings(max_examples=40, deadline=None)
+    @pytest.mark.parametrize("case, rows", [("real", 1), ("complex A", 2), ("complex y0", 2),
+                                            ("nonlinear", 2), ("impulse", 1)])
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_step_matrix_form(self, case, rows, d, monkeypatch):
+        # a real linear run steps d real rows, any other run the (re, im)
+        # row pairs of its complex states
+        steps = []
+        init = slv._ImplicitStep.__init__
+        monkeypatch.setattr(slv._ImplicitStep, "__init__",
+                            lambda self, *a: steps.append(self) or init(self, *a))
+        A, y0 = -np.eye(d) + 0.1 * np.eye(d, k=1), np.ones(d)
+        if case == "impulse":
+            impulse_resolvent(wt.FBDF1, A, 0.5, 0.1, 10)
+        else:
+            f = (lambda t, y: -y ** 3) if case == "nonlinear" else None
+            p = FOdeProblem(0.5, A + 1j * (case == "complex A"), y0 + 1j * (case == "complex y0"),
+                            f=f)
+            traj = solve(p, wt.FBDF1, 0.1, 10)
+            assert traj.states.dtype == complex
+            if rows == 1:
+                assert not traj.states.imag.any()
+        assert steps and all(s.Minv_r.shape == (rows * d, rows * d) for s in steps)
+        assert all(s.Minv_r.dtype == float for s in steps)
+
+    @settings(max_examples=80, deadline=None)
     @given(d=st.integers(1, 4), case=st.sampled_from(
                [wt.FBDF1, wt.FBDF2, wt.FADAMS2, wt.L1, "difference", "poisson"]),
            alpha=st.floats(0.3, 0.9), h=st.floats(0.01, 0.1), N=st.integers(257, 400),
-           n_unstable=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
-    def test_linear_runs_are_exact(self, d, case, alpha, h, N, n_unstable, seed):
-        # complex A with eigenvalues on both sides of the imaginary axis; N
-        # spans at least three block levels
+           n_unstable=st.integers(0, 4), form=st.sampled_from(
+               ["complex", "real", "real A, complex y0", "complex A, real y0"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_linear_runs_are_exact(self, d, case, alpha, h, N, n_unstable, form, seed):
+        # A with eigenvalues on both sides of the imaginary axis, complex or
+        # real (then in conjugate pairs), and a complex or real y0; N spans at
+        # least three block levels
         rng = np.random.default_rng(seed)
         re = rng.uniform(-5.0, -0.1, d)
         re[:n_unstable] = rng.uniform(0.05, 3.0, d)[:n_unstable]
-        lam = re + 1j * rng.uniform(-1.0, 1.0, d) * np.where(re < 0, 5.0, 1.0)
-        V = np.eye(d) + 0.3 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        A = V @ np.diag(lam) @ np.linalg.inv(V)
-        p = FOdeProblem(alpha, A, rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        im = rng.uniform(-1.0, 1.0, d) * np.where(re < 0, 5.0, 1.0)
+        V = np.eye(d) + 0.3 * rng.standard_normal((d, d))
+        y0 = rng.standard_normal(d)
+        if form in ("real", "real A, complex y0"):  # 2 x 2 blocks [[re, im], [-im, re]]
+            B = np.diag(re)
+            for i in range(0, d - 1, 2):
+                B[i + 1, i + 1], B[i, i + 1], B[i + 1, i] = re[i], im[i], -im[i]
+        else:
+            V = V + 0.3j * rng.standard_normal((d, d))
+            B = np.diag(re + 1j * im)
+        if form in ("complex", "real A, complex y0"):
+            y0 = y0 + 1j * rng.standard_normal(d)
+        A = V @ B @ np.linalg.inv(V)
+        p = FOdeProblem(alpha, A, y0)
         guard = BLOWUP_FACTOR * max(np.linalg.norm(p.y0), 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # the blow-up guard's
@@ -495,20 +550,28 @@ class TestLeafProducts:
                   else wt.alpha_diff_kernel(1.0 - alpha, N + 1))
         else:
             mu, iv = wt.scheme_weights(case, alpha, N + 1).mu, None
-        ref, stop = _mu_form_run(mu, A, alpha, h, N, p.y0, iv=iv, z0=case == "poisson",
+        ref, stop = _mu_form_run(mu, p.A, alpha, h, N, p.y0, iv=iv, z0=case == "poisson",
                                  guard=guard)
         assert traj.truncated_at == stop
         _assert_close(traj.states, ref)
+        if form == "real":
+            assert not traj.states.imag.any()
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=20, deadline=None)
     @given(scheme=st.sampled_from(SCHEMES), alpha=st.floats(0.3, 0.9),
-           n_max=st.integers(257, 400), seed=st.integers(0, 2 ** 32 - 1))
-    def test_impulse_runs_are_exact(self, scheme, alpha, n_max, seed):
-        # the (3, 3) matrix states of both impulse runs, as for Lorenz above
+           n_max=st.integers(257, 400), real=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_impulse_runs_are_exact(self, scheme, alpha, n_max, real, seed):
+        # the (3, 3) matrix states of both impulse runs, as for Lorenz above,
+        # of a complex A or of a real one with the eigenvalues -2 +- 3i, 0.5
         rng = np.random.default_rng(seed)
-        lam = np.array([-2.0 + 3j, -0.5 - 1j, 0.5 + 0.5j]) * rng.uniform(0.5, 1.5, 3)
-        V = np.eye(3) + 0.3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        A = V @ np.diag(lam) @ np.linalg.inv(V)
+        s = rng.uniform(0.5, 1.5, 3)
+        V = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
+        if real:
+            B = np.array([[-2.0, 3.0, 0.0], [-3.0, -2.0, 0.0], [0.0, 0.0, 0.5]]) * s[:, None]
+        else:
+            V = V + 0.3j * rng.standard_normal((3, 3))
+            B = np.diag(np.array([-2.0 + 3j, -0.5 - 1j, 0.5 + 0.5j]) * s)
+        A = V @ B @ np.linalg.inv(V)
         r = impulse_resolvent(scheme, A, alpha, 0.05, n_max)
         mu = wt.scheme_weights(scheme, alpha, n_max + 2).mu
         d, _ = _mu_form_run(mu, A, alpha, 0.05, n_max, np.eye(3, dtype=complex))
@@ -516,6 +579,8 @@ class TestLeafProducts:
                                  np.zeros((3, 3), dtype=complex), impulse=True)
         _assert_close(r.d, d)
         _assert_close(r.D, forced[1:])
+        if real:
+            assert not r.d.imag.any() and not r.D.imag.any()
 
 
 class TestTrajectory:
