@@ -106,6 +106,24 @@ def p_index(traj: Trajectory, m: int = 5) -> DecayReport:
     return DecayReport(m, t[n_idx], p, slope, const, verdict, skipped)
 
 
+def _checkpoint_index(tc: float, h: float, n_steps: int, m: int = 5,
+                      index_offset: int = 0) -> int:
+    """The grid index n of checkpoint tc = n h, for a run of n_steps steps
+    whose p at tc reads the states n + index_offset and n + index_offset + m.
+    Raises ValueError if tc is not finite, not on the grid (within 1e-9
+    relative) or not in the range of the run."""
+    if not math.isfinite(tc):
+        raise ValueError(f"checkpoint {tc} is not finite")
+    n = int(round(tc / h))
+    if abs(n * h - tc) > 1e-9 * max(tc, 1.0):
+        raise ValueError(f"checkpoint {tc} is not on the grid (h = {h})")
+    first, last = 1 - index_offset, n_steps - m - index_offset
+    if not first <= n <= last:
+        raise ValueError(f"checkpoint {tc} outside the computed range "
+                         f"(t = {first * h:g} to {last * h:g})")
+    return n
+
+
 def p_at_checkpoints(traj: Trajectory, checkpoints, m: int = 5,
                      index_offset: int = 0) -> list[tuple[float, float]]:
     """p at exact grid checkpoints t (requires t/h integral within rounding).
@@ -123,14 +141,8 @@ def p_at_checkpoints(traj: Trajectory, checkpoints, m: int = 5,
     out = []
     skipped = 0
     for tc in checkpoints:
-        if not math.isfinite(tc):
-            raise ValueError(f"checkpoint {tc} is not finite")
-        n = int(round(tc / traj.h))
-        if abs(n * traj.h - tc) > 1e-9 * max(tc, 1.0):
-            raise ValueError(f"checkpoint {tc} is not on the grid (h = {traj.h})")
+        n = _checkpoint_index(tc, traj.h, traj.n_steps, m, index_offset)
         i = n + index_offset
-        if not (1 <= i and i + m < len(norms)):
-            raise ValueError(f"checkpoint {tc} outside the computed range")
         zero = not (norms[i] > 0.0 and norms[i + m] > 0.0)
         skipped += zero
         out.append((tc, math.nan if zero else

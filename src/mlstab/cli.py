@@ -3,7 +3,8 @@
 Subcommands: weights, solve, reproduce, region, resolvent.  Every command
 honors --out DIR and writes only inside it; outputs are deterministic
 (identical config gives byte-identical files).  Exit codes: 0 success,
-2 usage error, 3 solver failure, 4 tolerance failure in reproduce.
+2 usage error, 3 solver failure (or a Mittag-Leffler value no double
+branch can serve), 4 tolerance failure in reproduce.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from . import __version__, analysis, problems, tables
 from . import resolvent as rsv
 from . import solver as slv
 from . import weights as wt
+from .special import AccuracyError
 
 _EXIT_USAGE = 2
 _EXIT_SOLVER = 3
@@ -158,6 +160,11 @@ def cmd_solve(args) -> int:
         raise ValueError("one of --t-end/--n-steps is required")
     if N < 1:
         raise ValueError("empty run: increase --t-end or --n-steps")
+    for t in checkpoints:  # on the grid and in range, before the run
+        try:
+            analysis._checkpoint_index(t, args.h, N, args.m)
+        except ValueError as exc:
+            raise ValueError(f"--checkpoints: {exc}") from None
     try:
         with _allocation(f"N = {N} steps (from {flags})", (N + 1) * prob.dim):
             traj = slv.solve(prob, args.scheme, args.h, N)
@@ -262,9 +269,12 @@ def cmd_resolvent(args) -> int:
         hom = slv.FOdeProblem(prob.alpha, prob.A, prob.y0)
         with allocation:
             traj = slv.solve_alpha_diff(hom, args.h, args.n_max, variant="poisson")
+        # a run truncated by the blow-up guard is compared up to its last step
+        last = min(traj.n_steps, args.q_check)
         devs = [float(np.max(np.abs(rsv.poisson_resolvent(prob.A, args.alpha, args.h, n, 1.0)
                                     @ prob.y0 - traj.states[n])))
-                for n in range(args.q_stride, min(args.n_max, args.q_check) + 1, args.q_stride)]
+                for n in range(args.q_stride, last + 1, args.q_stride)]
+        summary["truncated_at"] = traj.truncated_at
         summary["poisson_vs_impulse_max_dev"] = max(devs, default=None)
         return _summary(args.out, stem + "_summary.json", summary)
 
@@ -402,10 +412,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, slv.SolverError) as exc:
-        if isinstance(exc, slv.SolverError):
-            print(f"solver failure: {exc}", file=sys.stderr)
-            return _EXIT_SOLVER
+    except slv.SolverError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return _EXIT_SOLVER
+    except AccuracyError as exc:
+        print(f"accuracy failure: {exc}", file=sys.stderr)
+        return _EXIT_SOLVER
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

@@ -45,7 +45,7 @@ from scipy import integrate
 from scipy.special import gammaln, xlogy
 
 from . import weights as wt
-from .solver import _check_grid, _run
+from .solver import _check_grid, _check_matrix, _run
 from .special import matrix_function, mittag_leffler
 
 __all__ = [
@@ -100,8 +100,9 @@ def impulse_resolvent(scheme_id: str, A, alpha: float, h: float, n_max: int) -> 
     e_i; column i of D_m is y_{m+1} of the solve with y_0 = 0 and forcing
     f_k = delta_{k,1} e_i.  By construction d_0 = I.  Both runs step all
     basis columns at once as matrix states through the solver's core and its
-    one step equation, which reads only the mu table; a singular step matrix
-    raises SingularStepError.
+    one step equation, which reads only the mu table.  A that is not square
+    or not finite raises ValueError, and a singular step matrix raises
+    SingularStepError.
     """
     scheme_id = wt.scheme_name(scheme_id)
     if scheme_id == wt.ALPHA_DIFF:
@@ -109,7 +110,7 @@ def impulse_resolvent(scheme_id: str, A, alpha: float, h: float, n_max: int) -> 
     _check_grid(h)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
+    A = _check_matrix(A)
     d = A.shape[0]
     w = wt.scheme_weights(scheme_id, alpha, n_max + 2)
     dn, _ = _run(w, A, alpha, h, n_max, np.eye(d, dtype=complex))

@@ -12,8 +12,8 @@ where only the initial-value term iv differs: cumsum(mu) for L1 and the
 F-LMMs, zero for the alpha-difference "difference" variant and k^(1-alpha)
 for its "poisson" variant (which also replaces y_0 inside the sum by z_0, see
 solve_alpha_diff).  Every step solves a linear system with the constant matrix
-M = mu_0 I - h^alpha A, whose inverse is formed once per run from its LU
-factorization.  A run is real when f is None and A and y0 are real (the
+M = mu_0 I - h^alpha A, whose inverse is formed once per run with
+np.linalg.inv.  A run is real when f is None and A and y0 are real (the
 impulse resolvents of a real A too): it steps d real rows.  Every other run
 steps each complex row of its states as a pair of real rows (Re, Im), and its
 complex matrices act through their real (2 d) x (2 d) forms, so every product
@@ -46,7 +46,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.linalg import lu_factor, lu_solve
 
 from . import weights as wt
 
@@ -124,15 +123,12 @@ class FOdeProblem:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=complex))
-        if self.A.shape[0] != self.A.shape[1]:
-            raise ValueError("A must be square")
+        self.A = _check_matrix(self.A)
         self.y0 = np.atleast_1d(np.asarray(self.y0, dtype=complex))
         if self.y0.shape != (self.A.shape[0],):
             raise ValueError("y0 must match the dimension of A")
-        for name in ("A", "y0"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite (no NaN or inf entries)")
+        if not np.all(np.isfinite(self.y0)):
+            raise ValueError("y0 must be finite (no NaN or inf entries)")
         if self.f is not None:
             fz = np.asarray(self.f(0.0, np.zeros(self.dim, dtype=complex)))
             if fz.shape != (self.dim,):
@@ -191,21 +187,24 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
 
 
 class _ImplicitStep:
-    """Solves M y = rhs + cf * f(t, y) with constant M, factored once.
+    """Solves M y = rhs + cf * f(t, y) with constant M, inverted once.
 
     M = c0 I - h^alpha w A folds the linear part exactly; its inverse is
-    formed once from the LU factors.  A linear step (f None) is one real
-    product Minv_r @ rhs with the real form Minv_r of M^{-1}: M^{-1} itself
-    when M is real, else its (2 d) x (2 d) form acting on (re, im) row pairs
-    (_real_matrix); rhs is a state in the same real rows, (r,) or (r, d).  f
-    is handled on complex vectors by the chord (simplified Newton) iteration:
-    the forward-difference Jacobian J = M - cf df/dy (relative step 1e-7) is
+    formed once by np.linalg.inv, as in the chord iteration (scipy's LU
+    wakes the second thread of scipy's own BLAS, which then spins through
+    the run); a singular or non-finite M raises SingularStepError.  A
+    linear step (f None) is one real product Minv_r @ rhs with the real
+    form Minv_r of M^{-1}: M^{-1} itself when M is real, else its (2 d) x
+    (2 d) form acting on (re, im) row pairs (_real_matrix); rhs is a state
+    in the same real rows, (r,) or (r, d).  f is handled on complex
+    vectors by the chord (simplified Newton) iteration: the
+    forward-difference Jacobian J = M - cf df/dy (relative step 1e-7) is
     formed and inverted at the step's first iterate and kept while the
     iteration contracts.  It is formed again after an iterate whose step
-    ||delta_k|| exceeds half the step before it, or 0.1 max(||y_k||, 1), so
-    that far from the root the iteration is full Newton.  The iteration stops
-    once ||delta_k|| <= 1e-12 + 1e-12 ||y_k||; a singular Jacobian, a
-    non-finite iterate or 50 iterations without convergence raise
+    ||delta_k|| exceeds half the step before it, or 0.1 max(||y_k||, 1),
+    so that far from the root the iteration is full Newton.  The iteration
+    stops once ||delta_k|| <= 1e-12 + 1e-12 ||y_k||; a singular Jacobian,
+    a non-finite iterate or 50 iterations without convergence raise
     NonConvergenceError.
     """
 
@@ -213,13 +212,14 @@ class _ImplicitStep:
         self.M = M
         self.cf = cf
         self.f = f
-        self.dim = dim = M.shape[0]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # we detect singularity below
-            lu = lu_factor(M)
-        if not np.all(np.isfinite(lu[0])) or np.min(np.abs(np.diag(lu[0]))) == 0.0:
-            raise SingularStepError("singular implicit step matrix")
-        Minv = lu_solve(lu, np.eye(dim, dtype=M.dtype))
+        self.dim = M.shape[0]
+        singular = SingularStepError("singular implicit step matrix")
+        try:
+            Minv = np.linalg.inv(M)
+        except np.linalg.LinAlgError:
+            raise singular from None
+        if not (np.all(np.isfinite(M)) and np.all(np.isfinite(Minv))):
+            raise singular
         self.Minv_r = Minv if M.dtype == float else _real_matrix(Minv)
 
     def advance(self, rhs: np.ndarray, t: float, guess: np.ndarray, step: int) -> np.ndarray:
@@ -506,6 +506,16 @@ def solve(problem: FOdeProblem, scheme_id: str, h: float, N: int) -> Trajectory:
         return solve_alpha_diff(problem, h, N)
     _check_grid(h, N)
     return _trajectory(wt.scheme_weights(scheme_id, problem.alpha, N + 1), problem, h, N)
+
+
+def _check_matrix(A) -> np.ndarray:
+    """A as a complex matrix; ValueError unless it is square and finite."""
+    A = np.atleast_2d(np.asarray(A, dtype=complex))
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("A must be square")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("A must be finite (no NaN or inf entries)")
+    return A
 
 
 def _check_grid(h: float, N: int = 1) -> None:

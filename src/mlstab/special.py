@@ -5,7 +5,7 @@ three-parameter (Prabhakar) generalization for integer third parameter,
 the continuous fractional resolvent t^{beta-1} E_{alpha,beta}(t^alpha A),
 and the stability-sector test |arg(lambda)| > alpha*pi/2.
 
-Evaluation strategy for E_{alpha,beta}(z), 0 < alpha <= 1.  Four branches are
+Evaluation strategy for E_{alpha,beta}(z), 0 < alpha <= 1.  Three branches are
 tried in this order; each returns its value together with its own error
 estimate, and a branch is accepted only when that estimate meets `rtol`
 relative to the value:
@@ -31,15 +31,16 @@ relative to the value:
    z^(1/alpha) when it lies to the right of the parabola (Garrappa 2015,
    SIAM J. Numer. Anal. 53:1350).  The estimate is the gap between the rule
    and its half-step refinement plus the rounding floor of the sum, which
-   grows like e^mu / |E| (mu the parabola's vertex); small values far in the
-   decay sector miss a tight `rtol` and fall through.
+   grows like e^mu / |E| (mu the parabola's vertex).  The rule is tried with
+   at most 64 nodes per half, and the z it fails again with at most 256,
+   which admits smaller vertices mu and so a lower floor.
 
-4. Otherwise the Taylor series is re-summed with mpmath at a working precision
-   sized to the predicted cancellation (about |z|^{1/alpha} / ln 10 digits).
-   This is the last resort; mpmath is otherwise only the test oracle.  If
-   the precision would exceed MAX_EXTENDED_DPS the point is declared
-   unreachable and AccuracyError is raised; this is the documented accuracy
-   gap, which can only occur far outside the decay sector.
+If no branch meets `rtol`, AccuracyError is raised: the documented accuracy
+gap.  At rtol 1e-13 it holds small values in the decay sector, values near
+the zeros of E on the negative real axis such as E_{0.6,0.5}(-3.0107), and
+huge values at alpha <= 0.15 (90 of 109,725 probed points, see the README);
+rtol 1e-11 serves them.  Far outside the decay sector exp(z^(1/alpha))
+exceeds the double range, which raises AccuracyError too.
 
 All functions here are pure; nothing is cached or mutated.
 """
@@ -50,7 +51,6 @@ import cmath
 import math
 from typing import NamedTuple
 
-import mpmath
 import numpy as np
 from scipy import special as sc
 
@@ -60,9 +60,7 @@ __all__ = [
     "EigenbasisError",
     "SectorResult",
     "SERIES_RADIUS",
-    "ASYMPTOTIC_RADIUS",
     "ASYMPTOTIC_MIN",
-    "MAX_EXTENDED_DPS",
     "COND_CAP",
     "gamma",
     "reciprocal_gamma",
@@ -89,12 +87,8 @@ class EigenbasisError(np.linalg.LinAlgError):
 
 #: |z| up to which the double-precision Taylor sum is attempted first.
 SERIES_RADIUS = 9.0
-#: |z| from which the large-z expansion is considered mandatory.
-ASYMPTOTIC_RADIUS = 40.0
 #: smallest |z| at which the large-z expansion is attempted at all.
 ASYMPTOTIC_MIN = 3.5
-#: cap on mpmath working precision for the extended-precision fallback.
-MAX_EXTENDED_DPS = 1500
 #: largest eigenbasis condition number a matrix function accepts.
 COND_CAP = 1e8
 
@@ -207,13 +201,27 @@ _CONTOUR_LOG_TARGET = math.log(1e-17)
 #: Weideman & Trefethen (2007, Math. Comp. 76:1341) down; the smallest
 #: feasible one is used, since the rounding floor grows like e^mu.
 _CONTOUR_MU = -_CONTOUR_LOG_TARGET / 8.0 * 2.0 ** (-0.5 * np.arange(9))
-#: most nodes per half of the coarse rule.
-_CONTOUR_N_MAX = 64
+#: most nodes per half of the coarse rule: the first cap, then the second for
+#: the z the first fails (more nodes admit smaller mu and so a lower floor).
+_CONTOUR_N_MAX = (64, 256)
 #: the pole may not lie between the parabolas of vertex mu/g^2 and mu g^2.
 _CONTOUR_POLE_GAP = 1.5
 
 
 def _contour(z: np.ndarray, alpha: float, beta: float, rtol: float):
+    """E_{alpha,beta} on an array of z by the contour rule of _contour_rule,
+    under each node cap of _CONTOUR_N_MAX in turn for the z not yet served.
+    Returns (values, ok), ok where the estimate meets rtol."""
+    z = np.asarray(z, dtype=complex).ravel()
+    val, ok = np.zeros(z.size, dtype=complex), np.zeros(z.size, dtype=bool)
+    for n_max in _CONTOUR_N_MAX:
+        todo = ~ok
+        if todo.any():
+            val[todo], ok[todo] = _contour_rule(z[todo], alpha, beta, rtol, n_max)
+    return val, ok
+
+
+def _contour_rule(z: np.ndarray, alpha: float, beta: float, rtol: float, n_max: int):
     """E_{alpha,beta} on an array of z by inverting its Laplace transform.
 
     E_{alpha,beta}(z) = (1/2 pi i) int e^s s^(alpha-beta) / (s^alpha - z) ds
@@ -227,11 +235,10 @@ def _contour(z: np.ndarray, alpha: float, beta: float, rtol: float):
     h and the half-length L = n h follow from the strip widths so that
     discretization and truncation errors stay below e^_CONTOUR_LOG_TARGET,
     for the smallest candidate mu that keeps the pole clear and needs at most
-    _CONTOUR_N_MAX nodes.  The value is the rule at step h/2; the estimate is
-    its gap to the rule at step h plus the rounding floor.  Returns
-    (values, ok), ok where the estimate meets rtol relative to the value.
+    n_max nodes.  The value is the rule at step h/2; the estimate is its gap
+    to the rule at step h plus the rounding floor.  Returns (values, ok), ok
+    where the estimate meets rtol relative to the value.
     """
-    z = np.asarray(z, dtype=complex).ravel()
     ell = _CONTOUR_LOG_TARGET
     with np.errstate(all="ignore"):
         arg = np.angle(z)
@@ -250,7 +257,7 @@ def _contour(z: np.ndarray, alpha: float, beta: float, rtol: float):
             np.minimum(h_lower, 2.0 * np.pi * (1.0 - rho) / (phi - ell)))
         n_nodes = np.ceil(L / h)
         clear = (rho >= _CONTOUR_POLE_GAP) | (rho <= 1.0 / _CONTOUR_POLE_GAP)  # rho = 0: no pole
-        feasible = clear & (n_nodes <= _CONTOUR_N_MAX)
+        feasible = clear & (n_nodes <= n_max)
         # the smallest feasible mu per z (candidates are in decreasing order)
         pick = mu.shape[1] - 1 - np.argmax(feasible[:, ::-1], axis=1)
         rows = np.arange(z.size)
@@ -273,62 +280,16 @@ def _contour(z: np.ndarray, alpha: float, beta: float, rtol: float):
     return val, ok
 
 
-def _taylor_extended(z: complex, alpha: float, beta: float, rtol: float) -> complex:
-    """mpmath Taylor sum at a precision sized to the cancellation.
-
-    The working precision starts at the size of the largest term and is
-    re-checked a posteriori against the actual cancellation (largest term
-    over final sum), retrying once more digits turn out to be needed.
-    """
-    az = abs(z)
-    cancel_digits = 0.4343 * az ** (1.0 / alpha)
-    dps = int(cancel_digits - math.log10(rtol) + 25)
-    while True:
-        if dps > MAX_EXTENDED_DPS:
-            raise AccuracyError(
-                f"E_({alpha},{beta})({z}) needs ~{dps} digits; "
-                f"cap is {MAX_EXTENDED_DPS} (documented accuracy gap)"
-            )
-        with mpmath.workdps(dps):
-            # the Gamma argument must be formed at working precision: forming
-            # alpha*k in doubles perturbs huge cancelling terms by ~1e-13
-            # relatively, which the cancellation amplifies catastrophically
-            am = mpmath.mpf(alpha)
-            bm = mpmath.mpf(beta)
-            zm = mpmath.mpc(z)
-            total = mpmath.mpc(0)
-            zk = mpmath.mpc(1)
-            max_mag = mpmath.mpf(1)
-            cutoff = mpmath.mpf(10) ** (-dps + 5)
-            k = 0
-            k_min = az ** (1.0 / alpha) / alpha + 10
-            while True:
-                term = zk * mpmath.rgamma(am * k + bm)
-                total += term
-                max_mag = max(max_mag, abs(term))
-                zk *= zm
-                k += 1
-                if k > k_min and abs(zk) * abs(mpmath.rgamma(am * k + bm)) \
-                        < cutoff * (1 + abs(total)):
-                    break
-                if k > 200000:  # pragma: no cover - defensive
-                    raise AccuracyError("extended-precision series did not terminate")
-            lost = float(mpmath.log10(max_mag / abs(total))) if total != 0 else float(dps)
-            needed = lost - math.log10(rtol) + 10.0
-            if needed <= dps:
-                return complex(total)
-        dps = int(needed) + 15  # retry with the honest budget
-
-
 def mittag_leffler(z, alpha: float, beta: float = 1.0, rtol: float = 1e-13) -> complex:
     """E_{alpha,beta}(z) = sum_k z^k / Gamma(alpha k + beta) for alpha in (0, 1].
 
     beta may be any real number (terms with Gamma evaluated at a pole vanish).
-    The branches are tried in the order of the module docstring.  Raises
-    AccuracyError on the documented gap: points where neither the series
-    (within the extended-precision cap), the large-z expansion nor the
-    contour integral attains `rtol`; such points lie outside the decay sector
-    |arg z| > alpha*pi/2.
+    The three double-precision branches (Taylor series, large-z expansion,
+    contour integral) are tried in the order of the module docstring.  Raises
+    AccuracyError on the documented gap, where none of them attains `rtol`:
+    small values in the decay sector, values near the zeros of E on the
+    negative real axis, huge values at alpha <= 0.15, and z whose
+    exp(z^(1/alpha)) overflows.
     """
     _validate_ml_params(alpha, beta)
     z = complex(z)
@@ -348,7 +309,8 @@ def mittag_leffler(z, alpha: float, beta: float = 1.0, rtol: float = 1e-13) -> c
     val, ok = _contour(np.array([z]), alpha, beta, rtol)
     if ok[0]:
         return complex(val[0])
-    return _taylor_extended(z, alpha, beta, rtol)
+    raise AccuracyError(f"E_alpha,beta(z) at z={z}, alpha={alpha}, beta={beta}: no "
+                        f"double-precision branch meets rtol={rtol:g} (documented accuracy gap)")
 
 
 def ml_asymptotic(z, alpha: float, beta: float = 1.0, n_terms: int = 8) -> complex:

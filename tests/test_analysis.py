@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlstab import problems, special
+from mlstab import problems
 from mlstab import weights as wt
 from mlstab.analysis import (
     DECAYS,
@@ -201,15 +201,6 @@ def test_l1_against_polylog_closed_form(alpha):
             li = complex(mpmath.polylog(alpha - 1.0, z))
             ref = math.gamma(2.0 - alpha) * z / ((1.0 - z) ** 2 * li)
             assert abs(f_omega_closed(wt.L1, alpha, z) - ref) <= 1e-13 * abs(ref)
-
-
-def test_l1_region_without_extended_precision(monkeypatch):
-    calls = []
-    orig = special._taylor_extended
-    monkeypatch.setattr(special, "_taylor_extended", lambda *a: calls.append(a) or orig(*a))
-    monkeypatch.setattr(mpmath, "polylog", lambda *a: calls.append(a))
-    region_boundary(wt.L1, 0.5, 0.1)
-    assert calls == []
 
 
 class TestClassification:

@@ -264,6 +264,29 @@ class TestResolventCommand:
             (tmp_path / "resolvent_alpha_diff_a0.5_summary.json").read_text())
         assert summary["poisson_vs_impulse_max_dev"] is None
 
+    def test_alpha_diff_truncated_run_compared_in_range(self, tmp_path):
+        # the homogeneous run of lambda = 0.5 truncates at step 373, before
+        # the first compared n = 500
+        with pytest.warns(UserWarning, match="blow-up guard triggered at step 373"):
+            res = run_cli("resolvent", "--scheme", "alpha_diff", "--problem", "scalar",
+                          "--b", "-0.5", "--alpha", "0.5", "--h", "0.1", "--n-max", "1000",
+                          "--q-check", "1000", "--q-stride", "500", "--out", str(tmp_path))
+        assert res.returncode == 0, res.stderr
+        summary = json.loads(
+            (tmp_path / "resolvent_alpha_diff_a0.5_summary.json").read_text())
+        assert summary["truncated_at"] == 373
+        assert summary["poisson_vs_impulse_max_dev"] is None
+
+    def test_alpha_diff_accuracy_failure_exit_code(self, tmp_path):
+        # exp(z^(1/alpha)) in the Poisson integrand of Q_1^1000 overflows a double
+        res = run_cli("resolvent", "--scheme", "alpha_diff", "--b", "-0.29", "--alpha", "0.5",
+                      "--h", "1", "--n-max", "1000", "--q-check", "1000", "--q-stride", "1000",
+                      "--out", str(tmp_path / "out"))
+        assert res.returncode == 3
+        assert res.stderr.startswith("accuracy failure: ")
+        assert res.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_alpha_diff_divergent_transform_usage_error(self, tmp_path):
         res = run_cli("resolvent", "--scheme", "alpha_diff", "--problem", "lorenz",
                       "--no-control", "--alpha", "0.5", "--h", "0.1", "--n-max", "50",
@@ -354,6 +377,23 @@ class TestUsageErrors:
                          "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == \
             f"error: --checkpoints must be comma-separated finite t values, got {text!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, reason", [
+        ("12.345", "checkpoint 12.345 is not on the grid (h = 0.01)"),
+        ("10,80", "checkpoint 80.0 outside the computed range (t = 0.01 to 50)"),
+        ("0", "checkpoint 0.0 outside the computed range (t = 0.01 to 50)"),
+    ])
+    def test_checkpoints_on_the_grid_before_the_solve(self, tmp_path, capsys, monkeypatch,
+                                                      text, reason):
+        def no_solve(*a, **k):
+            raise AssertionError("the solve ran")
+
+        monkeypatch.setattr(cli.slv, "solve", no_solve)
+        assert cli.main(["solve", "--scheme", "fbdf1", "--alpha", "0.5", "--problem",
+                         "advection", "--h", "0.01", "--t-end", "50", "--checkpoints", text,
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: --checkpoints: {reason}\n"
         assert not (tmp_path / "out").exists()
 
     def test_alpha_diff_needs_a_step(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 import cmath
 import math
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -124,7 +126,8 @@ class TestMittagLeffler:
 
     def test_saturation_band_routed_to_extended_precision(self):
         # just past the Taylor radius the large-z expansion saturates above
-        # tolerance; the first-omitted-term check must reject it there
+        # tolerance; the first-omitted-term check must reject it there, so
+        # that the contour integral serves the point
         z = 10.0 * cmath.exp(2.4j)
         ref = ml_series_oracle(z, 0.7, 0.4)
         val = mittag_leffler(z, 0.7, 0.4)
@@ -147,10 +150,57 @@ class TestMittagLeffler:
         with pytest.raises(ValueError):
             mittag_leffler(complex("inf"), 0.5)
 
+    @pytest.mark.parametrize("alpha, beta, z", [
+        (0.5333, 1.0, 1.0353 + 3.8637j),
+        (1.0, 0.5, -21.65 + 12.5j),
+        (0.8833, 0.8833, -10.607 + 10.607j),
+    ])
+    def test_points_past_the_first_node_cap(self, alpha, beta, z):
+        # points the 64-node contour rule misses at rtol 1e-13: the pole
+        # z^(1/alpha) lies close to every candidate parabola
+        assert not special._contour_rule(np.array([z]), alpha, beta, 1e-13, 64)[1][0]
+        ref = ml_series_oracle(z, alpha, beta)
+        assert abs(mittag_leffler(z, alpha, beta) - ref) <= 1e-13 * abs(ref)
+
+    def test_gap_near_a_real_zero(self):
+        # E_{0.6,0.5} has a zero near -3.01: at rtol 1e-13 no double branch
+        # may claim the value, at 1e-11 the value is served and correct
+        z, alpha, beta = -3.0107, 0.6, 0.5
+        ref = ml_series_oracle(z, alpha, beta)
+        try:
+            val = mittag_leffler(z, alpha, beta)
+        except AccuracyError as exc:
+            assert "rtol=1e-13" in str(exc)
+        else:
+            assert abs(val - ref) <= 1e-13 * abs(ref)
+        assert abs(mittag_leffler(z, alpha, beta, rtol=1e-11) - ref) <= 1e-11 * abs(ref)
+
     def test_overflow_gap_raises(self):
         # far outside the decay sector exp(z^(1/alpha)) exceeds double range
         with pytest.raises(AccuracyError):
             mittag_leffler(1e4, 0.5)
+
+
+def test_runtime_path_never_loads_mpmath():
+    # mpmath is a test oracle only: the package, its CLI, the L1 region, the
+    # Lorenz Poisson sweep and the points past the first contour node cap run
+    # in a fresh interpreter without ever importing it
+    script = """
+import cmath, math, sys
+import mlstab, mlstab.cli
+from mlstab import problems, weights
+from mlstab.analysis import region_boundary
+from mlstab.resolvent import poisson_resolvent
+from mlstab.special import mittag_leffler
+region_boundary(weights.L1, 0.5, 0.1)
+for n in (10, 100, 200):
+    poisson_resolvent(problems.lorenz_controlled(alpha=0.5).A, 0.5, 0.1, n, 1.0)
+for beta in (0.5, 1.0):
+    mittag_leffler(9.5 * cmath.exp(2j * math.pi / 3), 0.8, beta)
+assert "mpmath" not in sys.modules, "mpmath was imported"
+"""
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 class TestContourBranch:
@@ -178,6 +228,16 @@ class TestContourBranch:
     def test_real_argument_gives_real_value(self):
         val, ok = special._contour(np.array([-20.0]), 0.7, 1.0, 1e-13)
         assert ok[0] and val[0].imag == 0.0
+
+    def test_second_cap_only_for_points_the_first_misses(self):
+        # a point the 64-node rule serves keeps exactly its value: the
+        # 256-node rule would pick another mu and change it at rounding level
+        zs = [r * cmath.exp(1j * th) for r in (4.0, 9.5, 15.0, 25.0) for th in (0.3, 2.1, 2.8)]
+        for alpha, beta in ((0.5333, 1.0), (0.8, 0.5), (0.95, 0.95)):
+            for z in zs:
+                first, ok = special._contour_rule(np.array([z]), alpha, beta, 1e-13, 64)
+                if ok[0]:
+                    assert special._contour(np.array([z]), alpha, beta, 1e-13)[0][0] == first[0]
 
 
 class TestPrabhakar:
