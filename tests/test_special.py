@@ -156,8 +156,8 @@ class TestMittagLeffler:
         (0.8833, 0.8833, -10.607 + 10.607j),
     ])
     def test_points_past_the_first_node_cap(self, alpha, beta, z):
-        # points the 64-node contour rule misses at rtol 1e-13: the pole
-        # z^(1/alpha) lies close to every candidate parabola
+        # points the 64-node contour rule misses at rtol 1e-13; the retry
+        # with up to 256 nodes serves them
         assert not special._contour_rule(np.array([z]), alpha, beta, 1e-13, 64)[1][0]
         ref = ml_series_oracle(z, alpha, beta)
         assert abs(mittag_leffler(z, alpha, beta) - ref) <= 1e-13 * abs(ref)
