@@ -318,12 +318,20 @@ def _leaf_resolvent(Minv: np.ndarray, mu: np.ndarray, L: int) -> np.ndarray | No
     real form of its complex coefficient, and block (i, j) of the real
     (L r) x (L r) matrix is G_{i-j}, zero above the diagonal.  None when a
     G_k overflows: stepping then fails at the same step as without it.
+
+    The recurrence runs in np.longdouble (80-bit on x86; plain double where
+    the platform has no wider type): its sums cancel, and in double their
+    rounding, carried through the leaf, reached 1.5e-12 of max ||y_n|| on
+    an A = V B V^{-1} with cond(V) = 554 (F-BDF1, d = 4), where stepping the
+    leaf with the same M^{-1} stays within 4.3e-13.
     """
     r = Minv.shape[0]
-    G = np.zeros((L + 1, r, r))  # G[L] stays zero
+    G = np.zeros((L + 1, r, r), dtype=np.longdouble)  # G[L] stays zero
     G[0] = Minv
+    mux = mu.astype(np.longdouble)
     for k in range(1, L):
-        G[k] = -Minv @ np.tensordot(mu[k:0:-1], G[:k], axes=1)
+        G[k] = -G[0] @ np.tensordot(mux[k:0:-1], G[:k], axes=1)
+    G = G.astype(float)
     if not np.all(np.isfinite(G)):
         return None
     lag = np.subtract.outer(np.arange(L), np.arange(L))

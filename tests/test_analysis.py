@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -201,6 +202,16 @@ def test_l1_against_polylog_closed_form(alpha):
             li = complex(mpmath.polylog(alpha - 1.0, z))
             ref = math.gamma(2.0 - alpha) * z / ((1.0 - z) ** 2 * li)
             assert abs(f_omega_closed(wt.L1, alpha, z) - ref) <= 1e-13 * abs(ref)
+
+
+def test_l1_region_without_extended_precision(monkeypatch):
+    # the double branches serve the whole region: importing mpmath fails
+    # (a lazy import raises ImportError) and its polylog is never called
+    calls = []
+    monkeypatch.setattr(mpmath, "polylog", lambda *a: calls.append(a))
+    monkeypatch.setitem(sys.modules, "mpmath", None)
+    region_boundary(wt.L1, 0.5, 0.1)
+    assert calls == []
 
 
 class TestClassification:

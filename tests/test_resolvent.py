@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -185,6 +186,15 @@ class TestPoisson:
             poisson_resolvent(LAM, 0.5, h, 5, 1.0)
         with pytest.raises(ValueError, match="step size"):
             impulse_resolvent(wt.FBDF1, LAM, 0.5, h, 5)
+
+    @pytest.mark.parametrize("n", [10, 100, 200])
+    def test_no_extended_precision(self, n, monkeypatch):
+        # every Mittag-Leffler value of the Lorenz Poisson sweep is served in
+        # doubles: importing mpmath fails, and a value no branch meets rtol
+        # for would raise AccuracyError
+        monkeypatch.setitem(sys.modules, "mpmath", None)
+        Q = poisson_resolvent(problems.lorenz_controlled(alpha=0.5).A, 0.5, 0.1, n, 1.0)
+        assert np.all(np.isfinite(Q))
 
     def test_beta_validation(self):
         with pytest.raises(ValueError):
