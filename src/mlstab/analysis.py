@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special as sc
 
 from . import weights as wt
 from .resolvent import ResolventSequence, fit_final_decade, operator_norms, power_law_tail
@@ -168,6 +167,8 @@ def _polylog(s: float, z: np.ndarray) -> np.ndarray:
 
         Li_s(e^mu) = Gamma(1-s) (-mu)^(s-1) + sum_{k>=0} zeta(s-k) mu^k / k!.
     """
+    from scipy import special as sc
+
     out = np.empty(z.shape, dtype=complex)
     small = np.abs(z) < 0.5
     k = np.arange(1, _POWER_TERMS + 1)

@@ -160,6 +160,9 @@ def cmd_solve(args) -> int:
         raise ValueError("one of --t-end/--n-steps is required")
     if N < 1:
         raise ValueError("empty run: increase --t-end or --n-steps")
+    if N < args.m + 2:  # p_index's least length, before the run
+        raise ValueError(f"--m {args.m} needs at least {args.m + 2} steps, "
+                         f"got N = {N} (from {flags})")
     for t in checkpoints:  # on the grid and in range, before the run
         try:
             analysis._checkpoint_index(t, args.h, N, args.m)

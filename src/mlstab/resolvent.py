@@ -41,8 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaln, xlogy
 
 from . import weights as wt
 from .solver import _check_grid, _check_matrix, _run
@@ -148,6 +146,9 @@ def poisson_mass(n: int) -> float:
 def _poisson_scalar(lam: complex, alpha: float, h: float, n: int, beta: float) -> complex:
     """Q_beta^n for a scalar eigenvalue: the module docstring's integrand in
     u = s^alpha over the window's image."""
+    from scipy import integrate
+    from scipy.special import gammaln, xlogy
+
     if abs(cmath.phase(lam)) < alpha * math.pi and ((h ** alpha * lam) ** (1.0 / alpha)).real >= 1:
         raise ValueError(f"the Poisson transform diverges for eigenvalue {lam:.6g} "
                          f"at alpha = {alpha:g}, h = {h:g}")

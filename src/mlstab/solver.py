@@ -25,7 +25,9 @@ the state; a step the iteration cannot solve raises NonConvergenceError.
 The history sums follow the divide-and-conquer schedule of Hairer, Lubich &
 Schlichte (1985, SIAM J. Sci. Stat. Comput. 6:532): direct sums inside
 blocks of at most 64 steps, one real FFT product per pair of neighbouring
-half blocks, O(N log^2 N) in total and exact up to rounding.  A linear run
+half blocks, O(N log^2 N) in total and exact up to rounding.  The products
+go through numpy.fft (the same pocketfft as scipy.fft) at 5-smooth lengths
+(_fast_len), so stepping loads no scipy.  A linear run
 (f None) of small dimension (_LEAF d <= _LEAF_ROWS, i.e. d <= 4) solves each
 leaf at once, with one product of the block Toeplitz matrix of its own
 discrete resolvent, the coefficients of (M + sum_{j>=1} mu_j z^j)^{-1};
@@ -39,13 +41,13 @@ the focus is long-time behavior, not accuracy near t = 0.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.fft as sfft
 
 from . import weights as wt
 
@@ -339,6 +341,23 @@ def _leaf_resolvent(Minv: np.ndarray, mu: np.ndarray, L: int) -> np.ndarray | No
     return G[lag].transpose(0, 2, 1, 3).reshape(L * r, L * r)
 
 
+@functools.lru_cache(maxsize=1024)  # a run merges blocks of about 2 log2 N sizes
+def _fast_len(n: int) -> int:
+    """The smallest 5-smooth integer >= n >= 1, the FFT length of a history
+    merge (scipy.fft.next_fast_len(n, True)): pocketfft, under numpy.fft as
+    under scipy.fft, factors such lengths into its fastest radices."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p2 = 1 << (-(-n // p35) - 1).bit_length()  # least power of 2 with p2 p35 >= n
+            best = min(best, p2 * p35)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _blocks(lo: int, hi: int):
     """The divide-and-conquer schedule of steps [lo, hi).
 
@@ -427,12 +446,12 @@ def _run(w: wt.SchemeWeights, A: np.ndarray, alpha: float, h: float, N: int,
     with np.errstate(over="ignore", invalid="ignore"):  # the non-finite test names the step
         for lo, mid, hi in _blocks(1, N + 1):
             if mid is not None:
-                P = sfft.next_fast_len(hi - lo, True)  # no wrap-around reaches rows mid..hi
+                P = _fast_len(hi - lo)  # no wrap-around reaches rows mid..hi
                 if P not in mu_hat:
-                    mu_hat[P] = sfft.rfft(mu[:P], P)[:, None]
-                spec = sfft.rfft(Xf[lo:mid], P, axis=0)
+                    mu_hat[P] = np.fft.rfft(mu[:P], P)[:, None]
+                spec = np.fft.rfft(Xf[lo:mid], P, axis=0)
                 spec *= mu_hat[P]
-                Xf[mid:hi] -= sfft.irfft(spec, P, axis=0, overwrite_x=True)[mid - lo:hi - lo]
+                Xf[mid:hi] -= np.fft.irfft(spec, P, axis=0)[mid - lo:hi - lo]
                 continue
             if G is not None:
                 L = hi - lo

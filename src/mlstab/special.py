@@ -42,7 +42,13 @@ huge values at alpha <= 0.15 (90 of 109,725 probed points, see the README);
 rtol 1e-11 serves them.  Far outside the decay sector exp(z^(1/alpha))
 exceeds the double range, which raises AccuracyError too.
 
-All functions here are pure; nothing is cached or mutated.
+All functions here are pure.  The only state is a store of the Gamma-function
+coefficients of the Taylor and large-z sums (_coefficients): one table per
+(alpha, beta), for at most _TABLES_KEPT pairs, grown to the longest term count
+asked for and sliced, so that no value depends on what was evaluated before
+it.  scipy.special is imported on first use by the functions that evaluate
+Gamma; the rest of mlstab (weights, solver, the F-LMM regions, the impulse
+resolvents) runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -52,7 +58,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special as sc
 
 __all__ = [
     "GammaPoleError",
@@ -102,6 +107,8 @@ def gamma(x) -> complex:
     Raises GammaPoleError at the poles (non-positive integers).  Overflow for
     large positive real part yields inf, as in the underlying scipy routine.
     """
+    from scipy import special as sc
+
     z = complex(x)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
         raise GammaPoleError(f"gamma pole at {z.real:g}")
@@ -112,6 +119,8 @@ def gamma(x) -> complex:
 
 def reciprocal_gamma(x: float) -> float:
     """1/Gamma(x) for real x, exactly 0 at the poles."""
+    from scipy import special as sc
+
     if x <= 0.0 and x == int(x):
         return 0.0
     return float(sc.rgamma(x))
@@ -124,6 +133,63 @@ def _validate_ml_params(alpha: float, beta: float) -> None:
         raise ValueError("beta must be finite")
 
 
+class _Coefficients:
+    """The Gamma-function coefficient tables of E_{alpha,beta} for one
+    (alpha, beta), each grown to the longest term count asked for so far and
+    returned as a prefix, whose entries do not depend on the length asked.
+
+    taylor(n): for x_k = alpha k + beta, k < n, the count k0 of x_k <= 0.5
+    (a prefix, as x_k increases) and the array of 1/Gamma(x_k) for k < k0,
+    log|Gamma(x_k)| after.  asymptotic(n): 1/Gamma(beta - alpha k) for
+    k = 1..n, 0 at the poles.  A table grows by one assignment, so a thread
+    reads either the old or the new one.
+    """
+
+    def __init__(self, alpha: float, beta: float):
+        self.alpha, self.beta = alpha, beta
+        self._taylor = 0, np.empty(0)
+        self._asymptotic = np.empty(0)
+
+    def taylor(self, n: int) -> tuple[int, np.ndarray]:
+        k0, coef = self._taylor
+        if n > coef.size:
+            from scipy import special as sc
+
+            x = self.alpha * np.arange(coef.size, n) + self.beta
+            small = x <= 0.5
+            ext = np.empty(x.size)
+            ext[small] = sc.rgamma(x[small])
+            ext[~small] = sc.gammaln(x[~small])
+            k0, coef = self._taylor = (k0 + int(np.count_nonzero(small)),
+                                       np.concatenate((coef, ext)))
+        return min(k0, n), coef[:n]
+
+    def asymptotic(self, n: int) -> np.ndarray:
+        coef = self._asymptotic
+        if n > coef.size:
+            from scipy import special as sc
+
+            ext = sc.rgamma(self.beta - self.alpha * np.arange(coef.size + 1, n + 1))
+            coef = self._asymptotic = np.concatenate((coef, ext))
+        return coef[:n]
+
+
+#: (alpha, beta) pairs whose coefficient tables are kept; a new pair past
+#: this many starts the store afresh.
+_TABLES_KEPT = 32
+_tables: dict[tuple[float, float], _Coefficients] = {}
+
+
+def _coefficients(alpha: float, beta: float) -> _Coefficients:
+    """The coefficient tables of (alpha, beta), made on first use."""
+    table = _tables.get((alpha, beta))
+    if table is None:
+        if len(_tables) >= _TABLES_KEPT:
+            _tables.clear()
+        table = _tables[alpha, beta] = _Coefficients(alpha, beta)
+    return table
+
+
 def _taylor_double(z: complex, alpha: float, beta: float, rtol: float):
     """Double-precision Taylor sum.  Returns (value, ok)."""
     az = abs(z)
@@ -133,18 +199,14 @@ def _taylor_double(z: complex, alpha: float, beta: float, rtol: float):
     kpeak = peak / alpha
     n_terms = int(3.5 * kpeak + 12.0 * math.sqrt(kpeak + 4.0) + 48)
     k = np.arange(n_terms + 1)
-    x = alpha * k + beta
     terms = np.empty(n_terms + 1, dtype=complex)
-    big = x > 0.5
     if z == 0:
         terms[:] = 0.0
         terms[0] = reciprocal_gamma(beta)
     else:
-        logz = cmath.log(z)
-        terms[big] = np.exp(k[big] * logz - sc.gammaln(x[big]))
-        small = ~big
-        if small.any():
-            terms[small] = np.power(z, k[small].astype(float)) * sc.rgamma(x[small])
+        k0, coef = _coefficients(alpha, beta).taylor(n_terms + 1)
+        terms[k0:] = np.exp(k[k0:] * cmath.log(z) - coef[k0:])
+        terms[:k0] = np.power(z, k[:k0].astype(float)) * coef[:k0]
     val = complex(terms.sum())
     max_mag = float(np.max(np.abs(terms)))
     if abs(terms[-1]) > 1e-20 * max(max_mag, 1.0):
@@ -160,8 +222,7 @@ def _taylor_double(z: complex, alpha: float, beta: float, rtol: float):
 def _asymptotic_terms(z: complex, alpha: float, beta: float, n_max: int):
     """Terms z^{-k}/Gamma(beta - k alpha), k = 1..n_max."""
     k = np.arange(1, n_max + 1)
-    rg = np.asarray(sc.rgamma(beta - alpha * k), dtype=float)  # 0 at the poles
-    return np.exp(-k * cmath.log(z)) * rg
+    return np.exp(-k * cmath.log(z)) * _coefficients(alpha, beta).asymptotic(n_max)
 
 
 def _exponential_term(z: complex, alpha: float, beta: float) -> complex:

@@ -396,6 +396,31 @@ class TestUsageErrors:
         assert capsys.readouterr().err == f"error: --checkpoints: {reason}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, got", [
+        (("--n-steps", "3", "--m", "5"), "N = 3 (from --n-steps)"),
+        (("--t-end", "0.1"), "N = 6 (from --t-end and --h)"),
+        (("--n-steps", "4", "--m", "3"), "N = 4 (from --n-steps)"),
+    ], ids=["n-steps", "t-end", "m"])
+    def test_short_run_rejected_before_the_solve(self, tmp_path, capsys, monkeypatch,
+                                                 argv, got):
+        # p_index needs N >= m + 2; the run would only fail there, after the solve
+        def no_solve(*a, **k):
+            raise AssertionError("the solve ran")
+
+        monkeypatch.setattr(cli.slv, "solve", no_solve)
+        assert cli.main(["solve", "--scheme", "fbdf1", "--alpha", "0.5", "--h", "0.1", *argv,
+                         "--out", str(tmp_path / "out")]) == 2
+        m = argv[argv.index("--m") + 1] if "--m" in argv else "5"
+        assert capsys.readouterr().err == \
+            f"error: --m {m} needs at least {int(m) + 2} steps, got {got}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_shortest_run_accepted(self, tmp_path):
+        res = run_cli("solve", "--scheme", "fbdf1", "--alpha", "0.5", "--h", "0.1",
+                      "--n-steps", "7", "--m", "5", "--out", str(tmp_path))
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["steps"] == 7
+
     def test_alpha_diff_needs_a_step(self, tmp_path, capsys):
         # the impulse schemes accept --n-max 0 (d_0 = I alone); alpha_diff
         # steps at least once
@@ -567,3 +592,39 @@ class TestConfigFile:
         res = subprocess.run([sys.executable, "-m", "mlstab.cli", "--version"],
                              capture_output=True, text=True)
         assert res.returncode == 0 and "mlstab" in res.stdout
+
+
+def test_stepping_path_never_loads_scipy(tmp_path):
+    # weights, solve, reproduce, the F-LMM region and the impulse resolvent run
+    # on numpy alone; scipy.special and scipy.integrate load only where a
+    # Gamma value, the zeta sum or the Poisson quadrature is needed
+    script = """
+import contextlib, io, math, sys
+import mlstab, mlstab.cli
+from mlstab import cli, problems, weights
+from mlstab.analysis import region_boundary
+from mlstab.resolvent import poisson_resolvent
+from mlstab.special import mittag_leffler
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([*argv, "--out", sys.argv[1]]) == 0, argv
+
+run("weights", "--scheme", "fbdf2", "--alpha", "0.5", "--n", "100")
+for problem, h in (("scalar", "0.1"), ("advection", "0.01"), ("lorenz", "0.1")):
+    for scheme in ("fbdf1", "fbdf2", "fadams2", "l1", "alpha_diff"):
+        run("solve", "--problem", problem, "--scheme", scheme, "--alpha", "0.5", "--h", h,
+            "--n-steps", "300")
+run("reproduce", "T2")
+run("region", "--scheme", "fbdf2", "--alpha", "0.5")
+run("resolvent", "--scheme", "fbdf1", "--problem", "lorenz", "--alpha", "0.5", "--h", "0.1",
+    "--n-max", "200")
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+assert len(region_boundary(weights.L1, 0.5, 0.1).theta) > 0
+assert abs(mittag_leffler(-1.0, 0.5) - math.exp(1.0) * math.erfc(1.0)) < 1e-15
+assert poisson_resolvent(problems.lorenz_controlled(alpha=0.5).A, 0.5, 0.1, 10, 1.0).shape == (3, 3)
+"""
+    res = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

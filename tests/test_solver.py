@@ -410,6 +410,13 @@ class TestBlockHistory:
         expected[:, :lo] = 0
         assert done == hi and np.array_equal(added, expected)
 
+    def test_fast_len_matches_scipy(self):
+        # the numpy.fft merges run at scipy's real-input next_fast_len lengths
+        from scipy.fft import next_fast_len
+
+        ns = [*range(1, 20001), *range(20001, 400001, 3989), 2 ** 18 + 1, 3 ** 11 + 1, 400000]
+        assert [slv._fast_len(n) for n in ns] == [next_fast_len(n, True) for n in ns]
+
     def test_advection_states_stay_real(self, mu_form_run):
         p = problems.advection_diffusion(n_x=64, alpha=0.7)
         traj = solve(p, wt.FBDF1, 0.01, 1000)

@@ -180,6 +180,31 @@ class TestMittagLeffler:
         with pytest.raises(AccuracyError):
             mittag_leffler(1e4, 0.5)
 
+    def test_values_do_not_depend_on_table_growth(self, monkeypatch):
+        # each (alpha, beta) keeps one coefficient table, grown to the longest
+        # term count asked for: a value read from a grown table is bit-identical
+        # to the value computed from a fresh one (beta = -0.4 puts the first
+        # Taylor terms at x <= 0.5, where 1/Gamma is tabulated)
+        monkeypatch.setattr(special, "_tables", {})
+        zs = [0.5, -2.0 + 1j, 8.5j, -8.9, 4.0 + 4.0j, -30.0, 25.0j]
+        for beta in (0.8, -0.4):
+            fresh = []
+            for z in zs:
+                special._tables.clear()
+                fresh.append(mittag_leffler(z, 0.6, beta, rtol=1e-11))
+            special._tables.clear()
+            ref = ml_asymptotic(-30.0, 0.6, beta, 5)
+            grown = [mittag_leffler(z, 0.6, beta, rtol=1e-11) for z in zs[::-1]][::-1]
+            assert grown == fresh
+            assert ml_asymptotic(-30.0, 0.6, beta, 5) == ref
+            assert len(special._tables) == 1
+
+    def test_table_store_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(special, "_tables", {})
+        for i in range(3 * special._TABLES_KEPT):
+            mittag_leffler(-1.0, 0.5, 1.0 + i / 100)
+            assert 1 <= len(special._tables) <= special._TABLES_KEPT
+
 
 def test_runtime_path_never_loads_mpmath():
     # mpmath is a test oracle only: the package, its CLI, the L1 region, the
