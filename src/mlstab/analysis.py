@@ -2,7 +2,8 @@
 
 * decay-rate index  p(t_n) = -ln(||y_{n+m}|| / ||y_n||) / ln(t_{n+m} / t_n),
   a numerical observation of the exponent in ||y_n|| = O(t_n^-p);
-* stability-region boundary sampling 1 / (h^alpha F_omega(e^{i theta}));
+* stability-region boundary sampling 1 / (h^alpha F_omega(e^{i theta})), with
+  F_omega evaluated in closed form on the unit circle only;
 * sector classification of the eigenvalues of a problem's linear part;
 * the perturbation-smallness check for semi-linear decay,
   1 - ||D_0|| L0 > 0 and
@@ -32,8 +33,6 @@ __all__ = [
     "p_at_checkpoints",
     "RegionSample",
     "region_boundary",
-    "boundary_point",
-    "f_omega_closed",
     "ProblemClassification",
     "classify_problem",
     "PerturbationCheck",
@@ -152,73 +151,38 @@ def p_at_checkpoints(traj: Trajectory, checkpoints, m: int = 5,
     return out
 
 
-#: terms of the two series of _polylog: on 1/2 <= |z| <= 1, |log z| <= 3.22, so
-#: the Bose-Einstein terms shrink like 0.52^k; the power series' like 0.5^k.
+#: terms of the Bose-Einstein series of _polylog: on |z| = 1, |log z| <= pi,
+#: so its terms shrink like 0.5^k.
 _BE_TERMS = 60
-_POWER_TERMS = 64
 
 
 def _polylog(s: float, z: np.ndarray) -> np.ndarray:
-    """Li_s(z) for real s < 1 on an array with |z| <= 1, z != 1, in doubles.
+    """Li_s(z) for real s < 1 on an array with |z| = 1, z != 1, in doubles.
 
-    |z| < 1/2: the power series sum_{k>=1} z^k / k^s.  Otherwise the
-    Bose-Einstein series in mu = log z (Wood 1992, "The computation of
+    The Bose-Einstein series in mu = log z (Wood 1992, "The computation of
     polylogarithms", Univ. Kent TR 15-92), convergent for |mu| < 2 pi:
 
         Li_s(e^mu) = Gamma(1-s) (-mu)^(s-1) + sum_{k>=0} zeta(s-k) mu^k / k!.
     """
     from scipy import special as sc
 
-    out = np.empty(z.shape, dtype=complex)
-    small = np.abs(z) < 0.5
-    k = np.arange(1, _POWER_TERMS + 1)
-    out[small] = (z[small][:, None] ** k * k ** -s).sum(axis=1)
-    mu = np.log(z[~small])
+    mu = np.log(z)
     j = np.arange(_BE_TERMS)
     coef = sc.zeta(s - j) / sc.factorial(j)
-    out[~small] = (math.gamma(1.0 - s) * (-mu) ** (s - 1.0)
-                   + (mu[:, None] ** j * coef).sum(axis=1))
-    return out
+    return math.gamma(1.0 - s) * (-mu) ** (s - 1.0) + (mu[:, None] ** j * coef).sum(axis=1)
 
 
 def _f_omega(scheme_id: str, alpha: float, z: np.ndarray) -> np.ndarray:
-    """F_omega on an array of z with |z| <= 1, z != 1 (see f_omega_closed)."""
-    if scheme_id == wt.L1:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = math.gamma(2.0 - alpha) * z / ((1.0 - z) ** 2 * _polylog(alpha - 1.0, z))
-        return np.where(z == 0.0, math.gamma(2.0 - alpha), val)  # removable at 0
-    p, q = wt.generating_pair(scheme_id, alpha)  # ValueError for alpha_diff
-    return np.polyval(p[::-1], z) ** (-alpha) * np.polyval(q[::-1], z)
-
-
-def f_omega_closed(scheme_id: str, alpha: float, z: complex) -> complex:
-    """Closed-form F_omega(z) (principal branches), valid on |z| <= 1, z != 1.
+    """F_omega (principal branches) on an array of z with |z| = 1, z != 1.
 
     An F-LMM's F_omega is p(z)^(-alpha) q(z) with the scheme's pair (p, q)
     from weights.generating_pair.  The L1 generating function goes through
-    the polylogarithm, F_mu(z) = (1/Gamma(2-alpha)) ((1-z)^2 / z) Li_{alpha-1}(z),
-    which converges on the closed disk minus z = 1; Li_{alpha-1} is summed in
-    double precision, by its power series for |z| < 1/2 and by the
-    Bose-Einstein series in log z elsewhere.
+    the polylogarithm, F_mu(z) = (1/Gamma(2-alpha)) ((1-z)^2 / z) Li_{alpha-1}(z).
     """
-    scheme_id = wt.scheme_name(scheme_id)
-    z = complex(z)
-    if z == 1.0:
-        raise ZeroDivisionError("F_omega diverges at z = 1")
-    return complex(_f_omega(scheme_id, alpha, np.array([z]))[0])
-
-
-def _boundary(scheme_id: str, alpha: float, h: float, theta: np.ndarray) -> np.ndarray:
-    """1/(h^alpha F_omega(e^{i theta})) on an array of theta != 0."""
-    return 1.0 / (h ** alpha * _f_omega(wt.scheme_name(scheme_id), alpha, np.exp(1j * theta)))
-
-
-def boundary_point(scheme_id: str, alpha: float, h: float, theta: float) -> complex:
-    """One stability-boundary sample 1/(h^alpha F_omega(e^{i theta}))."""
-    _check_grid(h)
-    if theta == 0.0:
-        raise ValueError("theta = 0 is the divergence point of F_omega")
-    return complex(_boundary(scheme_id, alpha, h, np.array([float(theta)]))[0])
+    if scheme_id == wt.L1:
+        return math.gamma(2.0 - alpha) * z / ((1.0 - z) ** 2 * _polylog(alpha - 1.0, z))
+    p, q = wt.generating_pair(scheme_id, alpha)  # ValueError for alpha_diff
+    return np.polyval(p[::-1], z) ** (-alpha) * np.polyval(q[::-1], z)
 
 
 @dataclass
@@ -227,8 +191,8 @@ class RegionSample:
 
     The stability region is the complement of
     {1/(h^alpha F_omega(z)) : |z| <= 1}; boundary holds the images of the
-    unit circle on a theta grid offset by half a cell so theta = 0 (where
-    F_omega diverges) is excluded.
+    unit circle on an even theta grid, offset by half a cell so theta = 0
+    (where F_omega diverges) is excluded.
     """
 
     scheme_id: str
@@ -240,16 +204,18 @@ class RegionSample:
 
 def region_boundary(scheme_id: str, alpha: float, h: float,
                     n_theta: int = 2048) -> RegionSample:
-    """Sample the numerical stability-region boundary on a theta grid."""
+    """Sample the numerical stability-region boundary
+    1/(h^alpha F_omega(e^{i theta})) on an even theta grid."""
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if n_theta < 8:
-        raise ValueError("n_theta too small")
+    if n_theta < 8 or n_theta % 2:
+        raise ValueError(f"n_theta must be even and at least 8, got {n_theta}")
     _check_grid(h)
+    scheme_id = wt.scheme_name(scheme_id)
     j = np.arange(n_theta)
     theta = -math.pi + 2.0 * math.pi * (j + 0.5) / n_theta
-    vals = _boundary(scheme_id, alpha, h, theta)
-    return RegionSample(wt.scheme_name(scheme_id), alpha, h, theta, vals)
+    vals = 1.0 / (h ** alpha * _f_omega(scheme_id, alpha, np.exp(1j * theta)))
+    return RegionSample(scheme_id, alpha, h, theta, vals)
 
 
 @dataclass

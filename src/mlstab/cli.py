@@ -376,7 +376,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("region", help="sample a stability-region boundary")
     _add_common(add, p, schemes=(wt.FBDF1, wt.FBDF2, wt.FADAMS2, wt.L1))
     add(p, "--h", type=float, default=0.1)
-    add(p, "--n-theta", type=int, default=2048)
+    add(p, "--n-theta", type=int, default=2048,
+        help="number of theta samples on the unit circle (even, at least 8)")
     add(p, "--svg", action="store_true", help="also write an SVG sketch")
     p.set_defaults(func=cmd_region)
 

@@ -21,6 +21,8 @@ Three families:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .solver import FOdeProblem
@@ -80,8 +82,10 @@ def advection_diffusion(a: float = 0.1, D: float = 5.0, n_x: int = 64,
     the initial profile is 10 sin(4 pi x) (zero mean, so the neutral
     constant mode is absent).
     """
-    if D <= 0:
-        raise ValueError("diffusion coefficient must be positive")
+    if not math.isfinite(a):
+        raise ValueError(f"advection speed a must be finite, got {a}")
+    if not (0.0 < D < math.inf):
+        raise ValueError(f"diffusion coefficient D must be positive and finite, got {D}")
     B, A2 = circulant_matrices(n_x)
     dx = 1.0 / n_x
     M = (D / dx ** 2) * A2 - (a / (2.0 * dx)) * B

@@ -70,7 +70,6 @@ __all__ = [
     "gamma",
     "reciprocal_gamma",
     "mittag_leffler",
-    "ml_asymptotic",
     "prabhakar",
     "resolvent_matrix",
     "matrix_function",
@@ -219,12 +218,6 @@ def _taylor_double(z: complex, alpha: float, beta: float, rtol: float):
     return val, max_mag * noise <= rtol * scale
 
 
-def _asymptotic_terms(z: complex, alpha: float, beta: float, n_max: int):
-    """Terms z^{-k}/Gamma(beta - k alpha), k = 1..n_max."""
-    k = np.arange(1, n_max + 1)
-    return np.exp(-k * cmath.log(z)) * _coefficients(alpha, beta).asymptotic(n_max)
-
-
 def _exponential_term(z: complex, alpha: float, beta: float) -> complex:
     """(1/alpha) z^{(1-beta)/alpha} exp(z^{1/alpha}), raising on overflow."""
     w = cmath.exp(cmath.log(z) / alpha)
@@ -237,8 +230,10 @@ def _exponential_term(z: complex, alpha: float, beta: float) -> complex:
 
 
 def _asymptotic(z: complex, alpha: float, beta: float, rtol: float, n_max: int = 160):
-    """Large-|z| expansion truncated at its smallest term.  Returns (value, ok)."""
-    terms = _asymptotic_terms(z, alpha, beta, n_max)
+    """Large-|z| expansion truncated at its smallest term, from the terms
+    z^{-k}/Gamma(beta - k alpha), k = 1..n_max.  Returns (value, ok)."""
+    k = np.arange(1, n_max + 1)
+    terms = np.exp(-k * cmath.log(z)) * _coefficients(alpha, beta).asymptotic(n_max)
     mags = np.abs(terms)
     nonzero = np.nonzero(mags)[0]
     if nonzero.size == 0:
@@ -374,17 +369,6 @@ def mittag_leffler(z, alpha: float, beta: float = 1.0, rtol: float = 1e-13) -> c
                         f"double-precision branch meets rtol={rtol:g} (documented accuracy gap)")
 
 
-def ml_asymptotic(z, alpha: float, beta: float = 1.0, n_terms: int = 8) -> complex:
-    """Truncated large-|z| expansion -sum_{k=1}^{n_terms} z^{-k}/Gamma(beta-k alpha).
-
-    Valid (with O(|z|^{-n_terms-1}) error) in the sector
-    alpha*pi/2 < |arg z| <= pi; exposed for use as an independent reference.
-    """
-    _validate_ml_params(alpha, beta)
-    terms = _asymptotic_terms(complex(z), alpha, beta, n_terms)
-    return complex(-terms.sum())
-
-
 def prabhakar(z, alpha: float, beta: float, gamma_order: int = 1) -> complex:
     """Three-parameter Mittag-Leffler function E^{gamma}_{alpha,beta}(z).
 
@@ -450,13 +434,14 @@ SECTOR_BOUNDARY_TOL = 1e-12
 
 
 def in_stable_sector(lam, alpha: float) -> SectorResult:
-    """Test lambda against the stability sector {z != 0 : |arg z| > alpha*pi/2}.
+    """Test lambda against the stability sector {z != 0 : |arg z| > alpha*pi/2}
+    for alpha in (0, 1]; at alpha = 1 it is the open left half-plane.
 
     The boundary case |arg(lambda)| = alpha*pi/2 (within SECTOR_BOUNDARY_TOL)
     and lambda = 0 are flagged critical and reported as not in the sector.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     lam = complex(lam)
     if lam == 0:
         return SectorResult(False, float("nan"), True)

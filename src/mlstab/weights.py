@@ -25,9 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +39,6 @@ __all__ = [
     "SchemeWeights",
     "miller_power",
     "conv_inverse",
-    "fbdf1_recursion",
     "scheme_name",
     "generating_pair",
     "l1_weights",
@@ -49,8 +46,6 @@ __all__ = [
     "alpha_diff_weights",
     "scheme_weights",
     "leading_omega",
-    "GenEval",
-    "generating_fn_eval",
 ]
 
 FBDF1 = "fbdf1"
@@ -165,16 +160,6 @@ def conv_inverse(u, n_terms: int) -> np.ndarray:
     return v
 
 
-def fbdf1_recursion(alpha: float, n_terms: int) -> np.ndarray:
-    """Binomial weights of (1-z)^alpha by the closed recursion
-    mu_0 = 1, mu_j = (1 - (alpha+1)/j) mu_{j-1}."""
-    mu = np.empty(n_terms)
-    mu[0] = 1.0
-    for j in range(1, n_terms):
-        mu[j] = mu[j - 1] * (1.0 - (alpha + 1.0) / j)
-    return mu
-
-
 def scheme_name(scheme_id: str) -> str:
     """Canonical scheme id ("ALPHA-DIFF" gives "alpha_diff"); ValueError if unknown."""
     name = scheme_id.replace("-", "_").lower()
@@ -276,44 +261,3 @@ def leading_omega(scheme_id: str, alpha: float) -> float:
         return math.gamma(2.0 - alpha)
     p, q = generating_pair(FBDF1 if scheme_id == ALPHA_DIFF else scheme_id, alpha)
     return float(p[0] ** -alpha * q[0])
-
-
-class GenEval(NamedTuple):
-    """Truncated generating-function value with a tail estimate."""
-
-    value: complex
-    tail_bound: float
-
-
-def generating_fn_eval(w: SchemeWeights, which: str, z) -> GenEval:
-    """Evaluate F_mu or F_omega at z from the stored weights.
-
-    For |z| < 1 the reported tail bound is geometric,
-    B |z|^M / (1 - |z|) with B the largest recent coefficient magnitude.
-    At |z| = 1 the L1 mu-series is absolutely summable and alternates in
-    phase away from z = 1, giving the Dirichlet-type bound
-    2 |w_{M-1}| / |1 - z|; for other schemes at |z| = 1 no bound is
-    available and a divergence warning is raised (tail_bound = inf).
-    """
-    coeffs = getattr(w, which) if which in ("mu", "omega") else None  # builds no other table
-    if coeffs is None:
-        raise ValueError(f"scheme {w.scheme_id} has no {which!r} table")
-    z = complex(z)
-    az = abs(z)
-    if az > 1.0 + 1e-12:
-        raise ValueError("generating functions are evaluated on |z| <= 1 only")
-    m = coeffs.size
-    value = complex(np.polyval(coeffs[::-1], z))
-    recent = float(np.max(np.abs(coeffs[-min(16, m):])))
-    if az < 1.0 - 1e-12:
-        tail = recent * az ** m / (1.0 - az)
-    elif w.scheme_id == L1 and which == "mu" and z != 1.0:
-        tail = 2.0 * abs(coeffs[-1]) / abs(1.0 - z)
-    else:
-        warnings.warn(
-            f"no tail bound for {w.scheme_id}/{which} on |z| = 1; "
-            "value is the bare partial sum",
-            stacklevel=2,
-        )
-        tail = math.inf
-    return GenEval(value, tail)

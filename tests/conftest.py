@@ -1,7 +1,38 @@
 import numpy as np
 import pytest
+from scipy.special import rgamma
 
 from mlstab import weights as wt
+
+
+def _fbdf1_recursion(alpha: float, n_terms: int) -> np.ndarray:
+    """Binomial weights of (1-z)^alpha by the closed recursion
+    mu_0 = 1, mu_j = (1 - (alpha+1)/j) mu_{j-1}, written out here
+    independently of the Miller recursion the package builds them with."""
+    mu = np.empty(n_terms)
+    mu[0] = 1.0
+    for j in range(1, n_terms):
+        mu[j] = mu[j - 1] * (1.0 - (alpha + 1.0) / j)
+    return mu
+
+
+@pytest.fixture
+def fbdf1_recursion():
+    return _fbdf1_recursion
+
+
+def _ml_asymptotic(z, alpha: float, beta: float = 1.0, n_terms: int = 8) -> complex:
+    """Truncated large-|z| expansion -sum_{k=1}^{n_terms} z^{-k}/Gamma(beta - k alpha)
+    of E_{alpha,beta}(z), term by term from scipy's rgamma (0 at the poles),
+    independently of the package's coefficient tables.  Its error is
+    O(|z|^{-n_terms-1}) in the sector alpha*pi/2 < |arg z| <= pi."""
+    z = complex(z)
+    return -sum(z ** -k * float(rgamma(beta - k * alpha)) for k in range(1, n_terms + 1))
+
+
+@pytest.fixture
+def ml_asymptotic():
+    return _ml_asymptotic
 
 
 def _omega_form_run(problem, scheme_id: str, h: float, N: int) -> np.ndarray:

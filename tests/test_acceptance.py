@@ -155,10 +155,10 @@ class TestCriterion10Properties:
             worst = max(worst, abs(prabhakar(z, 0.5, 1.0, 2) - ref) / max(abs(ref), 1e-6))
         report("10b", worst <= 1e-10, f"gamma=2 reduction vs series: worst {worst:.2e}")
 
-    def test_weight_identities(self):
+    def test_weight_identities(self, fbdf1_recursion):
         dev_rec = max(
             float(np.max(np.abs(wt.scheme_weights(wt.FBDF1, a, 1000).mu
-                                - wt.fbdf1_recursion(a, 1000))))
+                                - fbdf1_recursion(a, 1000))))
             for a in (0.3, 0.5, 0.9))
         l1 = wt.l1_weights(0.5, 500)
         dev_tel = float(np.max(np.abs(np.cumsum(l1.mu) - l1.sigma[1:]) / np.abs(l1.sigma[1:])))

@@ -15,9 +15,7 @@ from mlstab.analysis import (
     GROWS,
     INCONCLUSIVE,
     UnreliableTailError,
-    boundary_point,
     classify_problem,
-    f_omega_closed,
     p_at_checkpoints,
     p_index,
     perturbation_check,
@@ -144,14 +142,29 @@ class TestRegionBoundary:
         assert np.max(np.abs(sample.boundary - ref)) < 1e-12 * np.max(np.abs(ref))
 
     def test_limit_point_at_pi(self):
-        val = boundary_point(wt.FBDF1, 0.5, 0.1, math.pi)
-        assert val == pytest.approx(2 ** 0.5 / 0.1 ** 0.5)
+        # the grid points nearest theta = pi, +-(pi - pi/n), are the boundary
+        # points farthest out, 2^alpha / h^alpha to O(n^-2)
+        sample = region_boundary(wt.FBDF1, 0.5, 0.1, n_theta=4096)
+        far = np.argmax(np.abs(sample.boundary))
+        assert abs(sample.theta[far]) == pytest.approx(math.pi - math.pi / 4096)
+        assert abs(sample.boundary[far]) == pytest.approx(2 ** 0.5 / 0.1 ** 0.5, rel=1e-7)
 
     def test_theta_zero_excluded(self):
-        sample = region_boundary(wt.FBDF2, 0.5, 0.1, n_theta=128)
-        assert np.min(np.abs(sample.theta)) > 0.0
-        with pytest.raises(ValueError):
-            boundary_point(wt.FBDF1, 0.5, 0.1, 0.0)
+        for n_theta in (8, 128, 2050):
+            sample = region_boundary(wt.FBDF2, 0.5, 0.1, n_theta=n_theta)
+            assert np.min(np.abs(sample.theta)) > 0.0
+
+    def test_f_omega_divergence_at_one(self):
+        # F_omega diverges at z = 1, and an odd grid -pi + 2 pi (j + 1/2) / n
+        # would sample theta = 0 at j = (n - 1) / 2: it is rejected
+        for n_theta in (9, 255):
+            with pytest.raises(ValueError, match=f"n_theta must be even.* got {n_theta}"):
+                region_boundary(wt.L1, 0.5, 0.1, n_theta=n_theta)
+
+    @pytest.mark.parametrize("n_theta", [6, 7, 0])
+    def test_small_grid_rejected(self, n_theta):
+        with pytest.raises(ValueError, match=f"n_theta .* got {n_theta}"):
+            region_boundary(wt.FBDF1, 0.5, 0.1, n_theta=n_theta)
 
     def test_backward_euler_circle_at_alpha_one(self):
         # alpha = 1: boundary points satisfy |1 - h lambda| = 1
@@ -160,48 +173,64 @@ class TestRegionBoundary:
         assert np.max(np.abs(np.abs(1 - h * sample.boundary) - 1.0)) < 1e-10
 
     def test_l1_against_weight_series(self):
-        alpha, h, theta = 0.5, 0.1, math.pi / 2
-        val = boundary_point(wt.L1, alpha, h, theta)
-        w = wt.l1_weights(alpha, 20000)
-        got = wt.generating_fn_eval(w, "mu", cmath.exp(1j * theta))
-        assert abs(val - got.value / h ** alpha) <= (got.tail_bound + 1e-10) / h ** alpha
+        # boundary = F_mu(e^{i theta}) / h^alpha; the L1 mu_j (j >= 1) are
+        # negative and shrink in magnitude, so the tail of the partial sum over
+        # M terms is at most 2 |mu_M| / |1 - z| (Dirichlet test)
+        alpha, h = 0.5, 0.1
+        sample = region_boundary(wt.L1, alpha, h, n_theta=8)
+        mu = wt.l1_weights(alpha, 20001).mu
+        assert np.all(mu[1:] < 0.0) and np.all(np.diff(mu[1:]) > 0.0)
+        z = np.exp(1j * sample.theta)
+        partial = np.polyval(mu[-2::-1], z)
+        tail = 2.0 * abs(mu[-1]) / np.abs(1.0 - z)
+        assert np.all(np.abs(sample.boundary - partial / h ** alpha) <= (tail + 1e-10) / h ** alpha)
 
     def test_l1_finite_everywhere(self):
         sample = region_boundary(wt.L1, 0.7, 0.1, n_theta=64)
         assert np.all(np.isfinite(sample.boundary.real))
         assert np.all(np.isfinite(sample.boundary.imag))
 
-    def test_f_omega_divergence_at_one(self):
-        with pytest.raises(ZeroDivisionError):
-            f_omega_closed(wt.FBDF1, 0.5, 1.0)
-
     @pytest.mark.parametrize("scheme", A_STABLE)
     def test_closed_form_against_omega_series(self, scheme):
-        alpha = 0.6
-        w = wt.scheme_weights(scheme, alpha, 600)
-        for theta in (0.3, 1.7, -2.9):
-            z = 0.9 * cmath.exp(1j * theta)
-            got = wt.generating_fn_eval(w, "omega", z)
-            assert abs(f_omega_closed(scheme, alpha, z) - got.value) <= got.tail_bound + 1e-12
+        # F_omega(z) = 1 / (h^alpha boundary) against its weight series on
+        # |z| = 1.  For j >= M the omega_j are positive with differences
+        # d_j = omega_j - omega_{j+1} > 0 and e_j = d_j - d_{j+1} > 0 that
+        # decrease, so summing the tail by parts three times gives
+        #   sum_{j>=M} omega_j z^j = omega_M z^M / (1 - z)
+        #                            - d_M z^(M+1) / (1 - z)^2 + E,
+        #   |E| <= 2 e_M / |1 - z|^3     (Dirichlet test on the e_j).
+        alpha, h, M = 0.6, 0.1, 4000
+        sample = region_boundary(scheme, alpha, h, n_theta=16)
+        omega = wt.scheme_weights(scheme, alpha, M + 3).omega
+        late = omega[M // 2:]
+        assert np.all(late > 0) and np.all(np.diff(late) < 0)
+        assert np.all(np.diff(late, 2) > 0) and np.all(np.diff(late, 3) < 0)
+        d = -np.diff(omega[M:])
+        e = -np.diff(d)
+        z = np.exp(1j * sample.theta)
+        series = (np.polyval(omega[M - 1::-1], z) + omega[M] * z ** M / (1.0 - z)
+                  - d[0] * z ** (M + 1) / (1.0 - z) ** 2)
+        bound = 2.0 * e[0] / np.abs(1.0 - z) ** 3
+        assert np.all(np.abs(1.0 / (h ** alpha * sample.boundary) - series) <= bound + 1e-12)
 
     @pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
     def test_bad_step_size_rejected(self, h):
         with pytest.raises(ValueError, match="step size"):
             region_boundary(wt.FBDF1, 0.5, h, n_theta=16)
-        with pytest.raises(ValueError, match="step size"):
-            boundary_point(wt.L1, 0.5, h, 1.0)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
 def test_l1_against_polylog_closed_form(alpha):
-    # the double-precision Li_{alpha-1} against mpmath.polylog, on the unit
-    # circle and inside it (Bose-Einstein series), and at |z| < 1/2 (power series)
-    for r in (1.0, 0.9, 0.3):
-        for theta in (0.05, 1.0, 2.5, math.pi, -1.7):
-            z = r * cmath.exp(1j * theta)
-            li = complex(mpmath.polylog(alpha - 1.0, z))
-            ref = math.gamma(2.0 - alpha) * z / ((1.0 - z) ** 2 * li)
-            assert abs(f_omega_closed(wt.L1, alpha, z) - ref) <= 1e-13 * abs(ref)
+    # the double-precision Bose-Einstein sum of Li_{alpha-1} against
+    # mpmath.polylog on the unit circle, at theta = +-pi/128 (next to the
+    # divergence at z = 1) up to +-(pi - pi/128)
+    h = 1.0  # boundary = 1 / F_omega
+    sample = region_boundary(wt.L1, alpha, h, n_theta=128)
+    for k in (0, 20, 63, 64, 65, 80, 100, 127):
+        z = cmath.exp(1j * sample.theta[k])
+        li = complex(mpmath.polylog(alpha - 1.0, z))
+        ref = math.gamma(2.0 - alpha) * z / ((1.0 - z) ** 2 * li)
+        assert abs(1.0 / sample.boundary[k] - ref) <= 1e-13 * abs(ref)
 
 
 def test_l1_region_without_extended_precision(monkeypatch):
@@ -219,6 +248,12 @@ class TestClassification:
         assert classify_problem(problems.scalar_test(0.1, alpha=0.5)).verdict == "stable"
         assert classify_problem(problems.scalar_test(0.0, alpha=0.5)).verdict == "critical"
         assert classify_problem(problems.scalar_test(-0.1, alpha=0.5)).verdict == "unstable"
+
+    def test_alpha_one(self):
+        # alpha = 1 is the classical ODE: the sector is the open left half-plane
+        assert classify_problem(problems.scalar_test(10.0, alpha=1.0)).verdict == "unstable"
+        stable = FOdeProblem(alpha=1.0, A=np.array([[-1.0 + 5j]]), y0=np.array([1.0]))
+        assert classify_problem(stable).verdict == "stable"
 
     def test_lorenz_with_and_without_control(self):
         alpha = 0.9

@@ -325,6 +325,11 @@ class TestUsageErrors:
         ("solve", "--scheme", "fbdf1", "--h", "0.1", "--t-end", "5", "--checkpoints", "2,nan"),
         ("solve", "--scheme", "fbdf1", "--h", "0.1", "--t-end", "5", "--checkpoints", "1,,2"),
         ("resolvent", "--scheme", "alpha_diff", "--h", "0.1", "--n-max", "0"),
+        ("region", "--scheme", "l1", "--n-theta", "9", "--svg"),
+        ("solve", "--problem", "advection", "--a", "inf", "--scheme", "fbdf1", "--h", "0.1",
+         "--n-steps", "20"),
+        ("solve", "--problem", "advection", "--D", "inf", "--scheme", "fbdf1", "--h", "0.1",
+         "--n-steps", "20"),
     ])
     def test_rejected_before_any_output(self, tmp_path, capsys, argv):
         assert cli.main([*argv, "--alpha", "0.5", "--out", str(tmp_path / "out")]) == 2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,14 @@ class TestAdvectionDiffusion:
             problems.advection_diffusion(n_x=3)
         with pytest.raises(ValueError):
             problems.advection_diffusion(n_x=10, D=-1.0)
+
+    @pytest.mark.parametrize("a, D, name", [
+        (math.inf, 5.0, "advection speed a"), (math.nan, 5.0, "advection speed a"),
+        (0.1, math.inf, "diffusion coefficient D"), (0.1, math.nan, "diffusion coefficient D"),
+        (0.1, 0.0, "diffusion coefficient D")])
+    def test_non_finite_coefficients_rejected(self, a, D, name):
+        with pytest.raises(ValueError, match=name):
+            problems.advection_diffusion(a, D, n_x=8)
 
 
 class TestLorenz:

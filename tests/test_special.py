@@ -18,7 +18,6 @@ from mlstab.special import (
     in_stable_sector,
     matrix_function,
     mittag_leffler,
-    ml_asymptotic,
     prabhakar,
     reciprocal_gamma,
     resolvent_matrix,
@@ -90,7 +89,7 @@ class TestMittagLeffler:
         for x in (0.5, 3.0, 7.0, 18.0, 39.0):
             assert abs(mittag_leffler(-x, 0.5) - erfcx(x)) <= 1e-12 * erfcx(x)
 
-    def test_large_negative_argument_both_branches(self):
+    def test_large_negative_argument_both_branches(self, ml_asymptotic):
         # exact value via 1/sqrt(pi) + z e^{z^2} erfc(-z) at z = -100
         with mpmath.workdps(50):
             ref = complex(1 / mpmath.sqrt(mpmath.pi)
@@ -193,10 +192,10 @@ class TestMittagLeffler:
                 special._tables.clear()
                 fresh.append(mittag_leffler(z, 0.6, beta, rtol=1e-11))
             special._tables.clear()
-            ref = ml_asymptotic(-30.0, 0.6, beta, 5)
+            ref = special._asymptotic(-30.0 + 0j, 0.6, beta, 1e-11, n_max=5)
             grown = [mittag_leffler(z, 0.6, beta, rtol=1e-11) for z in zs[::-1]][::-1]
             assert grown == fresh
-            assert ml_asymptotic(-30.0, 0.6, beta, 5) == ref
+            assert special._asymptotic(-30.0 + 0j, 0.6, beta, 1e-11, n_max=5) == ref
             assert len(special._tables) == 1
 
     def test_table_store_is_bounded(self, monkeypatch):
@@ -319,7 +318,7 @@ class TestResolventMatrix:
         R = resolvent_matrix(np.array([[lam]]), alpha, beta, t)
         assert R[0, 0] == t ** (beta - 1) * mittag_leffler(t ** alpha * lam, alpha, beta)
 
-    def test_longtime_decay_against_expansion(self):
+    def test_longtime_decay_against_expansion(self, ml_asymptotic):
         lam, alpha, t = 1 + 11j, 0.5, 1e4
         R = resolvent_matrix(np.array([[lam]]), alpha, 1.0, t)
         leading = -1.0 / (lam * math.gamma(1 - alpha)) * t ** -alpha
@@ -355,6 +354,14 @@ class TestStableSector:
             res = in_stable_sector(-1.0, alpha)
             assert res.in_sector
             assert res.margin == pytest.approx(math.pi - alpha * math.pi / 2)
+
+    def test_alpha_one_is_the_left_half_plane(self):
+        assert not in_stable_sector(1 + 11j, 1.0).in_sector
+        res = in_stable_sector(-1.0, 1.0)
+        assert res.in_sector and res.margin == pytest.approx(math.pi / 2)
+        for alpha in (0.0, 1.5):
+            with pytest.raises(ValueError, match="alpha"):
+                in_stable_sector(-1.0, alpha)
 
     def test_zero_is_critical(self):
         res = in_stable_sector(0.0, 0.5)

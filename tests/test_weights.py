@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import mpmath
 import numpy as np
@@ -58,8 +57,8 @@ class TestConvInverse:
     def test_scalar(self):
         assert np.allclose(wt.conv_inverse([2.0], 4), [0.5, 0, 0, 0], atol=1e-16)
 
-    def test_fbdf1_inverse_is_negative_power(self):
-        mu = wt.fbdf1_recursion(0.5, 400)
+    def test_fbdf1_inverse_is_negative_power(self, fbdf1_recursion):
+        mu = fbdf1_recursion(0.5, 400)
         omega = wt.conv_inverse(mu, 400)
         ref = wt.miller_power([1.0, -1.0], -0.5, 400)
         assert np.max(np.abs(omega - ref)) < 1e-13
@@ -105,10 +104,10 @@ class TestFbdfWeights:
         w = wt.scheme_weights(wt.FBDF1, 0.5, 4)
         assert np.allclose(w.mu, [1.0, -0.5, -0.125, -0.0625], atol=1e-15)
 
-    def test_miller_matches_recursion(self):
+    def test_miller_matches_recursion(self, fbdf1_recursion):
         for alpha in (0.3, 0.5, 0.9):
             w = wt.scheme_weights(wt.FBDF1, alpha, 1000)
-            rec = wt.fbdf1_recursion(alpha, 1000)
+            rec = fbdf1_recursion(alpha, 1000)
             assert np.max(np.abs(w.mu - rec)) < 1e-13
 
     def test_fbdf1_sign_pattern(self):
@@ -199,10 +198,10 @@ class TestAlphaDiffKernel:
                for n in range(12)]
         assert np.allclose(k, ref, rtol=1e-13)
 
-    def test_alpha_diff_weights_match_fbdf1(self):
+    def test_alpha_diff_weights_match_fbdf1(self, fbdf1_recursion):
         # the kernel differences are the (1-z)^alpha binomials
         w = wt.alpha_diff_weights(0.4, 200)
-        assert np.max(np.abs(w.mu - wt.fbdf1_recursion(0.4, 200))) < 1e-13
+        assert np.max(np.abs(w.mu - fbdf1_recursion(0.4, 200))) < 1e-13
         assert w.omega is None
 
 
@@ -262,36 +261,3 @@ class TestSchemeTables:
         with pytest.raises(ValueError, match="not an F-LMM"):
             wt.generating_pair(scheme, 0.5)
 
-
-class TestGeneratingFnEval:
-    def test_fbdf1_at_zero_and_half(self):
-        w = wt.scheme_weights(wt.FBDF1, 0.5, 2048)
-        assert wt.generating_fn_eval(w, "mu", 0.0).value == 1.0
-        got = wt.generating_fn_eval(w, "mu", 0.5)
-        assert abs(got.value - math.sqrt(0.5)) <= got.tail_bound + 1e-12
-
-    def test_l1_against_polylog_closed_form(self):
-        alpha, z = 0.5, 0.9
-        w = wt.l1_weights(alpha, 800)
-        got = wt.generating_fn_eval(w, "mu", z)
-        li = complex(mpmath.polylog(alpha - 1.0, z))
-        ref = (1.0 / math.gamma(2 - alpha)) * ((1 - z) ** 2 / z) * li
-        assert abs(got.value - ref) <= got.tail_bound + 1e-12
-
-    def test_l1_tail_bound_on_circle(self):
-        w = wt.l1_weights(0.5, 4096)
-        got = wt.generating_fn_eval(w, "mu", 1j)
-        assert math.isfinite(got.tail_bound)
-
-    def test_divergence_warning_on_circle(self):
-        w = wt.scheme_weights(wt.FBDF1, 0.5, 64)
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            got = wt.generating_fn_eval(w, "mu", -1.0)
-        assert got.tail_bound == math.inf
-        assert any("tail" in str(r.message) for r in rec)
-
-    def test_missing_table(self):
-        w = wt.alpha_diff_weights(0.5, 16)
-        with pytest.raises(ValueError):
-            wt.generating_fn_eval(w, "omega", 0.3)
