@@ -198,7 +198,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    cells = tables.reproduce(args.table, m=args.m, tolerance=args.tolerance)
+    N, entries = tables._run_size(args.table, args.m)
+    with _allocation(f"--m {args.m} ({N} steps)", entries):
+        cells = tables.reproduce(args.table, m=args.m, tolerance=args.tolerance)
     meta = _meta_line(cmd="reproduce", table=args.table.upper(), m=args.m)
     path = _write(args.out, f"reproduce_{args.table.upper()}.csv",
                   meta + tables.results_to_csv(cells))

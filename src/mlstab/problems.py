@@ -42,6 +42,8 @@ __all__ = [
 
 def scalar_test(b: float, y0: complex = 5.0, alpha: float = 0.5) -> FOdeProblem:
     """Scalar problem D^alpha y = (1 + (1+b) i) y, y(0) = y0 (default 5)."""
+    if not math.isfinite(b):
+        raise ValueError(f"scalar-test parameter b must be finite, got {b}")
     lam = 1.0 + (1.0 + b) * 1j
     return FOdeProblem(alpha=alpha, A=np.array([[lam]]), y0=np.array([y0]))
 
@@ -101,7 +103,13 @@ LORENZ_K = np.array([[0.0, -10.0, 0.0]])
 
 
 def _lorenz_f(t: float, y: np.ndarray) -> np.ndarray:
-    return np.array([0.0, -y[0] * y[2], y[0] * y[1]], dtype=complex)
+    """The quadratic terms (0, -y1 y3, y1 y2) of a state (3,), or of each row
+    of a stack (B, 3) of states (solver.solve_cells)."""
+    y1, y2, y3 = y.T
+    out = np.zeros((3,) + y.shape[:-1], dtype=complex)
+    out[1] = -y1 * y3
+    out[2] = y1 * y2
+    return out.T
 
 
 def lorenz_controlled(with_control: bool = True, alpha: float = 0.5) -> FOdeProblem:

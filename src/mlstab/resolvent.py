@@ -111,8 +111,9 @@ def impulse_resolvent(scheme_id: str, A, alpha: float, h: float, n_max: int) -> 
     A = _check_matrix(A)
     d = A.shape[0]
     w = wt.scheme_weights(scheme_id, alpha, n_max + 2)
-    dn, _ = _run(w, A, alpha, h, n_max, np.eye(d, dtype=complex))
-    forced, _ = _run(w, A, alpha, h, n_max + 1, np.zeros((d, d), dtype=complex), impulse=True)
+    [(dn, _)] = _run([(w, alpha, None)], A, h, n_max, np.eye(d, dtype=complex))
+    [(forced, _)] = _run([(w, alpha, None)], A, h, n_max + 1, np.zeros((d, d), dtype=complex),
+                         impulse=True)
     return ResolventSequence(scheme_id, alpha, h, n_max, dn, forced[1:])
 
 

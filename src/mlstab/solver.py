@@ -45,7 +45,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -60,6 +60,7 @@ __all__ = [
     "BLOWUP_FACTOR",
     "solve",
     "solve_alpha_diff",
+    "solve_cells",
 ]
 
 
@@ -123,8 +124,7 @@ class FOdeProblem:
     f_vanishes_at_zero: bool = field(init=False, default=True)
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        _check_alpha(self.alpha)
         self.A = _check_matrix(self.A)
         self.y0 = np.atleast_1d(np.asarray(self.y0, dtype=complex))
         if self.y0.shape != (self.A.shape[0],):
@@ -189,32 +189,35 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
 
 
 class _ImplicitStep:
-    """Solves M y = rhs + cf * f(t, y) with constant M, inverted once.
+    """Solves M_b y_b = rhs_b + cf_b f(t, y_b) for the runs b of a batch, with
+    constant M_b, inverted once.
 
-    M = c0 I - h^alpha w A folds the linear part exactly; its inverse is
-    formed once by np.linalg.inv, as in the chord iteration (scipy's LU
-    wakes the second thread of scipy's own BLAS, which then spins through
-    the run); a singular or non-finite M raises SingularStepError.  A
-    linear step (f None) is one real product Minv_r @ rhs with the real
-    form Minv_r of M^{-1}: M^{-1} itself when M is real, else its (2 d) x
-    (2 d) form acting on (re, im) row pairs (_real_matrix); rhs is a state
-    in the same real rows, (r,) or (r, d).  f is handled on complex
-    vectors by the chord (simplified Newton) iteration: the
-    forward-difference Jacobian J = M - cf df/dy (relative step 1e-7) is
-    formed and inverted at the step's first iterate and kept while the
-    iteration contracts.  It is formed again after an iterate whose step
-    ||delta_k|| exceeds half the step before it, or 0.1 max(||y_k||, 1),
-    so that far from the root the iteration is full Newton.  The iteration
-    stops once ||delta_k|| <= 1e-12 + 1e-12 ||y_k||; a singular Jacobian,
-    a non-finite iterate or 50 iterations without convergence raise
-    NonConvergenceError.
+    M, (B, d, d), stacks the step matrices M_b = c0_b I - h^alpha_b w_b A,
+    which fold the linear part exactly, and cf, (B,), their h^alpha_b; an
+    unbatched (d, d) M with a scalar cf acts as one run.  The inverses are
+    formed once by np.linalg.inv, as in the chord iteration (scipy's LU wakes
+    the second thread of scipy's own BLAS, which then spins through the
+    run); a singular or non-finite M_b raises SingularStepError.  A linear
+    step (f None) is one real product with Minv_r, the stacked real forms of
+    M_b^{-1}: M_b^{-1} itself when M is real, else its (2 d) x (2 d) form
+    acting on (re, im) row pairs (_real_matrix); rhs holds the states in the
+    same real rows, (B, r) or (B, r, d).  f is handled on the complex (B, d)
+    states by the chord (simplified Newton) iteration, each run on its own:
+    the forward-difference Jacobian J_b = M_b - cf_b df/dy (relative step
+    1e-7) is formed and inverted at the run's first iterate and kept while
+    its iteration contracts.  It is formed again after an iterate whose step
+    ||delta_k|| exceeds half the step before it, or 0.1 max(||y_k||, 1), so
+    that far from the root the iteration is full Newton.  A run stops once
+    ||delta_k|| <= 1e-12 + 1e-12 ||y_k||, and its state is frozen while the
+    others iterate on; a singular Jacobian, a non-finite iterate or 50
+    iterations without convergence of every run raise NonConvergenceError.
+    f sees a (d,) vector when B = 1 and the (B, d) stack of states else.
     """
 
-    def __init__(self, M: np.ndarray, cf: float, f: Callable | None):
+    def __init__(self, M: np.ndarray, cf, f: Callable | None):
         self.M = M
-        self.cf = cf
+        self.cf = np.asarray(cf)[..., None, None]  # broadcast over (B, d, 1) columns
         self.f = f
-        self.dim = M.shape[0]
         singular = SingularStepError("singular implicit step matrix")
         try:
             Minv = np.linalg.inv(M)
@@ -223,53 +226,91 @@ class _ImplicitStep:
         if not (np.all(np.isfinite(M)) and np.all(np.isfinite(Minv))):
             raise singular
         self.Minv_r = Minv if M.dtype == float else _real_matrix(Minv)
+        if f is not None:  # the iterate and its step, as (B, d, 1) columns, for advance
+            self._work = np.empty((2,) + M.shape[:-1] + (1,), dtype=complex)
+            self._work_rows = self._work.view(float).reshape(2 * len(M), -1)
 
-    def advance(self, rhs: np.ndarray, t: float, guess: np.ndarray, step: int) -> np.ndarray:
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Minv_r applied to states in real rows: vectors (B, r) or matrices (B, r, d)."""
+        if rhs.ndim < self.Minv_r.ndim:
+            return (self.Minv_r @ rhs[..., None])[..., 0]
+        return self.Minv_r @ rhs
+
+    def advance(self, rhs: np.ndarray, t: float, guess: np.ndarray, step: int,
+                live: list[int] | None = None) -> np.ndarray:
+        """The states of step `step` from rhs; with f, only the runs listed
+        in `live` (every run by default) iterate, the others keep their guess."""
         if self.f is None:
-            return self.Minv_r @ rhs
-        y = guess.copy()
+            return self.solve(rhs)
+        f, M, cf = self.f, self.M, self.cf
+        y, delta = self._work
+        B = len(y)
+        one = B == 1  # f takes the (d,) vector of a single run
+        y[..., 0] = guess
+        rhs = rhs[..., None]
+        runs = list(range(B)) if live is None else live  # the runs still iterating
+        fresh = runs  # the runs whose Jacobian is formed at this iterate
         Jinv = None
-        nd_prev = math.inf
+        nd_prev = [math.inf] * B
         for _ in range(_NEWTON_MAXIT):
-            fy = np.asarray(self.f(t, y))
-            if Jinv is None:
+            fy = np.asarray(f(t, y[0, :, 0] if one else y[..., 0]))
+            if fresh:
+                J = M - cf * self._fd_jacobian(t, y[..., 0], fy, one)
                 try:
-                    Jinv = np.linalg.inv(self.M - self.cf * self._fd_jacobian(t, y, fy))
+                    if len(fresh) == B:
+                        Jinv = np.linalg.inv(J)
+                    else:
+                        if Jinv is None:
+                            Jinv = np.zeros(M.shape, dtype=complex)
+                        Jinv[fresh] = np.linalg.inv(J[fresh])
                 except np.linalg.LinAlgError:
                     break
-            delta = Jinv @ (self.M @ y - rhs - self.cf * fy)
-            y = y - delta
-            ny = _norm(y)
-            if _non_finite(y, ny):  # no iteration recovers from a nan or inf iterate
-                raise _no_convergence(step)
-            nd = _norm(delta)
-            if math.isfinite(ny) and nd <= _NEWTON_ATOL + _NEWTON_RTOL * ny:
-                return y
-            if nd > _CHORD_RATE * nd_prev or nd > _CHORD_JUMP * max(ny, 1.0):
-                Jinv = None
-            nd_prev = nd
+            np.matmul(Jinv, M @ y - rhs - cf * fy[..., None], out=delta)
+            if len(runs) < B:
+                delta[[b for b in range(B) if b not in runs]] = 0.0  # y - 0 is y
+            y -= delta
+            norms = _norms(self._work_rows)  # the iterates, then the steps
+            going, fresh = [], []
+            for b in runs:
+                ny, nd = norms[b], norms[B + b]
+                if not math.isfinite(ny):
+                    if not np.all(np.isfinite(y[b])):  # no iteration recovers from it
+                        raise _no_convergence(step)
+                elif nd <= _NEWTON_ATOL + _NEWTON_RTOL * ny:
+                    continue
+                going.append(b)
+                if nd > _CHORD_RATE * nd_prev[b] or nd > _CHORD_JUMP * max(ny, 1.0):
+                    fresh.append(b)
+                nd_prev[b] = nd
+            runs = going
+            if not runs:
+                return y[..., 0]  # a view of the work array: the caller stores it
         raise _no_convergence(step)
 
-    def _fd_jacobian(self, t: float, y: np.ndarray, fy: np.ndarray) -> np.ndarray:
-        J = np.empty((self.dim, self.dim), dtype=complex)
-        for j in range(self.dim):
-            dy = _FD_REL_STEP * max(abs(y[j]), 1.0)
-            yp = y.copy()
-            yp[j] += dy
-            J[:, j] = (np.asarray(self.f(t, yp)) - fy) / dy
-        return J
+    def _fd_jacobian(self, t: float, y: np.ndarray, fy: np.ndarray, one: bool) -> np.ndarray:
+        """df/dy at the (B, d) states y by forward differences: column j from
+        f at y + dy_j e_j, one call of f per column for the whole batch."""
+        B, d = y.shape
+        dy = _FD_REL_STEP * np.maximum(np.abs(y), 1.0)
+        Yp = np.empty((B, d, d), dtype=y.dtype)  # Yp[:, j] = y + dy_j e_j
+        Yp[:] = y[:, None]
+        Yp.reshape(B, -1)[:, ::d + 1] += dy
+        Fp = np.empty_like(Yp)
+        for j in range(d):
+            Fp[:, j] = np.asarray(self.f(t, Yp[0, j] if one else Yp[:, j]))
+        return (Fp - fy[..., None, :]).swapaxes(1, 2) / dy[:, None, :]
 
 
 def _real_matrix(P: np.ndarray) -> np.ndarray:
-    """The real (2 d) x (2 d) form of a complex d x d matrix P: it maps the
-    (re, im) row pairs of Z to those of P Z, entry (i, j) becoming the block
-    [[Re P_ij, -Im P_ij], [Im P_ij, Re P_ij]]."""
-    d = P.shape[0]
-    R = np.empty((d, 2, d, 2))
-    R[:, 0, :, 0] = R[:, 1, :, 1] = P.real
-    R[:, 0, :, 1] = -P.imag
-    R[:, 1, :, 0] = P.imag
-    return R.reshape(2 * d, 2 * d)
+    """The real (2 d) x (2 d) form of a complex d x d matrix P, or of each of a
+    stack (..., d, d): it maps the (re, im) row pairs of Z to those of P Z,
+    entry (i, j) becoming the block [[Re P_ij, -Im P_ij], [Im P_ij, Re P_ij]]."""
+    lead, d = P.shape[:-2], P.shape[-1]
+    R = np.empty(lead + (d, 2, d, 2))
+    R[..., :, 0, :, 0] = R[..., :, 1, :, 1] = P.real
+    R[..., :, 0, :, 1] = -P.imag
+    R[..., :, 1, :, 0] = P.imag
+    return R.reshape(lead + (2 * d, 2 * d))
 
 
 def _real_rows(Z: np.ndarray, real: bool) -> np.ndarray:
@@ -303,13 +344,18 @@ def _norm(v: np.ndarray) -> float:
     return nv
 
 
+def _norms(V: np.ndarray) -> list[float]:
+    """_norm of each row of the (B, k) float array V, the same value for the
+    same row: the square root of its dot product, scaled where the squares
+    overflow."""
+    nv = np.sqrt(np.vecdot(V, V)).tolist()
+    if math.inf in nv:
+        nv = [_row_norms(V[b:b + 1])[0] if n == math.inf else n for b, n in enumerate(nv)]
+    return nv
+
+
 def _no_convergence(step: int) -> NonConvergenceError:
     return NonConvergenceError(f"implicit solve did not converge at step {step}", step)
-
-
-def _non_finite(y: np.ndarray, ny: float) -> bool:
-    """Whether y holds a nan or inf entry; its norm ny is the cheap first test."""
-    return not math.isfinite(ny) and not np.all(np.isfinite(y))
 
 
 def _leaf_resolvent(Minv: np.ndarray, mu: np.ndarray, L: int) -> np.ndarray | None:
@@ -376,118 +422,182 @@ def _blocks(lo: int, hi: int):
     yield from _blocks(mid, hi)
 
 
-def _run(w: wt.SchemeWeights, A: np.ndarray, alpha: float, h: float, N: int,
-         Y0: np.ndarray, f: Callable | None = None, iv: np.ndarray | None = None,
-         z0: bool = False, impulse: bool = False,
-         guard: float | None = None) -> tuple[np.ndarray, int | None]:
+def _stacked(d: int) -> bool:
+    """Whether runs of dimension d are per-step overhead: a linear one solves
+    its leaves with resolvent products, and solve_cells steps such cells as
+    one batch."""
+    return _LEAF * d <= _LEAF_ROWS
+
+
+#: the batch's norm, less this relative margin for its rounding, bounds the
+#: norm of every run of the batch (_run).
+_BATCH_MARGIN = 1.0 - 1e-12
+
+
+def _run(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]], A: np.ndarray,
+         h: float, N: int, Y0: np.ndarray, f: Callable | None = None, z0: bool = False,
+         impulse: bool = False, guard: float | None = None
+         ) -> list[tuple[np.ndarray, int | None]]:
     """The stepping core shared by every scheme and by the impulse resolvents.
 
-    Step n solves sum_{j=0}^{n} mu_j H_{n-j} = iv_n Y0 + h^alpha (A Y_n + F_n)
-    for states Y of shape (d,) or (d, d), i.e. M Y_n = iv_n Y0 - S_n +
+    Steps a batch of B runs (w_b, alpha_b, iv_b) that share A, Y0, f, h and
+    N; each has its own weights mu_b, initial-value term iv_b (None for
+    cumsum(mu_b), that of L1 and the F-LMMs) and h^alpha_b.  Step n of run b
+    solves sum_{j=0}^{n} mu_j H_{n-j} = iv_n Y0 + h^alpha (A Y_n + F_n) for
+    states Y of shape (d,) or (d, d), i.e. M Y_n = iv_n Y0 - S_n +
     h^alpha F_n with M = mu_0 I - h^alpha A and the history sum
     S_n = sum_{m=0}^{n-1} mu_{n-m} H_m.  F_n = f(t_n, Y_n), or for impulse
     runs (f None) the unit impulse F_1 = I and F_n = 0 after.  The history is
     the states, H_m = Y_m, except H_0 = z_0 = M^{-1} (Y0 + h^alpha f(0, Y0))
-    when z0 is set (the alpha-difference "poisson" variant).  iv defaults to
-    cumsum(mu), the initial-value term of L1 and the F-LMMs.  w holds at
-    least the N + 1 weights mu_0 .. mu_N.  Returns the complex states and the
-    step at which ||Y_n|| first exceeds guard (the states end there), else
-    None.
+    when z0 is set (the alpha-difference "poisson" variant).  w_b holds at
+    least the N + 1 weights mu_0 .. mu_N.  Returns, per run, the complex
+    states and the step at which ||Y_n|| first exceeds guard (the states end
+    there), else None.  Every run is checked against the guard on its own: a
+    run that crosses it is frozen there (its rows are zeroed and it steps no
+    further) and the others run on.  A step that fails in any run raises, as
+    that run alone would.
 
-    The run is real when f is None and A and Y0 have no imaginary part: its
-    states are r = d real rows.  Every other run keeps each complex row as
-    the pair of real rows (Re, Im), r = 2 d, so that a complex vector state
-    is the float view of its complex values (Newton works on that view) and
-    the step and leaf products are real products of (2 d)-row matrices.
-    Row n of the real state array, (N + 1, r) or (N + 1, r, d), accumulates
-    the right-hand side iv_n Y0 - S_n (with the impulse) until step n
-    overwrites it with Y_n, so the history needs no array of its own.  The
-    rows start at iv_n Y0 - mu_n H_0, and the steps follow _blocks: a finished
-    half block's share of S reaches the next half through one real FFT
-    product (mu is real).  The sums are exact up to rounding and cost
-    O(N log^2 N).
+    The runs are real when f is None and A and Y0 have no imaginary part:
+    their states are r = d real rows.  Every other batch keeps each complex
+    row as the pair of real rows (Re, Im), r = 2 d, so that a complex vector
+    state is the float view of its complex values (Newton works on that
+    view) and the step and leaf products are real products of (2 d)-row
+    matrices.  The real states form one array, (N + 1, B, r) or
+    (N + 1, B, r, d), whose row n, for every run, accumulates the right-hand
+    side iv_n Y0 - S_n (with the impulse) until step n overwrites it with
+    Y_n, so the history needs no array of its own.  The rows start at
+    iv_n Y0 - mu_n H_0, and the steps follow _blocks: a finished half
+    block's share of S reaches the next half through one real FFT of the
+    half block's rows, multiplied by the table of the runs' mu spectra (mu
+    is real).  The sums are exact up to rounding and cost O(N log^2 N).
 
     When a leaf [lo, hi) starts, its rows R_n hold every history term from
-    steps before lo.  A linear run with _LEAF d <= _LEAF_ROWS then solves the
-    leaf at once, Y_{lo+i} = sum_{k<=i} G_k R_{lo+i-k} with the run's
-    discrete resolvent G (_leaf_resolvent): one product of the resolvent
-    matrix's top-left corner with the leaf's states stacked into L r rows.
-    The leaf's first row with a non-finite entry, or with a norm above
-    guard, ends the run as the same step would have.  Other runs step the
-    leaf, adding the in-leaf history directly.
+    steps before lo.  A linear batch with _stacked(d) then solves the leaf at
+    once, Y_{lo+i} = sum_{k<=i} G_k R_{lo+i-k} with each run's discrete
+    resolvent G (_leaf_resolvent): one product of the resolvent matrix's
+    top-left corner with the leaf's states stacked into L r rows.  A run's
+    first row with a non-finite entry, or with a norm above guard, ends it
+    as the same step would have.  Other batches, and a linear batch in which
+    a run's resolvent overflows, step the leaf, adding the in-leaf history
+    directly.  The products of the batch are stacked matrix products, the
+    same product for each run as for that run alone.
     """
-    mu = w.mu[:N + 1]
-    ha = h ** alpha
+    B = len(runs)
+    mus = np.stack([w.mu[:N + 1] for w, _, _ in runs])
+    ivs = np.stack([np.cumsum(mu) if iv is None else iv[:N + 1]
+                    for mu, (_, _, iv) in zip(mus, runs)])
+    has = np.array([h ** alpha for _, alpha, _ in runs])
     d = A.shape[0]
     real = f is None and not np.any(A.imag) and not np.any(Y0.imag)
-    step = _ImplicitStep(mu[0] * np.eye(d) - ha * (A.real if real else A), ha, f)
-    G = None  # the resolvent matrix of a linear run's leaves
-    if f is None and _LEAF * d <= _LEAF_ROWS:
-        with np.errstate(over="ignore", invalid="ignore"):  # None if G overflows
-            G = _leaf_resolvent(step.Minv_r, mu, min(_LEAF, N))
-    if iv is None:
-        iv = np.cumsum(mu)
-    rev = np.ascontiguousarray(mu[:0:-1])  # mu_N .. mu_1
-    mu_hat = {}  # rfft of mu per FFT length
+    eye = np.eye(d)
+    step = _ImplicitStep(mus[:, 0, None, None] * eye - has[:, None, None] * (A.real if real else A),
+                         has, f)
+    G = None  # the resolvent matrices of a linear batch's leaves
+    if f is None and _stacked(d):
+        with np.errstate(over="ignore", invalid="ignore"):  # None if a G overflows
+            Gs = [_leaf_resolvent(Minv, mu, min(_LEAF, N)) for Minv, mu in zip(step.Minv_r, mus)]
+        if all(g is not None for g in Gs):
+            G = np.stack(Gs)
+    revs = np.ascontiguousarray(mus[:, None, :0:-1])  # mu_N .. mu_1 of each run, (B, 1, N)
+    mu_hat = {}  # rfft of each run's mu per FFT length
 
     X0 = H0 = _real_rows(Y0, real)
     r = X0.shape[0]
     if z0:
-        F0 = 0.0 if f is None else ha * np.asarray(f(0.0, Y0))
-        H0 = step.Minv_r @ _real_rows(Y0 + F0, real)
-    X = np.empty((N + 1,) + X0.shape)
-    Xf = X.reshape(N + 1, -1)  # one real row per state
-    np.multiply.outer(iv[1:N + 1], X0.ravel(), out=Xf[1:])
-    Xf[1:] -= np.multiply.outer(mu[1:], H0.ravel())
+        F0 = 0.0 if f is None else np.asarray(f(0.0, Y0))
+        H0 = np.stack([Minv @ _real_rows(Y0 + ha * F0, real) for Minv, ha in zip(step.Minv_r, has)])
+    X = np.empty((N + 1, B, r, Y0.size // d))  # a vector state is one column
+    Xr = X[..., 0] if Y0.ndim == 1 else X  # the states in their own shape
+    Xf = X.reshape(N + 1, B, -1)  # one real row per state
+    Xs = Xf.swapaxes(0, 1)  # the rows of each run
+    Xm = X.reshape(N + 1, B, 1, -1)  # each run's row as a 1-row matrix
+    Xv = X.reshape(N + 1, -1)  # all runs' rows as one vector
+    np.multiply(ivs.T[1:, :, None], X0.ravel(), out=Xf[1:])
+    Xf[1:] -= mus.T[1:, :, None] * H0.reshape(-1, Xf.shape[2])
     if impulse:  # forced runs have N >= 1 steps; the real rows of I
-        X[1, ::r // d] += ha * np.eye(d)
-    X[0] = X0
-    S = X if f is None else Xf.view(complex)  # what step.advance reads and returns
+        X[1, :, ::r // d] += has[:, None, None] * eye
+    Xr[0] = X0
+    S = None if f is None else Xf.view(complex)  # the complex vector states Newton works on
+    Minv_r = step.Minv_r
+    live = list(range(B))  # the runs not yet ended
+    out: list = [None] * B
+    bound = np.finfo(float).max if guard is None else _BATCH_MARGIN * guard
+
+    def stop(b: int, n: int) -> None:
+        """End run b at step n: raise if its state there is not finite."""
+        if not np.all(np.isfinite(Xf[n, b])):
+            raise SolverError(f"non-finite state at step {n}", n)
+        out[b] = _complex_states(Xr[:n + 1, b].copy(), real), n
+        X[:, b] = 0.0
+        live.remove(b)
+
     with np.errstate(over="ignore", invalid="ignore"):  # the non-finite test names the step
         for lo, mid, hi in _blocks(1, N + 1):
             if mid is not None:
                 P = _fast_len(hi - lo)  # no wrap-around reaches rows mid..hi
                 if P not in mu_hat:
-                    mu_hat[P] = np.fft.rfft(mu[:P], P)[:, None]
+                    mu_hat[P] = np.fft.rfft(mus[:, :P], P).T[:, :, None]
                 spec = np.fft.rfft(Xf[lo:mid], P, axis=0)
                 spec *= mu_hat[P]
                 Xf[mid:hi] -= np.fft.irfft(spec, P, axis=0)[mid - lo:hi - lo]
                 continue
             if G is not None:
                 L = hi - lo
-                leaf = X[lo:hi].reshape(L * r, Xf.shape[1] // r)
-                leaf[:] = G[:L * r, :L * r] @ leaf
-                stop = ~np.isfinite(Xf[lo:hi]).all(axis=1)
-                if guard is not None:
-                    stop |= _row_norms(Xf[lo:hi]) > guard
-                n = lo + int(np.argmax(stop)) if stop.any() else None
+                leaf = Xs[:, lo:hi].reshape(B, L * r, X.shape[3])
+                Xs[:, lo:hi] = (G[:, :L * r, :L * r] @ leaf).reshape(B, L, Xf.shape[2])
+                rows = Xf[lo:hi].reshape(L * B, Xf.shape[2])
+                if guard is None:
+                    ends = ~np.isfinite(rows).all(axis=1)
+                else:  # a norm that is nan, or inf, or above guard
+                    ends = ~(_row_norms(rows) <= guard)
+                if ends.any():  # the first row of each run that ends, in step order
+                    for i in np.flatnonzero(ends):
+                        n, b = divmod(int(i), B)
+                        if b in live:
+                            stop(b, lo + n)
             else:
-                n = None
                 for m in range(lo, hi):
-                    xf = Xf[m]
-                    xf -= rev[N - m + lo:] @ Xf[lo:m]
-                    S[m] = y = step.advance(S[m], m * h, S[m - 1], m)
-                    ny = _norm(xf)
-                    if _non_finite(y, ny) or (guard is not None and ny > guard):
-                        n = m
-                        break
-            if n is not None:
-                if not np.all(np.isfinite(Xf[n])):
-                    raise SolverError(f"non-finite state at step {n}", n)
-                return _complex_states(X[:n + 1].copy(), real), n
-    return _complex_states(X, real), None
+                    Xm[m] -= revs[..., N - m + lo:] @ Xs[:, lo:m]
+                    if f is None:
+                        X[m] = Minv_r @ X[m]
+                    else:
+                        S[m] = step.advance(S[m], m * h, S[m - 1], m, live)
+                    if not _norm(Xv[m]) <= bound:  # then test each run
+                        xf, ny = Xf[m], _norms(Xf[m])
+                        for b in [b for b in live if not (np.all(np.isfinite(xf[b])) and
+                                                          (guard is None or ny[b] <= guard))]:
+                            stop(b, m)
+                        if not live:
+                            break
+            if not live:
+                return out
+    return [(_complex_states(np.ascontiguousarray(Xr[:, b]), real), None) if o is None else o
+            for b, o in enumerate(out)]
 
 
-def _trajectory(w: wt.SchemeWeights, problem: FOdeProblem, h: float, N: int,
-                iv: np.ndarray | None = None, z0: bool = False) -> Trajectory:
-    """Guarded run of `problem`, truncated (with a warning) at blow-up."""
+def _trajectories(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]],
+                  problem: FOdeProblem, h: float, N: int, z0: bool = False) -> list[Trajectory]:
+    """Guarded runs of `problem`, each truncated (with a warning) at blow-up."""
     guard = BLOWUP_FACTOR * max(_row_norms(problem.y0[None])[0], 1.0)
-    states, stop = _run(w, problem.A, problem.alpha, h, N, problem.y0, problem.f,
-                        iv=iv, z0=z0, guard=guard)
-    if stop is not None:
-        warnings.warn(f"blow-up guard triggered at step {stop}; trajectory truncated",
-                      stacklevel=3)
-    return Trajectory(h, states, w.scheme_id, problem.alpha, truncated_at=stop)
+    trajs = []
+    for (w, alpha, _), (states, stop) in zip(runs, _run(runs, problem.A, h, N, problem.y0,
+                                                          problem.f, z0=z0, guard=guard)):
+        if stop is not None:
+            warnings.warn(f"blow-up guard triggered at step {stop}; trajectory truncated",
+                          stacklevel=3)
+        trajs.append(Trajectory(h, states, w.scheme_id, alpha, truncated_at=stop))
+    return trajs
+
+
+def _scheme_run(scheme_id: str, alpha: float, N: int
+                ) -> tuple[wt.SchemeWeights, float, np.ndarray | None]:
+    """The (weights, alpha, iv) run of any scheme by id; the alpha-difference
+    scheme runs its "difference" variant."""
+    if scheme_id == wt.ALPHA_DIFF:
+        if not (0.0 < alpha < 1.0):
+            raise ValueError("alpha-difference scheme requires alpha in (0, 1)")
+        return wt.alpha_diff_weights(alpha, N + 1), alpha, np.zeros(N + 1)
+    return wt.scheme_weights(scheme_id, alpha, N + 1), alpha, None
 
 
 def solve_alpha_diff(problem: FOdeProblem, h: float, N: int,
@@ -515,11 +625,11 @@ def solve_alpha_diff(problem: FOdeProblem, h: float, N: int,
     if not (0.0 < problem.alpha < 1.0):
         raise ValueError("alpha-difference scheme requires alpha in (0, 1)")
     _check_grid(h, N)
-    w = wt.alpha_diff_weights(problem.alpha, N + 1)
     if variant == "poisson":
-        return _trajectory(w, problem, h, N, wt.alpha_diff_kernel(1.0 - problem.alpha, N + 1),
-                           z0=True)
-    return _trajectory(w, problem, h, N, np.zeros(N + 1))
+        run = (wt.alpha_diff_weights(problem.alpha, N + 1), problem.alpha,
+               wt.alpha_diff_kernel(1.0 - problem.alpha, N + 1))
+        return _trajectories([run], problem, h, N, z0=True)[0]
+    return _trajectories([_scheme_run(wt.ALPHA_DIFF, problem.alpha, N)], problem, h, N)[0]
 
 
 def solve(problem: FOdeProblem, scheme_id: str, h: float, N: int) -> Trajectory:
@@ -532,7 +642,41 @@ def solve(problem: FOdeProblem, scheme_id: str, h: float, N: int) -> Trajectory:
     if scheme_id == wt.ALPHA_DIFF:
         return solve_alpha_diff(problem, h, N)
     _check_grid(h, N)
-    return _trajectory(wt.scheme_weights(scheme_id, problem.alpha, N + 1), problem, h, N)
+    return _trajectories([_scheme_run(scheme_id, problem.alpha, N)], problem, h, N)[0]
+
+
+def solve_cells(problem: FOdeProblem, cells: Sequence[tuple[str, float]], h: float,
+                N: int) -> list[Trajectory]:
+    """Run each (scheme_id, alpha) cell on problem's A, y0 and f; problem.alpha
+    is not used.
+
+    Trajectory i is that of solve(problem with alpha_i, scheme_i, h, N), the
+    alpha-difference scheme in its "difference" variant: the same steps and
+    the same products, so the states agree to rounding (bit for bit on the
+    reference tables).  Every cell is checked, and its weights are built,
+    before any runs.  When _stacked(problem.dim), i.e. d <= 4, the cells
+    step together as one batch of the core (_run), which costs about one
+    run's Python overhead instead of one per cell: f then receives the
+    (B, d) stack of the cells' states, one row per cell, and must return
+    the stack of their values (the built-in problems index the last axis).
+    Larger problems run their cells one after another.  A cell that crosses
+    the blow-up guard is truncated with a warning, as alone, and the others
+    run on; a cell whose run fails raises the same SolverError at the same
+    step.
+    """
+    _check_grid(h, N)
+    runs = []
+    for scheme_id, alpha in cells:
+        _check_alpha(alpha)
+        runs.append(_scheme_run(wt.scheme_name(scheme_id), alpha, N))
+    if _stacked(problem.dim):
+        return _trajectories(runs, problem, h, N)
+    return [traj for run in runs for traj in _trajectories([run], problem, h, N)]
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
 
 
 def _check_matrix(A) -> np.ndarray:

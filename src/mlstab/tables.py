@@ -28,7 +28,7 @@ from typing import Callable
 
 from . import problems
 from .analysis import p_at_checkpoints
-from .solver import FOdeProblem, solve
+from .solver import FOdeProblem, Trajectory, _stacked, solve, solve_cells
 
 __all__ = ["TABLE_IDS", "CellResult", "reproduce", "results_to_csv"]
 
@@ -109,7 +109,7 @@ class _TableSpec:
     alphas: tuple[float, ...]
     checkpoints: tuple[float, ...]
     h: float
-    problem: Callable[[float], FOdeProblem]
+    problem: Callable[[], FOdeProblem]  # the cells replace its alpha
     values: dict
     tolerance: float
     asserted: Callable[[str, float, float], bool]
@@ -121,22 +121,22 @@ def _always(scheme, t, alpha):
 
 _SPECS = {
     "T2": _TableSpec("T2", ("fbdf1", "fbdf2"), _ALPHAS, _T_SCALAR, 0.1,
-                     lambda a: problems.scalar_test(b=10.0, alpha=a),
+                     lambda: problems.scalar_test(b=10.0),
                      _T2, 1e-3, _always),
     "T3": _TableSpec("T3", ("l1", "fadams2"), _ALPHAS, _T_SCALAR, 0.1,
-                     lambda a: problems.scalar_test(b=10.0, alpha=a),
+                     lambda: problems.scalar_test(b=10.0),
                      _T3, 1e-3, _always),
     "T4": _TableSpec("T4", ("l1", "fbdf1"), _ALPHAS, _T_AD, 0.01,
-                     lambda a: problems.advection_diffusion(alpha=a),
+                     lambda: problems.advection_diffusion(),
                      _T4, 1e-3, _always),
     "T5": _TableSpec("T5", ("fbdf2", "fadams2"), _ALPHAS, _T_AD, 0.01,
-                     lambda a: problems.advection_diffusion(alpha=a),
+                     lambda: problems.advection_diffusion(),
                      _T5, 1e-3, _always),
     "T6": _TableSpec("T6", ("l1", "fbdf1", "fbdf2", "fadams2"), _ALPHAS, _T_LORENZ, 0.1,
-                     lambda a: problems.lorenz_controlled(alpha=a),
+                     lambda: problems.lorenz_controlled(),
                      _T6, 5e-3, _always),
     "T7": _TableSpec("T7", ("alpha_diff",), _ALPHAS, _T_LORENZ, 0.1,
-                     lambda a: problems.lorenz_controlled(alpha=a),
+                     lambda: problems.lorenz_controlled(),
                      _T7, 5e-2, lambda s, t, a: a == 0.5),
 }
 
@@ -159,14 +159,26 @@ class CellResult:
     passed: bool
 
 
-def _run_cells(spec: _TableSpec, scheme_id: str, alpha: float, m: int) -> list[CellResult]:
-    prob = spec.problem(alpha)
-    t_max = max(spec.checkpoints)
-    N = int(round(t_max / spec.h)) + m
-    traj = solve(prob, scheme_id, spec.h, N)
-    samples = p_at_checkpoints(traj, spec.checkpoints, m=m, index_offset=-1)
+def _steps(spec: _TableSpec, m: int) -> int:
+    """The steps of each run: up to the last checkpoint, plus the index offset m."""
+    return int(round(max(spec.checkpoints) / spec.h)) + m
+
+
+def _run_size(table_id: str, m: int) -> tuple[int, int]:
+    """The steps of a reproduction's runs and the complex entries of the
+    largest state array it allocates: the stacked states of all cells when
+    solve_cells steps them together, else those of one run."""
+    spec = _SPECS[table_id.upper()]
+    N, d = _steps(spec, m), spec.problem().dim
+    cells = len(spec.schemes) * len(spec.alphas) if _stacked(d) else 1
+    return N, (N + 1) * cells * d
+
+
+def _cells(spec: _TableSpec, scheme_id: str, alpha: float, traj: Trajectory,
+           m: int) -> list[CellResult]:
+    """The reproduced cells of one (scheme, alpha) run against their references."""
     cells = []
-    for t, p in samples:
+    for t, p in p_at_checkpoints(traj, spec.checkpoints, m=m, index_offset=-1):
         expected = spec.values[scheme_id][(t, alpha)]
         asserted = spec.asserted(scheme_id, t, alpha)
         dev = abs(p - expected)
@@ -180,11 +192,14 @@ def reproduce(table_id: str, m: int = 5, max_workers: int = 1,
               tolerance: float | None = None) -> list[CellResult]:
     """Recompute one reference grid; cells come back in (t, alpha, scheme) order.
 
-    The (scheme, alpha) runs go in order in the calling thread; max_workers > 1
-    spreads them over a thread pool instead, which measured slower, as the
-    Python step loops hold the GIL.  tolerance overrides the grid's own
-    per-cell tolerance when given.  m and tolerance are checked before any
-    cell runs.
+    The (scheme, alpha) runs of a grid share the problem, h and N, and go to
+    solver.solve_cells in the calling thread: the cells of the small
+    problems (T2, T3, T6, T7) step together as one batch, those of the
+    64-mode advection problem (T4, T5) one after another.  max_workers > 1
+    instead spreads one solver.solve per cell over a thread pool, which
+    measured slower, as the Python step loops hold the GIL.  Both give the
+    same cells.  tolerance overrides the grid's own per-cell tolerance when
+    given.  m and tolerance are checked before any cell runs.
     """
     table_id = table_id.upper()
     if table_id not in _SPECS:
@@ -197,14 +212,17 @@ def reproduce(table_id: str, m: int = 5, max_workers: int = 1,
             raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance}")
         spec = replace(spec, tolerance=float(tolerance))
     jobs = [(s, a) for s in spec.schemes for a in spec.alphas]
+    N = _steps(spec, m)
+    problem = spec.problem()
     if max_workers > 1 and len(jobs) > 1:
         from concurrent.futures import ThreadPoolExecutor  # 9 ms to import: not at start-up
 
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            chunks = list(pool.map(lambda sa: _run_cells(spec, sa[0], sa[1], m), jobs))
+            trajs = list(pool.map(lambda sa: solve(replace(problem, alpha=sa[1]), sa[0],
+                                                   spec.h, N), jobs))
     else:
-        chunks = [_run_cells(spec, s, a, m) for s, a in jobs]
-    cells = [c for chunk in chunks for c in chunk]
+        trajs = solve_cells(problem, jobs, spec.h, N)
+    cells = [c for (s, a), traj in zip(jobs, trajs) for c in _cells(spec, s, a, traj, m)]
     cells.sort(key=lambda c: (c.t, c.alpha, spec.schemes.index(c.scheme_id)))
     return cells
 

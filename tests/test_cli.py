@@ -330,10 +330,23 @@ class TestUsageErrors:
          "--n-steps", "20"),
         ("solve", "--problem", "advection", "--D", "inf", "--scheme", "fbdf1", "--h", "0.1",
          "--n-steps", "20"),
+        ("solve", "--problem", "scalar", "--b", "inf", "--scheme", "fbdf1", "--h", "0.1",
+         "--n-steps", "20"),
+        ("solve", "--problem", "scalar", "--b", "nan", "--scheme", "fbdf1", "--h", "0.1",
+         "--n-steps", "20"),
     ])
     def test_rejected_before_any_output(self, tmp_path, capsys, argv):
         assert cli.main([*argv, "--alpha", "0.5", "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("b", ["inf", "nan"])
+    def test_non_finite_b_is_named(self, tmp_path, capsys, b):
+        # not "A must be finite", which names no flag
+        assert cli.main(["solve", "--problem", "scalar", "--b", b, "--scheme", "fbdf1",
+                         "--alpha", "0.5", "--h", "0.1", "--n-steps", "20",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: scalar-test parameter b must be finite, got {b}\n"
         assert not (tmp_path / "out").exists()
 
     def test_subprocess_usage_error(self, tmp_path):
@@ -465,12 +478,22 @@ class TestReproduceCommand:
         assert capsys.readouterr().err.startswith("error: m must be a positive integer")
         assert not (tmp_path / "out").exists()
 
+    def test_offset_too_large_to_allocate(self, tmp_path, capsys):
+        # numpy's MemoryError from the weight tables becomes a usage error
+        # that names --m and the steps of each run
+        m = 10 ** 12
+        assert cli.main(["reproduce", "T2", "--m", str(m), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --m {m} ({m + 5000} steps) is too large to allocate\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
     def test_bad_tolerance_rejected(self, tmp_path, capsys, monkeypatch, tolerance):
         def no_solve(*args, **kwargs):
             raise AssertionError("a cell ran before the arguments were checked")
 
         monkeypatch.setattr(cli.tables, "solve", no_solve)
+        monkeypatch.setattr(cli.tables, "solve_cells", no_solve)
         out = tmp_path / "out"
         assert cli.main(["reproduce", "T2", "--tolerance", tolerance, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: tolerance must be")

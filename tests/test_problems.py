@@ -20,6 +20,11 @@ class TestScalarTest:
     def test_custom_initial_value(self):
         assert problems.scalar_test(10.0, y0=2.5).y0[0] == 2.5
 
+    @pytest.mark.parametrize("b", [math.inf, -math.inf, math.nan])
+    def test_non_finite_b_rejected(self, b):
+        with pytest.raises(ValueError, match="scalar-test parameter b must be finite"):
+            problems.scalar_test(b)
+
 
 class TestAdvectionDiffusion:
     def test_matrices_are_circulant(self):
@@ -82,6 +87,19 @@ class TestLorenz:
     def test_nonlinearity_vanishes_at_origin(self):
         p = problems.lorenz_controlled()
         assert np.all(p.f(0.0, np.zeros(3, dtype=complex)) == 0.0)
+
+    def test_stack_of_states(self):
+        # f maps each row of a (B, 3) stack as it maps that state alone: bit
+        # for bit on real states, to rounding on complex ones (numpy's array
+        # and scalar complex products may round differently)
+        f = problems.lorenz_controlled().f
+        Y = np.random.default_rng(3).standard_normal((5, 3)) * (1 + 2j)
+        for stack in (Y.real.astype(complex), Y):
+            F = f(0.0, stack)
+            assert F.shape == (5, 3) and F.dtype == complex
+            for b in range(5):
+                np.testing.assert_allclose(F[b], f(0.0, stack[b]), rtol=1e-15, atol=0.0)
+        assert all(np.array_equal(f(0.0, Y.real)[b], f(0.0, Y.real[b])) for b in range(5))
 
     def test_quadratic_terms(self):
         p = problems.lorenz_controlled()

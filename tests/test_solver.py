@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -22,6 +23,7 @@ from mlstab.solver import (
     _blocks,
     solve,
     solve_alpha_diff,
+    solve_cells,
 )
 
 SCHEMES = (wt.FBDF1, wt.FBDF2, wt.FADAMS2, wt.L1)
@@ -513,7 +515,8 @@ class TestLeafProducts:
             assert traj.states.dtype == complex
             if rows == 1:
                 assert not traj.states.imag.any()
-        assert steps and all(s.Minv_r.shape == (rows * d, rows * d) for s in steps)
+        # a single run is a batch of one: its inverses stack to (1, r, r)
+        assert steps and all(s.Minv_r.shape == (1, rows * d, rows * d) for s in steps)
         assert all(s.Minv_r.dtype == float for s in steps)
 
     @settings(max_examples=80, deadline=None)
@@ -588,6 +591,81 @@ class TestLeafProducts:
         _assert_close(r.D, forced[1:])
         if real:
             assert not r.d.imag.any() and not r.D.imag.any()
+
+
+class TestCells:
+    # solve_cells steps the cells of a problem with d <= 4 as one batch; each
+    # cell must come out as its own solve would have it
+
+    @staticmethod
+    def _solo(problem, cells, h, N):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the blow-up guard's
+            return [solve(dataclasses.replace(problem, alpha=a), s, h, N) for s, a in cells]
+
+    @pytest.mark.parametrize("f", [None, lambda t, y: 1e-3 * y], ids=["linear", "nonlinear"])
+    def test_truncating_cells_stop_at_their_solo_step(self, f):
+        # lambda = 1 + i lies in the sector only for alpha < 1/2: the cells
+        # with alpha > 1/2 grow past the guard, each at its own step, and the
+        # others run to N; linear cells solve their leaves by products,
+        # nonlinear ones step them
+        p = FOdeProblem(0.5, np.array([[1 + 1j]]), np.array([5.0]), f=f)
+        cells = [(wt.FBDF1, 0.3), (wt.FBDF1, 0.6), (wt.L1, 0.9), (wt.FBDF2, 0.4),
+                 (wt.ALPHA_DIFF, 0.7), (wt.FADAMS2, 0.3)]
+        solo = self._solo(p, cells, 0.1, 1500)
+        with pytest.warns(UserWarning, match="blow-up") as record:
+            batch = solve_cells(p, cells, 0.1, 1500)
+        stops = [t.truncated_at for t in solo]
+        assert stops[0] is stops[3] is stops[5] is None and None not in stops[1:3] + stops[4:5]
+        assert [t.truncated_at for t in batch] == stops
+        assert sorted(str(w.message) for w in record) == sorted(
+            f"blow-up guard triggered at step {n}; trajectory truncated" for n in stops if n)
+        for got, ref in zip(batch, solo):
+            assert got.states.shape == ref.states.shape
+            assert np.max(np.abs(got.states - ref.states)) <= 1e-12 * np.max(ref.norms())
+
+    def test_failing_cell_fails_the_batch_at_its_step(self):
+        # uncontrolled Lorenz at h = 0.012: F-BDF1 fails at step 1 alone
+        # (problems.lorenz_controlled), the other two cells run through
+        p = problems.lorenz_controlled(False)
+        cells = [(wt.FBDF2, 0.5), (wt.FBDF1, 0.5), (wt.L1, 0.3)]
+        solo = self._solo(p, cells[::2], 0.012, 50)
+        assert all(t.truncated_at is None for t in solo)
+        with pytest.raises(NonConvergenceError, match="at step 1$"):
+            self._solo(p, cells[1:2], 0.012, 50)
+        with pytest.raises(NonConvergenceError, match="at step 1$") as info:
+            solve_cells(p, cells, 0.012, 50)
+        assert info.value.step == 1
+
+    def test_vector_f_runs_alone(self):
+        # an f written for (d,) vectors: solve hands it one state, and so
+        # does solve_cells for a single cell or for d > 4
+        def vector_only(f):
+            def g(t, y):
+                assert y.ndim == 1
+                return f(t, y)
+            return g
+
+        p = problems.lorenz_controlled(alpha=0.5)
+        q = dataclasses.replace(p, f=vector_only(p.f))
+        ref = solve(p, wt.FBDF2, 0.1, 200)
+        assert np.array_equal(solve(q, wt.FBDF2, 0.1, 200).states, ref.states)
+        assert np.array_equal(solve_cells(q, [(wt.FBDF2, 0.5)], 0.1, 200)[0].states, ref.states)
+        wide = FOdeProblem(0.5, -np.eye(5), np.ones(5), f=vector_only(lambda t, y: -y ** 3))
+        cells = [(wt.FBDF1, 0.5), (wt.L1, 0.7)]
+        for got, ref in zip(solve_cells(wide, cells, 0.1, 100), self._solo(wide, cells, 0.1, 100)):
+            assert np.array_equal(got.states, ref.states)
+
+    @pytest.mark.parametrize("cell, message", [
+        ((wt.FBDF1, 1.5), "alpha must lie in"), ((wt.ALPHA_DIFF, 1.0), "requires alpha in"),
+        (("bdf9", 0.5), "unknown scheme")])
+    def test_cells_checked_before_any_run(self, monkeypatch, cell, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a cell ran before the cells were checked")
+
+        monkeypatch.setattr(slv, "_run", no_run)
+        with pytest.raises(ValueError, match=message):
+            solve_cells(problems.scalar_test(10.0), [(wt.L1, 0.5), cell], 0.1, 100)
 
 
 class TestTrajectory:
