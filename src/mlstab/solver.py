@@ -45,7 +45,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -645,33 +645,38 @@ def solve(problem: FOdeProblem, scheme_id: str, h: float, N: int) -> Trajectory:
     return _trajectories([_scheme_run(scheme_id, problem.alpha, N)], problem, h, N)[0]
 
 
-def solve_cells(problem: FOdeProblem, cells: Sequence[tuple[str, float]], h: float,
-                N: int) -> list[Trajectory]:
+def solve_cells(problem: FOdeProblem, cells: Sequence[tuple[str, float]], h: float, N: int,
+                reduce: Callable[[Trajectory], Any] | None = None) -> list:
     """Run each (scheme_id, alpha) cell on problem's A, y0 and f; problem.alpha
     is not used.
 
-    Trajectory i is that of solve(problem with alpha_i, scheme_i, h, N), the
-    alpha-difference scheme in its "difference" variant: the same steps and
-    the same products, so the states agree to rounding (bit for bit on the
-    reference tables).  Every cell is checked, and its weights are built,
+    Returns the trajectories in cell order, or reduce(trajectory) of each
+    when reduce is given.  Trajectory i is that of solve(problem with
+    alpha_i, scheme_i, h, N), the alpha-difference scheme in its
+    "difference" variant: the same steps and the same products, so the
+    states agree to rounding (bit for bit on the reference tables, whose
+    states are real).  Every cell is checked, and its weights are built,
     before any runs.  When _stacked(problem.dim), i.e. d <= 4, the cells
     step together as one batch of the core (_run), which costs about one
     run's Python overhead instead of one per cell: f then receives the
-    (B, d) stack of the cells' states, one row per cell, and must return
-    the stack of their values (the built-in problems index the last axis).
-    Larger problems run their cells one after another.  A cell that crosses
-    the blow-up guard is truncated with a warning, as alone, and the others
-    run on; a cell whose run fails raises the same SolverError at the same
-    step.
+    (B, d) stack of the cells' states, one row per cell, and must return the
+    stack of their values (the built-in problems index the last axis).
+    Larger problems run their cells one after another, and with reduce only
+    one of their trajectories is held at a time.  A cell that crosses the
+    blow-up guard is truncated with a warning, as alone, and the others run
+    on; a cell whose run fails raises the same SolverError at the same step.
     """
     _check_grid(h, N)
     runs = []
     for scheme_id, alpha in cells:
         _check_alpha(alpha)
         runs.append(_scheme_run(wt.scheme_name(scheme_id), alpha, N))
-    if _stacked(problem.dim):
-        return _trajectories(runs, problem, h, N)
-    return [traj for run in runs for traj in _trajectories([run], problem, h, N)]
+    out = []
+    for batch in [runs] if _stacked(problem.dim) else [[run] for run in runs]:
+        trajs = _trajectories(batch, problem, h, N)
+        out += trajs if reduce is None else map(reduce, trajs)
+        del trajs  # before the next batch runs
+    return out
 
 
 def _check_alpha(alpha: float) -> None:

@@ -174,9 +174,9 @@ def _run_size(table_id: str, m: int) -> tuple[int, int]:
     return N, (N + 1) * cells * d
 
 
-def _cells(spec: _TableSpec, scheme_id: str, alpha: float, traj: Trajectory,
-           m: int) -> list[CellResult]:
+def _cells(spec: _TableSpec, traj: Trajectory, m: int) -> list[CellResult]:
     """The reproduced cells of one (scheme, alpha) run against their references."""
+    scheme_id, alpha = traj.scheme_id, traj.alpha
     cells = []
     for t, p in p_at_checkpoints(traj, spec.checkpoints, m=m, index_offset=-1):
         expected = spec.values[scheme_id][(t, alpha)]
@@ -214,15 +214,19 @@ def reproduce(table_id: str, m: int = 5, max_workers: int = 1,
     jobs = [(s, a) for s in spec.schemes for a in spec.alphas]
     N = _steps(spec, m)
     problem = spec.problem()
+
+    def cells_of(traj: Trajectory) -> list[CellResult]:  # keeps no trajectory alive
+        return _cells(spec, traj, m)
+
     if max_workers > 1 and len(jobs) > 1:
         from concurrent.futures import ThreadPoolExecutor  # 9 ms to import: not at start-up
 
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            trajs = list(pool.map(lambda sa: solve(replace(problem, alpha=sa[1]), sa[0],
-                                                   spec.h, N), jobs))
+            chunks = list(pool.map(lambda sa: cells_of(solve(replace(problem, alpha=sa[1]),
+                                                             sa[0], spec.h, N)), jobs))
     else:
-        trajs = solve_cells(problem, jobs, spec.h, N)
-    cells = [c for (s, a), traj in zip(jobs, trajs) for c in _cells(spec, s, a, traj, m)]
+        chunks = solve_cells(problem, jobs, spec.h, N, reduce=cells_of)
+    cells = [c for chunk in chunks for c in chunk]
     cells.sort(key=lambda c: (c.t, c.alpha, spec.schemes.index(c.scheme_id)))
     return cells
 
