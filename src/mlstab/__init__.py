@@ -31,7 +31,7 @@ from .weights import (
     miller_power,
     conv_inverse,
 )
-from .solver import FOdeProblem, Trajectory, solve, solve_alpha_diff
+from .solver import FOdeProblem, Trajectory, solve, solve_alpha_diff, solve_cells
 from .resolvent import ResolventSequence, impulse_resolvent, poisson_resolvent, verify_resolvent_decay
 from .analysis import p_index, p_at_checkpoints, region_boundary, classify_problem, perturbation_check
 from . import problems, tables
@@ -53,6 +53,7 @@ __all__ = [
     "Trajectory",
     "solve",
     "solve_alpha_diff",
+    "solve_cells",
     "ResolventSequence",
     "impulse_resolvent",
     "poisson_resolvent",

@@ -1,10 +1,13 @@
 """Time-stepping engine for semi-linear Caputo fractional ODEs.
 
 Advances D^alpha y = A y + f(t, y), y(0) = y0, on the uniform grid t_n = n h.
-There are two entry points: `solve` runs any scheme by id, and
-`solve_alpha_diff` chooses the alpha-difference variant.  Every scheme is one
-discrete convolution with the weights mu of its generating function F_mu, and
-one core (`_run`) steps them all through the same equation
+There are three entry points: `solve` runs any scheme by id,
+`solve_alpha_diff` chooses the alpha-difference variant, and `solve_cells`
+runs the (scheme, alpha) cells of one problem, those of a small problem
+together as one batch.  Every scheme is one discrete convolution with the
+weights mu of its generating function F_mu, and one core (`_run`) steps them
+all, a batch of runs at a time (a batch of one for `solve`), through the same
+equation
 
     sum_{j=0}^{n} mu_j y_{n-j} = iv_n y_0 + h^alpha (A y_n + f_n),   n >= 1,
 
@@ -13,22 +16,24 @@ F-LMMs, zero for the alpha-difference "difference" variant and k^(1-alpha)
 for its "poisson" variant (which also replaces y_0 inside the sum by z_0, see
 solve_alpha_diff).  Every step solves a linear system with the constant matrix
 M = mu_0 I - h^alpha A, whose inverse is formed once per run with
-np.linalg.inv.  A run is real when f is None and A and y0 are real (the
-impulse resolvents of a real A too): it steps d real rows.  Every other run
-steps each complex row of its states as a pair of real rows (Re, Im), and its
-complex matrices act through their real (2 d) x (2 d) forms, so every product
-and FFT of the core is real; the complex states are returned as before.  The
-nonlinear part is handled on complex vectors by the chord (simplified Newton)
-iteration: one finite-difference Jacobian per step, formed again only after
-an iterate that contracts by less than half or moves by more than a tenth of
-the state; a step the iteration cannot solve raises NonConvergenceError.
-The history sums follow the divide-and-conquer schedule of Hairer, Lubich &
-Schlichte (1985, SIAM J. Sci. Stat. Comput. 6:532): direct sums inside
-blocks of at most 64 steps, one real FFT product per pair of neighbouring
-half blocks, O(N log^2 N) in total and exact up to rounding.  The products
-go through numpy.fft (the same pocketfft as scipy.fft) at 5-smooth lengths
-(_fast_len), so stepping loads no scipy.  A linear run
-(f None) of small dimension (_LEAF d <= _LEAF_ROWS, i.e. d <= 4) solves each
+np.linalg.inv (stacked over the runs of a batch).  A run is real when f is
+None and A and y0 are real (the impulse resolvents of a real A too): it steps
+d real rows.  Every other run steps each complex row of its states as a pair
+of real rows (Re, Im), and its complex matrices act through their real
+(2 d) x (2 d) forms, so every product and FFT of the core is real; the
+complex states are returned as before.  The nonlinear part is handled on
+complex vectors by the chord (simplified Newton) iteration, for each run of
+a batch on its own: one finite-difference Jacobian per step, formed again
+only after an iterate that contracts by less than half or moves by more than
+a tenth of the state; a step the iteration cannot solve raises
+NonConvergenceError.  The history sums follow the divide-and-conquer schedule
+of Hairer, Lubich & Schlichte (1985, SIAM J. Sci. Stat. Comput. 6:532):
+direct sums inside blocks of at most 64 steps, one real FFT product per pair
+of neighbouring half blocks (one FFT for a whole batch, multiplied by each
+run's mu spectrum), O(N log^2 N) in total and exact up to rounding.  The
+products go through numpy.fft (the same pocketfft as scipy.fft) at 5-smooth
+lengths (_fast_len), so stepping loads no scipy.  A linear run (f None) of
+small dimension (_stacked: _LEAF d <= _LEAF_ROWS, i.e. d <= 4) solves each
 leaf at once, with one product of the block Toeplitz matrix of its own
 discrete resolvent, the coefficients of (M + sum_{j>=1} mu_j z^j)^{-1};
 larger and nonlinear runs step the leaf one step at a time.  The same core
@@ -95,9 +100,11 @@ _CHORD_JUMP = 0.1
 #: steps per leaf of the block history schedule (_blocks); leaves sum directly.
 _LEAF = 64
 #: a linear run of dimension d solves its leaves by one product with the
-#: (_LEAF d) x (_LEAF d) resolvent matrix when _LEAF * d <= _LEAF_ROWS.  On
-#: F-BDF2 runs of 5000 steps (2-CPU Xeon) the product was 3x faster than
-#: stepping the leaf at d = 1, 2x faster at d = 4 and 2x slower at d = 16.
+#: (_LEAF d) x (_LEAF d) resolvent matrix when _LEAF * d <= _LEAF_ROWS
+#: (_stacked), and solve_cells steps the cells of such a problem as one
+#: batch.  On F-BDF2 runs of 5000 steps (2-CPU Xeon) the product was 3x
+#: faster than stepping the leaf at d = 1, 2x faster at d = 4 and 2x slower
+#: at d = 16.
 _LEAF_ROWS = 256
 #: the smallest norm whose square is a normal float.
 _TINY_NORM = math.sqrt(np.finfo(float).tiny)
@@ -108,10 +115,14 @@ class FOdeProblem:
     """A Caputo fractional ODE D^alpha y = A y + f(t, y), y(0) = y0.
 
     f is None for homogeneous (linear) problems, else a callable
-    (t, y) -> vector.  A and y0 are stored complex and trajectories are
-    complex; A may carry complex entries (the scalar test problem uses a
-    complex eigenvalue directly).  The solver steps a linear problem with
-    real A and y0 in real arithmetic, and f on complex vectors.
+    (t, y) -> vector.  solve hands f one complex state vector y of shape
+    (d,); solve_cells, when it steps the cells of a problem with d <= 4 as
+    one batch, hands f the (B, d) stack of their states and expects the
+    (B, d) stack of values, so an f used there must act along the last
+    axis.  A and y0 are stored complex and trajectories are complex; A may
+    carry complex entries (the scalar test problem uses a complex
+    eigenvalue directly).  The solver steps a linear problem with real A
+    and y0 in real arithmetic, and f on complex vectors.
     For the stability experiments f(t, 0) = 0 is expected; a violation at
     t = 0 is flagged with a warning and recorded in `f_vanishes_at_zero`.
     """
@@ -193,21 +204,21 @@ class _ImplicitStep:
     constant M_b, inverted once.
 
     M, (B, d, d), stacks the step matrices M_b = c0_b I - h^alpha_b w_b A,
-    which fold the linear part exactly, and cf, (B,), their h^alpha_b; an
-    unbatched (d, d) M with a scalar cf acts as one run.  The inverses are
-    formed once by np.linalg.inv, as in the chord iteration (scipy's LU wakes
-    the second thread of scipy's own BLAS, which then spins through the
-    run); a singular or non-finite M_b raises SingularStepError.  A linear
-    step (f None) is one real product with Minv_r, the stacked real forms of
-    M_b^{-1}: M_b^{-1} itself when M is real, else its (2 d) x (2 d) form
-    acting on (re, im) row pairs (_real_matrix); rhs holds the states in the
-    same real rows, (B, r) or (B, r, d).  f is handled on the complex (B, d)
-    states by the chord (simplified Newton) iteration, each run on its own:
-    the forward-difference Jacobian J_b = M_b - cf_b df/dy (relative step
-    1e-7) is formed and inverted at the run's first iterate and kept while
-    its iteration contracts.  It is formed again after an iterate whose step
-    ||delta_k|| exceeds half the step before it, or 0.1 max(||y_k||, 1), so
-    that far from the root the iteration is full Newton.  A run stops once
+    which fold the linear part exactly, and cf, (B,), their h^alpha_b; a
+    linear step also takes a (d, d) M and states without the batch axis.
+    The inverses are formed once by np.linalg.inv, as in the chord iteration
+    (scipy's LU wakes the second thread of scipy's own BLAS, which then spins
+    through the run); a singular or non-finite M_b raises SingularStepError.
+    A linear step (f None) is one real product with Minv_r, the stacked real
+    forms of M_b^{-1}: M_b^{-1} itself when M is real, else its (2 d) x (2 d)
+    form acting on (re, im) row pairs (_real_matrix); rhs holds the states in
+    the same real rows, (B, r) or (B, r, d).  f is handled on the complex
+    (B, d) states by the chord (simplified Newton) iteration, each run on its
+    own: the forward-difference Jacobian J_b = M_b - cf_b df/dy (relative
+    step 1e-7) is formed and inverted at the run's first iterate and kept
+    while its iteration contracts.  It is formed again after an iterate whose
+    step ||delta_k|| exceeds half the step before it, or 0.1 max(||y_k||, 1),
+    so that far from the root the iteration is full Newton.  A run stops once
     ||delta_k|| <= 1e-12 + 1e-12 ||y_k||, and its state is frozen while the
     others iterate on; a singular Jacobian, a non-finite iterate or 50
     iterations without convergence of every run raise NonConvergenceError.
@@ -230,18 +241,14 @@ class _ImplicitStep:
             self._work = np.empty((2,) + M.shape[:-1] + (1,), dtype=complex)
             self._work_rows = self._work.view(float).reshape(2 * len(M), -1)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Minv_r applied to states in real rows: vectors (B, r) or matrices (B, r, d)."""
-        if rhs.ndim < self.Minv_r.ndim:
-            return (self.Minv_r @ rhs[..., None])[..., 0]
-        return self.Minv_r @ rhs
-
     def advance(self, rhs: np.ndarray, t: float, guess: np.ndarray, step: int,
                 live: list[int] | None = None) -> np.ndarray:
         """The states of step `step` from rhs; with f, only the runs listed
         in `live` (every run by default) iterate, the others keep their guess."""
-        if self.f is None:
-            return self.solve(rhs)
+        if self.f is None:  # vectors (B, r) or matrices (B, r, d) in real rows
+            if rhs.ndim < self.Minv_r.ndim:
+                return (self.Minv_r @ rhs[..., None])[..., 0]
+            return self.Minv_r @ rhs
         f, M, cf = self.f, self.M, self.cf
         y, delta = self._work
         B = len(y)
@@ -348,7 +355,7 @@ def _norms(V: np.ndarray) -> list[float]:
     """_norm of each row of the (B, k) float array V, the same value for the
     same row: the square root of its dot product, scaled where the squares
     overflow."""
-    nv = np.sqrt(np.vecdot(V, V)).tolist()
+    nv = np.sqrt(np.matmul(V[:, None], V[..., None]).ravel()).tolist()
     if math.inf in nv:
         nv = [_row_norms(V[b:b + 1])[0] if n == math.inf else n for b, n in enumerate(nv)]
     return nv
@@ -462,14 +469,15 @@ def _run(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]], A: n
     row as the pair of real rows (Re, Im), r = 2 d, so that a complex vector
     state is the float view of its complex values (Newton works on that
     view) and the step and leaf products are real products of (2 d)-row
-    matrices.  The real states form one array, (N + 1, B, r) or
-    (N + 1, B, r, d), whose row n, for every run, accumulates the right-hand
-    side iv_n Y0 - S_n (with the impulse) until step n overwrites it with
-    Y_n, so the history needs no array of its own.  The rows start at
-    iv_n Y0 - mu_n H_0, and the steps follow _blocks: a finished half
-    block's share of S reaches the next half through one real FFT of the
-    half block's rows, multiplied by the table of the runs' mu spectra (mu
-    is real).  The sums are exact up to rounding and cost O(N log^2 N).
+    matrices.  The real states form one array, (N + 1, B, r, 1) (a vector
+    state is one column) or (N + 1, B, r, d), whose row n, for every run,
+    accumulates the right-hand side iv_n Y0 - S_n (with the impulse) until
+    step n overwrites it with Y_n, so the history needs no array of its own.
+    The rows start at iv_n Y0 - mu_n H_0, and the steps follow _blocks: a
+    finished half block's share of S reaches the next half through one real
+    FFT of the half block's rows, multiplied by the table of the runs' mu
+    spectra (mu is real).  The sums are exact up to rounding and cost
+    O(N log^2 N).
 
     When a leaf [lo, hi) starts, its rows R_n hold every history term from
     steps before lo.  A linear batch with _stacked(d) then solves the leaf at

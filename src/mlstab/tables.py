@@ -22,6 +22,7 @@ same convention.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -174,7 +175,7 @@ def _run_size(table_id: str, m: int) -> tuple[int, int]:
     return N, (N + 1) * cells * d
 
 
-def _cells(spec: _TableSpec, traj: Trajectory, m: int) -> list[CellResult]:
+def _cells(spec: _TableSpec, m: int, traj: Trajectory) -> list[CellResult]:
     """The reproduced cells of one (scheme, alpha) run against their references."""
     scheme_id, alpha = traj.scheme_id, traj.alpha
     cells = []
@@ -214,10 +215,7 @@ def reproduce(table_id: str, m: int = 5, max_workers: int = 1,
     jobs = [(s, a) for s in spec.schemes for a in spec.alphas]
     N = _steps(spec, m)
     problem = spec.problem()
-
-    def cells_of(traj: Trajectory) -> list[CellResult]:  # keeps no trajectory alive
-        return _cells(spec, traj, m)
-
+    cells_of = functools.partial(_cells, spec, m)
     if max_workers > 1 and len(jobs) > 1:
         from concurrent.futures import ThreadPoolExecutor  # 9 ms to import: not at start-up
 
