@@ -212,7 +212,7 @@ class _ImplicitStep:
     A linear step (f None) is one real product with Minv_r, the stacked real
     forms of M_b^{-1}: M_b^{-1} itself when M is real, else its (2 d) x (2 d)
     form acting on (re, im) row pairs (_real_matrix); rhs holds the states in
-    the same real rows, (B, r) or (B, r, d).  f is handled on the complex
+    the same real rows, (B, r, 1) or (B, r, d).  f is handled on the complex
     (B, d) states by the chord (simplified Newton) iteration, each run on its
     own: the forward-difference Jacobian J_b = M_b - cf_b df/dy (relative
     step 1e-7) is formed and inverted at the run's first iterate and kept
@@ -245,9 +245,7 @@ class _ImplicitStep:
                 live: list[int] | None = None) -> np.ndarray:
         """The states of step `step` from rhs; with f, only the runs listed
         in `live` (every run by default) iterate, the others keep their guess."""
-        if self.f is None:  # vectors (B, r) or matrices (B, r, d) in real rows
-            if rhs.ndim < self.Minv_r.ndim:
-                return (self.Minv_r @ rhs[..., None])[..., 0]
+        if self.f is None:  # states in real rows, (B, r, 1) or (B, r, d); _run inlines this
             return self.Minv_r @ rhs
         f, M, cf = self.f, self.M, self.cf
         y, delta = self._work
@@ -566,7 +564,7 @@ def _run(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]], A: n
             else:
                 for m in range(lo, hi):
                     Xm[m] -= revs[..., N - m + lo:] @ Xs[:, lo:m]
-                    if f is None:
+                    if f is None:  # step.advance, without a call per step
                         X[m] = Minv_r @ X[m]
                     else:
                         S[m] = step.advance(S[m], m * h, S[m - 1], m, live)
@@ -680,7 +678,7 @@ def solve_cells(problem: FOdeProblem, cells: Sequence[tuple[str, float]], h: flo
         _check_alpha(alpha)
         runs.append(_scheme_run(wt.scheme_name(scheme_id), alpha, N))
     out = []
-    for batch in [runs] if _stacked(problem.dim) else [[run] for run in runs]:
+    for batch in [runs] if runs and _stacked(problem.dim) else [[run] for run in runs]:
         trajs = _trajectories(batch, problem, h, N)
         out += trajs if reduce is None else map(reduce, trajs)
         del trajs  # before the next batch runs

@@ -667,6 +667,9 @@ class TestCells:
         with pytest.raises(ValueError, match=message):
             solve_cells(problems.scalar_test(10.0), [(wt.L1, 0.5), cell], 0.1, 100)
 
+    def test_no_cells(self):
+        assert solve_cells(problems.lorenz_controlled(), [], 0.1, 10) == []
+
 
 class TestTrajectory:
     def test_grid_and_norms(self):
