@@ -36,8 +36,13 @@ lengths (_fast_len), so stepping loads no scipy.  A linear run (f None) of
 small dimension (_stacked: _LEAF d <= _LEAF_ROWS, i.e. d <= 4) solves each
 leaf at once, with one product of the block Toeplitz matrix of its own
 discrete resolvent, the coefficients of (M + sum_{j>=1} mu_j z^j)^{-1};
-larger and nonlinear runs step the leaf one step at a time.  The same core
-steps the (d, d) matrix states of the impulse resolvents
+larger and nonlinear runs step the leaf one step at a time.  Before any run,
+a real linear problem with d > 4 is stepped in the orthonormal real
+eigenbasis of A when its y0 excites at most 4 rows of modes there (_modes):
+the modes it drops carry coordinates at the rounding level and eigenvalues
+the schemes keep bounded, so the reduced run, mapped back, agrees with the
+stepped one to rounding (the 64-mode advection grids keep 2 rows).  The
+same core steps the (d, d) matrix states of the impulse resolvents
 (resolvent.impulse_resolvent).
 
 All schemes are self-starting and no initial-layer correction terms are used;
@@ -55,6 +60,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import weights as wt
+from .special import in_stable_sector
 
 __all__ = [
     "FOdeProblem",
@@ -108,6 +114,9 @@ _LEAF = 64
 _LEAF_ROWS = 256
 #: the smallest norm whose square is a normal float.
 _TINY_NORM = math.sqrt(np.finfo(float).tiny)
+#: _row_norms squares at most this many entries at once: forming the squares
+#: of a whole 64-mode trajectory at once took 10 MB beside its 5 MB states.
+_NORM_BLOCK = 1 << 15
 
 
 @dataclass
@@ -188,8 +197,11 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     its largest entry first: only a row with an inf entry, or a norm beyond
     the float range, has norm inf, and only a zero row has norm 0."""
     X = X.reshape(len(X), -1)
+    step = max(1, _NORM_BLOCK // max(X.shape[1], 1))  # rows whose squares are formed at once
+    norms = np.empty(len(X))
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(X, axis=1)
+        for i in range(0, len(X), step):
+            norms[i:i + step] = np.linalg.norm(X[i:i + step], axis=1)
         rows = np.flatnonzero((norms == np.inf) | (norms < _TINY_NORM))
         if rows.size:
             m = np.max(np.abs(X[rows]), axis=1)
@@ -209,10 +221,11 @@ class _ImplicitStep:
     The inverses are formed once by np.linalg.inv, as in the chord iteration
     (scipy's LU wakes the second thread of scipy's own BLAS, which then spins
     through the run); a singular or non-finite M_b raises SingularStepError.
-    A linear step (f None) is one real product with Minv_r, the stacked real
-    forms of M_b^{-1}: M_b^{-1} itself when M is real, else its (2 d) x (2 d)
-    form acting on (re, im) row pairs (_real_matrix); rhs holds the states in
-    the same real rows, (B, r, 1) or (B, r, d).  f is handled on the complex
+    A linear step (f None) is one real product with Minv_r, which _run applies
+    itself: Minv_r stacks the real forms of M_b^{-1}, M_b^{-1} itself when M
+    is real, else its (2 d) x (2 d) form acting on (re, im) row pairs
+    (_real_matrix), and the states sit in the same real rows, (B, r, 1) or
+    (B, r, d).  f is handled on the complex
     (B, d) states by the chord (simplified Newton) iteration, each run on its
     own: the forward-difference Jacobian J_b = M_b - cf_b df/dy (relative
     step 1e-7) is formed and inverted at the run's first iterate and kept
@@ -243,10 +256,9 @@ class _ImplicitStep:
 
     def advance(self, rhs: np.ndarray, t: float, guess: np.ndarray, step: int,
                 live: list[int] | None = None) -> np.ndarray:
-        """The states of step `step` from rhs; with f, only the runs listed
-        in `live` (every run by default) iterate, the others keep their guess."""
-        if self.f is None:  # states in real rows, (B, r, 1) or (B, r, d); _run inlines this
-            return self.Minv_r @ rhs
+        """The states of step `step` of a nonlinear batch from rhs; only the
+        runs listed in `live` (every run by default) iterate, the others keep
+        their guess."""
         f, M, cf = self.f, self.M, self.cf
         y, delta = self._work
         B = len(y)
@@ -564,7 +576,7 @@ def _run(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]], A: n
             else:
                 for m in range(lo, hi):
                     Xm[m] -= revs[..., N - m + lo:] @ Xs[:, lo:m]
-                    if f is None:  # step.advance, without a call per step
+                    if f is None:
                         X[m] = Minv_r @ X[m]
                     else:
                         S[m] = step.advance(S[m], m * h, S[m - 1], m, live)
@@ -581,18 +593,138 @@ def _run(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]], A: n
             for b, o in enumerate(out)]
 
 
+#: the real eigenbasis W of a linear problem is used only when
+#: ||W^T W - I||_max stays within this (_modes).  The 64-mode advection
+#: matrix reaches 7.0e-11: its conjugate pairs are near-degenerate.
+_BASIS_TOL = 1e-8
+#: the modes _modes drops carry coordinates whose norms sum to at most this
+#: share of ||y0||, the rounding level of the stepped run.
+_DROP_RTOL = 1e-12
+
+
+def _modes(A: np.ndarray, y0: np.ndarray, alpha: float
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The few modes a real initial state y0 excites in the orthonormal real
+    eigenbasis of a real A: (W, L, x), with W the (d, k) kept columns of the
+    basis, L their real (k, k) eigenvalue blocks and x the coordinates of y0
+    on them, or None when the problem must step as it is.
+
+    From A's eigenpairs (np.linalg.eig), each real eigenvalue lambda gives
+    the column v, each conjugate pair with Im lambda > 0 the columns
+    sqrt(2) Re v and sqrt(2) Im v, on which A acts as the block
+    [[Re lambda, Im lambda], [-Im lambda, Re lambda]].  A normal A has such a
+    W orthonormal; the basis is used only when ||W^T W - I||_max <= 1e-8.
+    The coordinates of y0 are x = W^{-1} y0 (np.linalg.solve).  A mode, one
+    block of x, is dropped only when both hold:
+    - its lambda lies strictly inside the sector |arg lambda| > alpha pi/2
+      at the largest alpha of the runs, or within the zero floor
+      1e-9 max(1, ||A||_2) of analysis.classify_problem (||A||_2 is the
+      largest |lambda| of a normal A);
+    - the norms of all dropped blocks sum to at most 1e-12 ||y0||
+      (the smallest droppable blocks go first).
+    None when eig raises, the basis fails the test, or more than 4 rows
+    (_stacked) or no row would be kept.
+
+    Why a dropped mode stays at the rounding level: each block steps as its
+    own scalar equation D^alpha u = lambda u, whose discrete solution u_n is
+    that of the scheme at h^alpha lambda.  The image of the closed unit disk
+    under every scheme's F_mu lies in the closed sector
+    |arg z| <= alpha pi/2 (L1 and the F-LMMs are strongly A-stable; the
+    alpha-difference scheme has the F-BDF1 mu), so for a lambda strictly
+    outside it u_n is bounded and decays like t^-alpha (t^(-1-alpha) under
+    the alpha-difference "difference" variant): the paper's theorem.  For a
+    zero lambda u_n is constant, or decays under the "difference" variant.
+    The dropped part of every state is therefore at most
+    1e-12 ||y0|| max_{j,n} |u_n(lambda_j) / u_0|, the size of the rounding
+    the stepped run makes.  A mode outside the sector, or on its edge, is
+    kept whatever its coordinate: rounding there can grow.
+    """
+    d = len(y0)
+    try:
+        w, V = np.linalg.eig(A)
+    except np.linalg.LinAlgError:
+        return None
+    upper = w.imag >= 0  # a real eigenvalue, or the first of its conjugate pair
+    lams, cols, block = w[upper], [], []
+    for j, (lam, v) in enumerate(zip(lams, V[:, upper].T)):
+        cols += [math.sqrt(2.0) * v.real, math.sqrt(2.0) * v.imag] if lam.imag else [v.real]
+        block += [j] * (2 if lam.imag else 1)
+    W = np.column_stack(cols)
+    if W.shape != (d, d) or not np.max(np.abs(W.T @ W - np.eye(d))) <= _BASIS_TOL:
+        return None
+    x = np.linalg.solve(W, y0)
+    block = np.array(block)
+    size = np.sqrt(np.bincount(block, weights=x * x))
+    floor = 1e-9 * max(1.0, np.max(np.abs(lams)))  # classify_problem's: ||A||_2 of a normal A
+    free = [j for j, lam in enumerate(lams)
+            if abs(lam) <= floor or in_stable_sector(lam, alpha).in_sector]
+    free.sort(key=lambda j: size[j])
+    tol = _DROP_RTOL * np.linalg.norm(y0)
+    dropped = np.zeros(len(lams), dtype=bool)
+    dropped[[j for j, total in zip(free, np.cumsum(size[free])) if total <= tol]] = True
+    keep = np.flatnonzero(~dropped[block])
+    if not (keep.size and _stacked(keep.size)):
+        return None
+    L = np.zeros((keep.size, keep.size))
+    i = 0
+    for lam in lams[~dropped]:
+        if lam.imag:
+            L[i:i + 2, i:i + 2] = [[lam.real, lam.imag], [-lam.imag, lam.real]]
+        else:
+            L[i, i] = lam.real
+        i += 2 if lam.imag else 1
+    return W[:, keep], L, x[keep]
+
+
+def _states(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]],
+            problem: FOdeProblem, h: float, N: int, z0: bool, guard: float):
+    """Yields (run, (states, stop)) for each run of `problem` in run order,
+    as _run gives them; _trajectories drops each before the next is formed.
+
+    The runs of a small problem (_stacked(d)) step as one batch, those of a
+    larger one one after another.  A real linear problem with d > 4 whose y0
+    excites few modes (_modes) steps them instead: the runs step its k <= 4
+    kept rows as one batch, and each run's states are mapped back as
+    X W^T, real, with states[0] = y0 exactly.  A run whose modes cross the
+    blow-up guard, or whose mapped-back states do, steps again as it is, so
+    it truncates where it would have."""
+    A, y0, f, d = problem.A, problem.y0, problem.f, problem.dim
+    modes = None
+    if f is None and not _stacked(d) and not (np.any(A.imag) or np.any(y0.imag)):
+        modes = _modes(A.real, y0.real, max(alpha for _, alpha, _ in runs))
+    if modes is None:
+        for batch in [runs] if _stacked(d) else [[run] for run in runs]:
+            yield from zip(batch, _run(batch, A, h, N, y0, f, z0=z0, guard=guard))
+        return
+    W, L, x0 = modes
+    C = np.linalg.cholesky(W.T @ W)  # ||W x|| = ||C^T x||
+    for run, (X, stop) in zip(runs, _run(runs, L, h, N, x0, z0=z0, guard=guard)):
+        if stop is None and np.all(_row_norms(X.real @ C) <= guard):
+            states = np.zeros((N + 1, d), dtype=complex)
+            np.matmul(X.real, W.T, out=states.real)  # no real copy beside the states
+            states[0] = y0
+            yield run, (states, None)
+            del states  # before the next run's states are formed
+        else:
+            yield from zip([run], _run([run], A, h, N, y0, z0=z0, guard=guard))
+
+
 def _trajectories(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]],
-                  problem: FOdeProblem, h: float, N: int, z0: bool = False) -> list[Trajectory]:
-    """Guarded runs of `problem`, each truncated (with a warning) at blow-up."""
+                  problem: FOdeProblem, h: float, N: int, z0: bool = False,
+                  reduce: Callable[[Trajectory], Any] | None = None) -> list:
+    """Guarded runs of `problem` (_states), each truncated (with a warning) at
+    blow-up, in run order: the trajectories, or reduce(trajectory) of each
+    when reduce is given, made before the next run's states are formed."""
     guard = BLOWUP_FACTOR * max(_row_norms(problem.y0[None])[0], 1.0)
-    trajs = []
-    for (w, alpha, _), (states, stop) in zip(runs, _run(runs, problem.A, h, N, problem.y0,
-                                                          problem.f, z0=z0, guard=guard)):
+    out = []
+    for (w, alpha, _), (states, stop) in _states(runs, problem, h, N, z0, guard):
         if stop is not None:
             warnings.warn(f"blow-up guard triggered at step {stop}; trajectory truncated",
                           stacklevel=3)
-        trajs.append(Trajectory(h, states, w.scheme_id, alpha, truncated_at=stop))
-    return trajs
+        traj = Trajectory(h, states, w.scheme_id, alpha, truncated_at=stop)
+        out.append(traj if reduce is None else reduce(traj))
+        del states, traj
+    return out
 
 
 def _scheme_run(scheme_id: str, alpha: float, N: int
@@ -662,27 +794,27 @@ def solve_cells(problem: FOdeProblem, cells: Sequence[tuple[str, float]], h: flo
     "difference" variant: the same steps and the same products, so the
     states agree to rounding (bit for bit on the reference tables, whose
     states are real).  Every cell is checked, and its weights are built,
-    before any runs.  When _stacked(problem.dim), i.e. d <= 4, the cells
-    step together as one batch of the core (_run), which costs about one
-    run's Python overhead instead of one per cell: f then receives the
-    (B, d) stack of the cells' states, one row per cell, and must return the
-    stack of their values (the built-in problems index the last axis).
-    Larger problems run their cells one after another, and with reduce only
-    one of their trajectories is held at a time.  A cell that crosses the
-    blow-up guard is truncated with a warning, as alone, and the others run
-    on; a cell whose run fails raises the same SolverError at the same step.
+    before any runs.  Batching follows the dimension that is stepped.  When
+    _stacked(problem.dim), i.e. d <= 4, the cells step together as one
+    batch of the core (_run), which costs about one run's Python overhead
+    instead of one per cell: f then receives the (B, d) stack of the cells'
+    states, one row per cell, and must return the stack of their values
+    (the built-in problems index the last axis).  A real linear problem with
+    d > 4 whose y0 excites at most 4 rows of modes in the orthonormal
+    eigenbasis of A steps those rows, the cells as one batch, and each
+    trajectory is mapped back on its own (_states; T4 and T5 keep 2 rows of
+    their 64).  Other larger problems run their cells one after another.
+    With reduce, only one trajectory of a problem with d > 4 is held at a
+    time.  A cell that crosses the blow-up guard is truncated with a
+    warning, as alone, and the others run on; a cell whose run fails raises
+    the same SolverError at the same step.
     """
     _check_grid(h, N)
     runs = []
     for scheme_id, alpha in cells:
         _check_alpha(alpha)
         runs.append(_scheme_run(wt.scheme_name(scheme_id), alpha, N))
-    out = []
-    for batch in [runs] if runs and _stacked(problem.dim) else [[run] for run in runs]:
-        trajs = _trajectories(batch, problem, h, N)
-        out += trajs if reduce is None else map(reduce, trajs)
-        del trajs  # before the next batch runs
-    return out
+    return _trajectories(runs, problem, h, N, reduce=reduce) if runs else []
 
 
 def _check_alpha(alpha: float) -> None:

@@ -29,7 +29,7 @@ from typing import Callable
 
 from . import problems
 from .analysis import p_at_checkpoints
-from .solver import FOdeProblem, Trajectory, _stacked, solve, solve_cells
+from .solver import _LEAF, _LEAF_ROWS, FOdeProblem, Trajectory, _stacked, solve, solve_cells
 
 __all__ = ["TABLE_IDS", "CellResult", "reproduce", "results_to_csv"]
 
@@ -166,13 +166,15 @@ def _steps(spec: _TableSpec, m: int) -> int:
 
 
 def _run_size(table_id: str, m: int) -> tuple[int, int]:
-    """The steps of a reproduction's runs and the complex entries of the
-    largest state array it allocates: the stacked states of all cells when
-    solve_cells steps them together, else those of one run."""
+    """The steps of a reproduction's runs and an upper bound of the complex
+    entries of the largest state array it allocates: the stacked states of
+    all cells when solve_cells steps them together, else the larger of one
+    run's states and the stacked states of the cells when they step at most
+    4 rows each in the eigenbasis of a linear problem (solver._modes)."""
     spec = _SPECS[table_id.upper()]
     N, d = _steps(spec, m), spec.problem().dim
-    cells = len(spec.schemes) * len(spec.alphas) if _stacked(d) else 1
-    return N, (N + 1) * cells * d
+    cells = len(spec.schemes) * len(spec.alphas)
+    return N, (N + 1) * (cells * d if _stacked(d) else max(d, cells * _LEAF_ROWS // _LEAF))
 
 
 def _cells(spec: _TableSpec, m: int, traj: Trajectory) -> list[CellResult]:
@@ -195,8 +197,10 @@ def reproduce(table_id: str, m: int = 5, max_workers: int = 1,
 
     The (scheme, alpha) runs of a grid share the problem, h and N, and go to
     solver.solve_cells in the calling thread: the cells of the small
-    problems (T2, T3, T6, T7) step together as one batch, those of the
-    64-mode advection problem (T4, T5) one after another.  max_workers > 1
+    problems (T2, T3, T6, T7) step together as one batch, and so do those of
+    the 64-mode advection problem (T4, T5), as the 2 rows of the one
+    conjugate pair of modes its initial profile excites, each trajectory
+    mapped back to the 64 modes on its own.  max_workers > 1
     instead spreads one solver.solve per cell over a thread pool, which
     measured slower, as the Python step loops hold the GIL.  Both give the
     same cells.  tolerance overrides the grid's own per-cell tolerance when

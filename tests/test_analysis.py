@@ -15,6 +15,7 @@ from mlstab.analysis import (
     GROWS,
     INCONCLUSIVE,
     UnreliableTailError,
+    _f_omega,
     classify_problem,
     p_at_checkpoints,
     p_index,
@@ -134,6 +135,26 @@ class TestRegionBoundary:
         sample = region_boundary(scheme, alpha, 0.1, n_theta=256)
         args = np.abs(np.angle(sample.boundary))
         assert np.max(args) <= alpha * math.pi / 2 + 1e-6
+
+    @pytest.mark.parametrize("scheme", wt.SCHEMES)
+    def test_f_mu_stays_in_the_closed_sector(self, scheme):
+        # |arg F_mu| <= alpha pi/2 on the unit circle, so the image of the disk
+        # lies in the closed sector: an eigenvalue strictly inside
+        # |arg lambda| > alpha pi/2 is discretely stable, which lets the
+        # solver drop a mode there (solver._modes).  F-BDF2 and F-Adams2 reach
+        # alpha pi/2 as theta -> 0; below theta = 1e-6 the rounding of
+        # 1 - e^{i theta} alone moves the argument by more than 1e-9.
+        n = 4096
+        small = np.logspace(-6, -2, 50)
+        theta = np.concatenate([-math.pi + 2 * math.pi * (np.arange(n) + 0.5) / n, small, -small])
+        z = np.exp(1j * theta)
+        for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+            if scheme == wt.L1:
+                f_mu = 1.0 / _f_omega(wt.L1, alpha, z)
+            else:  # the alpha-difference scheme has the F-BDF1 mu
+                p, q = wt.generating_pair(wt.FBDF1 if scheme == wt.ALPHA_DIFF else scheme, alpha)
+                f_mu = np.polyval(p[::-1], z) ** alpha / np.polyval(q[::-1], z)
+            assert np.max(np.abs(np.angle(f_mu))) <= alpha * math.pi / 2 + 1e-9
 
     def test_fbdf1_closed_form(self):
         alpha, h = 0.5, 0.1

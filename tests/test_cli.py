@@ -480,12 +480,15 @@ class TestReproduceCommand:
 
     def test_offset_too_large_to_allocate(self, tmp_path, capsys):
         # numpy's MemoryError from the weight tables becomes a usage error
-        # that names --m and the steps of each run
+        # that names --m and the steps of each run; T4 steps its cells in
+        # the eigenbasis of the advection matrix
         m = 10 ** 12
-        assert cli.main(["reproduce", "T2", "--m", str(m), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == \
-            f"error: --m {m} ({m + 5000} steps) is too large to allocate\n"
-        assert not (tmp_path / "out").exists()
+        for table in ("T2", "T4"):
+            assert cli.main(["reproduce", table, "--m", str(m),
+                             "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == \
+                f"error: --m {m} ({m + 5000} steps) is too large to allocate\n"
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
     def test_bad_tolerance_rejected(self, tmp_path, capsys, monkeypatch, tolerance):

@@ -8,7 +8,7 @@ from conftest import _mu_form_run
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlstab import problems
+from mlstab import problems, tables
 from mlstab import solver as slv
 from mlstab import weights as wt
 from mlstab.resolvent import impulse_resolvent, poisson_resolvent
@@ -302,11 +302,11 @@ class TestLinearStep:
             step = slv._ImplicitStep(M, 0.1 ** 0.5, None)
             ref = np.linalg.solve(M, rhs)
             if field is float:
-                got = step.advance(rhs, 0.1, rhs, 1)
+                got = step.Minv_r @ rhs
                 assert step.Minv_r.shape == (d, d)
             else:  # row i of a state is rows 2i (re) and 2i + 1 (im)
                 rows = np.stack([rhs.real, rhs.imag], axis=1).reshape((2 * d,) + dims[1:])
-                out = step.advance(rows, 0.1, rows, 1)
+                out = step.Minv_r @ rows
                 got = out[0::2] + 1j * out[1::2]
                 assert step.Minv_r.shape == (2 * d, 2 * d)
             assert step.Minv_r.dtype == float
@@ -671,6 +671,90 @@ class TestCells:
         assert solve_cells(problems.lorenz_controlled(), [], 0.1, 10) == []
 
 
+def _normal_matrix(eigenvalues, seed=0):
+    """A real symmetric matrix Q diag(eigenvalues) Q^T and its orthogonal Q."""
+    d = len(eigenvalues)
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    return Q @ np.diag(eigenvalues) @ Q.T, Q
+
+
+class TestModes:
+    # a real linear problem with d > 4 steps the few modes its y0 excites in
+    # the orthonormal eigenbasis of A (slv._modes), else the problem as it is
+
+    @staticmethod
+    def _stepped(problem, run, h, N, z0=False):
+        """The states and stop of one run of the core on the problem as it is."""
+        guard = BLOWUP_FACTOR * max(np.linalg.norm(problem.y0), 1.0)
+        return slv._run([run], problem.A, h, N, problem.y0, z0=z0, guard=guard)[0]
+
+    @pytest.mark.parametrize("table", ["T4", "T5"])
+    def test_table_cells_agree_with_the_stepped_core(self, table):
+        spec = tables._SPECS[table]
+        p = spec.problem()
+        N = tables._steps(spec, 5)
+        assert slv._modes(p.A.real, p.y0.real, max(spec.alphas))[1].shape == (2, 2)
+        cells = [(s, a) for s in spec.schemes for a in spec.alphas]
+        for (s, a), traj in zip(cells, solve_cells(p, cells, spec.h, N)):
+            ref, stop = self._stepped(p, slv._scheme_run(s, a, N), spec.h, N)
+            assert stop is None and traj.truncated_at is None
+            _assert_close(traj.states, ref)
+            assert np.all(traj.states.imag == 0.0) and np.array_equal(traj.states[0], p.y0)
+
+    def test_advection_solves_agree_with_the_stepped_core(self):
+        N, h = 5005, 0.01
+        p = problems.advection_diffusion(alpha=0.7)
+        ref, _ = self._stepped(p, slv._scheme_run(wt.FBDF1, 0.7, N), h, N)
+        _assert_close(solve(p, wt.FBDF1, h, N).states, ref)
+        ref, _ = self._stepped(p, slv._scheme_run(wt.ALPHA_DIFF, 0.7, N), h, N)
+        _assert_close(solve_alpha_diff(p, h, N, "difference").states, ref)
+        poisson = (wt.alpha_diff_weights(0.7, N + 1), 0.7, wt.alpha_diff_kernel(0.3, N + 1))
+        ref, _ = self._stepped(p, poisson, h, N, z0=True)
+        _assert_close(solve_alpha_diff(p, h, N, "poisson").states, ref)
+
+    def test_problems_it_cannot_reduce_step_as_they_are(self):
+        # a random y0 excites all 64 modes; a non-normal perturbation of the
+        # advection matrix fails the basis test (||W^T W - I|| = 1.5e-4),
+        # although its y0, on one conjugate pair, would keep 2 rows
+        rng = np.random.default_rng(7)
+        adv = problems.advection_diffusion(alpha=0.5)
+        noisy = dataclasses.replace(adv, y0=rng.standard_normal(64))
+        A = adv.A.real + 1e-4 * np.triu(rng.standard_normal((64, 64)))
+        w, V = np.linalg.eig(A)
+        skew = dataclasses.replace(adv, A=A, y0=10.0 * V[:, np.argmax(w.imag)].real)
+        assert slv._modes(adv.A.real, adv.y0.real, 0.5) is not None
+        for p in (noisy, skew):
+            assert slv._modes(p.A.real, p.y0.real, 0.5) is None
+            ref, _ = self._stepped(p, slv._scheme_run(wt.FBDF2, 0.5, 1000), 0.01, 1000)
+            assert np.array_equal(solve(p, wt.FBDF2, 0.01, 1000).states, ref)
+
+    def test_mode_outside_the_sector_is_kept(self):
+        # y0 puts 5e-13 on the eigenvalue 0.5: inside the sector that mode
+        # would be dropped, outside it is kept, and by t = 20 it has grown
+        # past 1e-10, where the stepped run's own rounding has grown to
+        # about 1e-14
+        A, Q = _normal_matrix([-1.0, -2.0, -3.0, -4.0, -5.0, 0.5])
+        y0 = Q[:, 0] + 5e-13 * Q[:, 5]
+        dropped = slv._modes(_normal_matrix([-1.0, -2.0, -3.0, -4.0, -5.0, -0.5])[0], y0, 0.5)
+        assert dropped[1].shape == (1, 1)
+        _, L, x = slv._modes(A, y0, 0.5)
+        assert np.allclose(np.sort(np.diag(L)), [-1.0, 0.5]) and abs(x).min() < 1e-12
+        p = FOdeProblem(0.5, A, y0)
+        ref, _ = self._stepped(p, slv._scheme_run(wt.L1, 0.5, 200), 0.1, 200)
+        assert abs(Q[:, 5] @ ref[-1].real) > 1e-10
+        _assert_close(solve(p, wt.L1, 0.1, 200).states, ref)
+
+    def test_mode_that_blows_up_steps_again_as_it_is(self):
+        A, Q = _normal_matrix([-1.0, -2.0, -3.0, -4.0, -5.0, 2.0])
+        p = FOdeProblem(0.5, A, Q[:, 0] + Q[:, 5])
+        assert slv._modes(A, p.y0.real, 0.5)[1].shape == (2, 2)
+        ref, stop = self._stepped(p, slv._scheme_run(wt.FBDF1, 0.5, 400), 0.1, 400)
+        assert stop is not None
+        with pytest.warns(UserWarning, match=f"blow-up guard triggered at step {stop}"):
+            traj = solve(p, wt.FBDF1, 0.1, 400)
+        assert traj.truncated_at == stop and np.array_equal(traj.states, ref)
+
+
 class TestTrajectory:
     def test_grid_and_norms(self):
         p = scalar_problem()
@@ -678,6 +762,13 @@ class TestTrajectory:
         assert traj.n_steps == 8
         assert np.allclose(traj.times, 0.25 * np.arange(9))
         assert np.allclose(traj.norms(), np.abs(traj.states[:, 0]))
+
+    def test_norms_of_a_wide_trajectory(self):
+        # the norms of 64-mode states are formed a block of rows at a time,
+        # each row as numpy forms it
+        states = solve(problems.advection_diffusion(), wt.L1, 0.01, 1200).states
+        assert len(states) * 64 > slv._NORM_BLOCK
+        assert np.array_equal(slv._row_norms(states), np.linalg.norm(states, axis=1))
 
     def test_bad_grid(self):
         with pytest.raises(ValueError):

@@ -130,4 +130,5 @@ class TestBatchedCells:
     def test_run_size_counts_the_stacked_states(self):
         assert tables._run_size("t2", 5) == (5005, 5006 * 8)
         assert tables._run_size("T6", 5) == (1005, 1006 * 16 * 3)
-        assert tables._run_size("T4", 7) == (5007, 5008 * 64)  # one cell at a time
+        # one run's 64 modes outnumber the 8 cells' at most 4 eigenbasis rows each
+        assert tables._run_size("T4", 7) == (5007, 5008 * 64)
