@@ -21,7 +21,7 @@ import numpy as np
 
 from . import weights as wt
 from .resolvent import ResolventSequence, fit_final_decade, operator_norms, power_law_tail
-from .solver import FOdeProblem, Trajectory, _check_grid
+from .solver import FOdeProblem, Trajectory, _check_grid, _row_norms
 from .special import SectorResult, in_stable_sector
 
 __all__ = [
@@ -135,16 +135,19 @@ def p_at_checkpoints(traj: Trajectory, checkpoints, m: int = 5,
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    norms = traj.norms()
+    ns = [(tc, _checkpoint_index(tc, traj.h, traj.n_steps, m, index_offset))
+          for tc in checkpoints]
+    if not ns:
+        return []
+    # the norms of the window ends only, each as Trajectory.norms forms it
+    rows = np.array([n + index_offset + k for _, n in ns for k in (0, m)], dtype=int)
+    ends = _row_norms(traj.states[rows]).reshape(-1, 2)
     out = []
     skipped = 0
-    for tc in checkpoints:
-        n = _checkpoint_index(tc, traj.h, traj.n_steps, m, index_offset)
-        i = n + index_offset
-        zero = not (norms[i] > 0.0 and norms[i + m] > 0.0)
+    for (tc, n), (a, b) in zip(ns, ends):
+        zero = not (a > 0.0 and b > 0.0)
         skipped += zero
-        out.append((tc, math.nan if zero else
-                    -math.log(norms[i + m] / norms[i]) / math.log((n + m) / n)))
+        out.append((tc, math.nan if zero else -math.log(b / a) / math.log((n + m) / n)))
     if skipped:
         warnings.warn(f"{skipped} checkpoints hit zero-norm samples; p is nan there",
                       stacklevel=2)

@@ -114,9 +114,6 @@ _LEAF = 64
 _LEAF_ROWS = 256
 #: the smallest norm whose square is a normal float.
 _TINY_NORM = math.sqrt(np.finfo(float).tiny)
-#: _row_norms squares at most this many entries at once: forming the squares
-#: of a whole 64-mode trajectory at once took 10 MB beside its 5 MB states.
-_NORM_BLOCK = 1 << 15
 
 
 @dataclass
@@ -197,11 +194,8 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     its largest entry first: only a row with an inf entry, or a norm beyond
     the float range, has norm inf, and only a zero row has norm 0."""
     X = X.reshape(len(X), -1)
-    step = max(1, _NORM_BLOCK // max(X.shape[1], 1))  # rows whose squares are formed at once
-    norms = np.empty(len(X))
     with np.errstate(over="ignore"):
-        for i in range(0, len(X), step):
-            norms[i:i + step] = np.linalg.norm(X[i:i + step], axis=1)
+        norms = np.linalg.norm(X, axis=1)
         rows = np.flatnonzero((norms == np.inf) | (norms < _TINY_NORM))
         if rows.size:
             m = np.max(np.abs(X[rows]), axis=1)
@@ -614,8 +608,10 @@ def _modes(A: np.ndarray, y0: np.ndarray, alpha: float
     sqrt(2) Re v and sqrt(2) Im v, on which A acts as the block
     [[Re lambda, Im lambda], [-Im lambda, Re lambda]].  A normal A has such a
     W orthonormal; the basis is used only when ||W^T W - I||_max <= 1e-8.
-    The coordinates of y0 are x = W^{-1} y0 (np.linalg.solve).  A mode, one
-    block of x, is dropped only when both hold:
+    The coordinates of y0 are x = W^{-1} y0 (np.linalg.solve), formed, like
+    the sizes below, on y0 scaled by the power of 2 that brings max |y0|
+    into [1/2, 1), so a y0 of 1e160 or 1e-170 drops what y0 = 1 would.  A
+    mode, one block of x, is dropped only when both hold:
     - its lambda lies strictly inside the sector |arg lambda| > alpha pi/2
       at the largest alpha of the runs, or within the zero floor
       1e-9 max(1, ||A||_2) of analysis.classify_problem (||A||_2 is the
@@ -652,6 +648,8 @@ def _modes(A: np.ndarray, y0: np.ndarray, alpha: float
     W = np.column_stack(cols)
     if W.shape != (d, d) or not np.max(np.abs(W.T @ W - np.eye(d))) <= _BASIS_TOL:
         return None
+    e = int(np.frexp(np.max(np.abs(y0)))[1])
+    y0 = np.ldexp(y0, -e)  # max |y0| in [1/2, 1): the squares below neither overflow nor underflow
     x = np.linalg.solve(W, y0)
     block = np.array(block)
     size = np.sqrt(np.bincount(block, weights=x * x))
@@ -673,7 +671,7 @@ def _modes(A: np.ndarray, y0: np.ndarray, alpha: float
         else:
             L[i, i] = lam.real
         i += 2 if lam.imag else 1
-    return W[:, keep], L, x[keep]
+    return W[:, keep], L, np.ldexp(x[keep], e)
 
 
 def _states(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]],

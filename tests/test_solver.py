@@ -685,7 +685,7 @@ class TestModes:
     @staticmethod
     def _stepped(problem, run, h, N, z0=False):
         """The states and stop of one run of the core on the problem as it is."""
-        guard = BLOWUP_FACTOR * max(np.linalg.norm(problem.y0), 1.0)
+        guard = BLOWUP_FACTOR * max(slv._row_norms(problem.y0[None])[0], 1.0)
         return slv._run([run], problem.A, h, N, problem.y0, z0=z0, guard=guard)[0]
 
     @pytest.mark.parametrize("table", ["T4", "T5"])
@@ -744,6 +744,20 @@ class TestModes:
         assert abs(Q[:, 5] @ ref[-1].real) > 1e-10
         _assert_close(solve(p, wt.L1, 0.1, 200).states, ref)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-170])
+    def test_scale_of_y0_drops_the_same_modes(self, scale):
+        # the coordinates are sized on y0 scaled to max |y0| ~ 1: their
+        # squares overflow at 1e160 and underflow at 1e-170, which would
+        # drop the in-sector mode the y0 carries at O(1)
+        A, Q = _normal_matrix([-1.0, -2.0, -3.0, -4.0, -5.0, 0.5])
+        p = FOdeProblem(0.5, A, scale * (Q[:, 0] + Q[:, 5]))
+        _, L, x = slv._modes(A, p.y0.real, 0.5)
+        assert np.allclose(np.sort(np.diag(L)), [-1.0, 0.5])
+        assert np.allclose(np.abs(x) / scale, 1.0)
+        ref, stop = self._stepped(p, slv._scheme_run(wt.L1, 0.5, 200), 0.1, 200)
+        assert stop is None
+        _assert_close(solve(p, wt.L1, 0.1, 200).states / scale, ref / scale)
+
     def test_mode_that_blows_up_steps_again_as_it_is(self):
         A, Q = _normal_matrix([-1.0, -2.0, -3.0, -4.0, -5.0, 2.0])
         p = FOdeProblem(0.5, A, Q[:, 0] + Q[:, 5])
@@ -762,13 +776,6 @@ class TestTrajectory:
         assert traj.n_steps == 8
         assert np.allclose(traj.times, 0.25 * np.arange(9))
         assert np.allclose(traj.norms(), np.abs(traj.states[:, 0]))
-
-    def test_norms_of_a_wide_trajectory(self):
-        # the norms of 64-mode states are formed a block of rows at a time,
-        # each row as numpy forms it
-        states = solve(problems.advection_diffusion(), wt.L1, 0.01, 1200).states
-        assert len(states) * 64 > slv._NORM_BLOCK
-        assert np.array_equal(slv._row_norms(states), np.linalg.norm(states, axis=1))
 
     def test_bad_grid(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mlstab import tables
-from mlstab.solver import solve, solve_cells
+from mlstab.solver import _stacked, solve, solve_cells
 
 
 def no_solve(*args, **kwargs):
@@ -130,5 +130,10 @@ class TestBatchedCells:
     def test_run_size_counts_the_stacked_states(self):
         assert tables._run_size("t2", 5) == (5005, 5006 * 8)
         assert tables._run_size("T6", 5) == (1005, 1006 * 16 * 3)
-        # one run's 64 modes outnumber the 8 cells' at most 4 eigenbasis rows each
-        assert tables._run_size("T4", 7) == (5007, 5008 * 64)
+        assert tables._run_size("T4", 7) == (5007, 5008 * 64)  # one run's states
+        # which hold more than the at most 4 real eigenbasis rows of each cell
+        # that steps reduced (solver._modes)
+        for spec in tables._SPECS.values():
+            d = spec.problem().dim
+            if not _stacked(d):
+                assert len(spec.schemes) * len(spec.alphas) * 4 <= 2 * d
