@@ -23,10 +23,16 @@ of real rows (Re, Im), and its complex matrices act through their real
 (2 d) x (2 d) forms, so every product and FFT of the core is real; the
 complex states are returned as before.  The nonlinear part is handled on
 complex vectors by the chord (simplified Newton) iteration, for each run of
-a batch on its own: one finite-difference Jacobian per step, formed again
-only after an iterate that contracts by less than half or moves by more than
-a tenth of the state; a step the iteration cannot solve raises
-NonConvergenceError.  The history sums follow the divide-and-conquer schedule
+a batch on its own: each step starts from the linear predictor
+M^{-1} (rhs + h^alpha f_last), f_last the f value of the run's own last
+iterate of the step before (y_0 at the first step), with one
+finite-difference Jacobian per step, formed again only after an iterate that
+contracts by less than half or moves by more than a tenth of the state; a
+step the iteration cannot solve raises NonConvergenceError.  A batch of B > 1
+runs hands f the (k, d) stack of states it needs, k = B for an iterate and
+k = B (d + 1) for an iterate with its Jacobian's shifted states, and f
+returns their values row by row; a single run hands it one (d,) vector at a
+time.  The history sums follow the divide-and-conquer schedule
 of Hairer, Lubich & Schlichte (1985, SIAM J. Sci. Stat. Comput. 6:532):
 direct sums inside blocks of at most 64 steps, one real FFT product per pair
 of neighbouring half blocks (one FFT for a whole batch, multiplied by each
@@ -123,8 +129,9 @@ class FOdeProblem:
     f is None for homogeneous (linear) problems, else a callable
     (t, y) -> vector.  solve hands f one complex state vector y of shape
     (d,); solve_cells, when it steps the cells of a problem with d <= 4 as
-    one batch, hands f the (B, d) stack of their states and expects the
-    (B, d) stack of values, so an f used there must act along the last
+    one batch, hands f a (k, d) stack of states (the cells' iterates, and
+    for a Jacobian their shifted states too) and expects the (k, d) stack of
+    their values, row by row, so an f used there must act along the last
     axis.  A and y0 are stored complex and trajectories are complex; A may
     carry complex entries (the scalar test problem uses a complex
     eigenvalue directly).  The solver steps a linear problem with real A
@@ -221,15 +228,22 @@ class _ImplicitStep:
     (_real_matrix), and the states sit in the same real rows, (B, r, 1) or
     (B, r, d).  f is handled on the complex
     (B, d) states by the chord (simplified Newton) iteration, each run on its
-    own: the forward-difference Jacobian J_b = M_b - cf_b df/dy (relative
-    step 1e-7) is formed and inverted at the run's first iterate and kept
-    while its iteration contracts.  It is formed again after an iterate whose
+    own.  It starts from the linear predictor M_b^{-1} (rhs_b + cf_b f_b),
+    f_b the f value of run b's own final iteration of the step before, kept
+    per run so that a run of a batch steps as it would alone.  The
+    forward-difference Jacobian J_b = M_b - cf_b df/dy (relative step 1e-7)
+    is formed and inverted at the run's first iterate and kept while its
+    iteration contracts.  It is formed again after an iterate whose
     step ||delta_k|| exceeds half the step before it, or 0.1 max(||y_k||, 1),
     so that far from the root the iteration is full Newton.  A run stops once
     ||delta_k|| <= 1e-12 + 1e-12 ||y_k||, and its state is frozen while the
     others iterate on; a singular Jacobian, a non-finite iterate or 50
     iterations without convergence of every run raise NonConvergenceError.
-    f sees a (d,) vector when B = 1 and the (B, d) stack of states else.
+    f sees one (d,) vector per call when B = 1: the iterate, then each of
+    the Jacobian's d shifted states.  A batch (B > 1) makes one call per
+    iterate, on the (B, d) stack of states, or, when it forms a Jacobian, on
+    the (B (d + 1), d) stack of states and shifted states; f returns the
+    values row by row.
     """
 
     def __init__(self, M: np.ndarray, cf, f: Callable | None):
@@ -244,29 +258,41 @@ class _ImplicitStep:
         if not (np.all(np.isfinite(M)) and np.all(np.isfinite(Minv))):
             raise singular
         self.Minv_r = Minv if M.dtype == float else _real_matrix(Minv)
-        if f is not None:  # the iterate and its step, as (B, d, 1) columns, for advance
+        if f is not None:
+            self.Minv = Minv  # the predictor's
+            # the iterate and its step, as (B, d, 1) columns, for advance
             self._work = np.empty((2,) + M.shape[:-1] + (1,), dtype=complex)
             self._work_rows = self._work.view(float).reshape(2 * len(M), -1)
+            self._f_last = np.zeros(M.shape[:-1], dtype=complex)  # f of each run's last iterate
 
-    def advance(self, rhs: np.ndarray, t: float, guess: np.ndarray, step: int,
-                live: list[int] | None = None) -> np.ndarray:
+    def advance(self, rhs: np.ndarray, t: float, step: int, live: list[int],
+                start: np.ndarray | None = None) -> np.ndarray:
         """The states of step `step` of a nonlinear batch from rhs; only the
-        runs listed in `live` (every run by default) iterate, the others keep
-        their guess."""
+        runs listed in `live` iterate, the others (whose rhs is zero) stay
+        zero.  The iteration starts from `start` when given (y_0 at the first
+        step), else from the linear predictor M^{-1} (rhs + cf f_last), with
+        f_last the f value of each run's own final iteration of the step
+        before."""
         f, M, cf = self.f, self.M, self.cf
         y, delta = self._work
         B = len(y)
         one = B == 1  # f takes the (d,) vector of a single run
-        y[..., 0] = guess
         rhs = rhs[..., None]
-        runs = list(range(B)) if live is None else live  # the runs still iterating
+        runs = live  # the runs still iterating
+        frozen = [b for b in range(B) if b not in runs] if len(runs) < B else []  # not iterating
+        if start is not None:
+            y[..., 0] = start
+        else:
+            if frozen:  # ended runs: a zero rhs, and a zero start
+                self._f_last[frozen] = 0.0
+            np.matmul(self.Minv, rhs + cf * self._f_last[..., None], out=y)
         fresh = runs  # the runs whose Jacobian is formed at this iterate
         Jinv = None
         nd_prev = [math.inf] * B
         for _ in range(_NEWTON_MAXIT):
-            fy = np.asarray(f(t, y[0, :, 0] if one else y[..., 0]))
             if fresh:
-                J = M - cf * self._fd_jacobian(t, y[..., 0], fy, one)
+                fy, dfdy = self._fd_jacobian(t, y[..., 0], one)
+                J = M - cf * dfdy
                 try:
                     if len(fresh) == B:
                         Jinv = np.linalg.inv(J)
@@ -276,40 +302,52 @@ class _ImplicitStep:
                         Jinv[fresh] = np.linalg.inv(J[fresh])
                 except np.linalg.LinAlgError:
                     break
+            else:
+                fy = np.asarray(f(t, y[0, :, 0] if one else y[..., 0])).reshape(B, -1)
             np.matmul(Jinv, M @ y - rhs - cf * fy[..., None], out=delta)
-            if len(runs) < B:
-                delta[[b for b in range(B) if b not in runs]] = 0.0  # y - 0 is y
+            if frozen:
+                delta[frozen] = 0.0  # y - 0 is y
             y -= delta
             norms = _norms(self._work_rows)  # the iterates, then the steps
-            going, fresh = [], []
+            going, fresh, done = [], [], []
             for b in runs:
                 ny, nd = norms[b], norms[B + b]
                 if not math.isfinite(ny):
                     if not np.all(np.isfinite(y[b])):  # no iteration recovers from it
                         raise _no_convergence(step)
                 elif nd <= _NEWTON_ATOL + _NEWTON_RTOL * ny:
+                    done.append(b)
                     continue
                 going.append(b)
                 if nd > _CHORD_RATE * nd_prev[b] or nd > _CHORD_JUMP * max(ny, 1.0):
                     fresh.append(b)
                 nd_prev[b] = nd
+            if done:
+                self._f_last[done] = fy[done]
+                frozen += done
             runs = going
             if not runs:
                 return y[..., 0]  # a view of the work array: the caller stores it
         raise _no_convergence(step)
 
-    def _fd_jacobian(self, t: float, y: np.ndarray, fy: np.ndarray, one: bool) -> np.ndarray:
-        """df/dy at the (B, d) states y by forward differences: column j from
-        f at y + dy_j e_j, one call of f per column for the whole batch."""
+    def _fd_jacobian(self, t: float, y: np.ndarray, one: bool) -> tuple[np.ndarray, np.ndarray]:
+        """f at the (B, d) states y, (B, d), and df/dy there, (B, d, d), by
+        forward differences: column j from f at y + dy_j e_j.  A batch calls
+        f once, on the (B (d + 1), d) stack of each y and its d shifts; a
+        single run calls it d + 1 times, on (d,) vectors."""
         B, d = y.shape
         dy = _FD_REL_STEP * np.maximum(np.abs(y), 1.0)
-        Yp = np.empty((B, d, d), dtype=y.dtype)  # Yp[:, j] = y + dy_j e_j
-        Yp[:] = y[:, None]
-        Yp.reshape(B, -1)[:, ::d + 1] += dy
-        Fp = np.empty_like(Yp)
-        for j in range(d):
-            Fp[:, j] = np.asarray(self.f(t, Yp[0, j] if one else Yp[:, j]))
-        return (Fp - fy[..., None, :]).swapaxes(1, 2) / dy[:, None, :]
+        Y = np.empty((B, d + 1, d), dtype=y.dtype)  # Y[:, 0] = y, Y[:, 1 + j] = y + dy_j e_j
+        Y[:] = y[:, None]
+        Y.reshape(B, -1)[:, d::d + 1] += dy
+        if one:
+            F = np.empty_like(Y)
+            for i, v in enumerate(Y[0]):
+                F[0, i] = self.f(t, v)
+        else:
+            F = np.asarray(self.f(t, Y.reshape(-1, d))).reshape(Y.shape)
+        fy = F[:, 0]
+        return fy, (F[:, 1:] - fy[:, None]).swapaxes(1, 2) / dy[:, None, :]
 
 
 def _real_matrix(P: np.ndarray) -> np.ndarray:
@@ -369,33 +407,39 @@ def _no_convergence(step: int) -> NonConvergenceError:
     return NonConvergenceError(f"implicit solve did not converge at step {step}", step)
 
 
-def _leaf_resolvent(Minv: np.ndarray, mu: np.ndarray, L: int) -> np.ndarray | None:
-    """Block lower-triangular Toeplitz matrix of G_0 .. G_{L-1}, the run's
-    discrete resolvent: the coefficients of (M + sum_{j>=1} mu_j z^j)^{-1},
-    G_0 = M^{-1} and G_k = -M^{-1} sum_{j=1}^{k} mu_j G_{k-j}.  Minv is the
-    real r x r form of M^{-1} (_ImplicitStep.Minv_r), so every G_k is the
-    real form of its complex coefficient, and block (i, j) of the real
-    (L r) x (L r) matrix is G_{i-j}, zero above the diagonal.  None when a
-    G_k overflows: stepping then fails at the same step as without it.
+def _leaf_resolvents(Minv: np.ndarray, mus: np.ndarray, L: int) -> np.ndarray | None:
+    """The block lower-triangular Toeplitz matrices of G_0 .. G_{L-1}, each
+    run's discrete resolvent: the coefficients of (M + sum_{j>=1} mu_j z^j)^{-1},
+    G_0 = M^{-1} and G_k = -M^{-1} sum_{j=1}^{k} mu_j G_{k-j}.  Minv, (B, r, r),
+    stacks the real forms of the runs' M^{-1} (_ImplicitStep.Minv_r) and mus,
+    (B, >= L), their weights, so every G_k is the real form of its complex
+    coefficient, and block (i, j) of run b's real (L r) x (L r) matrix is its
+    G_{i-j}, zero above the diagonal: (B, L r, L r) in all.  None when a G_k
+    of any run overflows: the batch then steps its leaves, and fails where it
+    would without them.
 
-    The recurrence runs in np.longdouble (80-bit on x86; plain double where
-    the platform has no wider type): its sums cancel, and in double their
-    rounding, carried through the leaf, reached 1.5e-12 of max ||y_n|| on
-    an A = V B V^{-1} with cond(V) = 554 (F-BDF1, d = 4), where stepping the
+    The recurrence runs once for the batch, over (B, r, r) stacks, with one
+    matmul over the lags per k; a stack's matmul is that of each run alone.
+    It runs in np.longdouble (80-bit on x86; plain double where the platform
+    has no wider type): its sums cancel, and in double their rounding,
+    carried through the leaf, reached 1.5e-12 of max ||y_n|| on an
+    A = V B V^{-1} with cond(V) = 554 (F-BDF1, d = 4), where stepping the
     leaf with the same M^{-1} stays within 4.3e-13.
     """
-    r = Minv.shape[0]
-    G = np.zeros((L + 1, r, r), dtype=np.longdouble)  # G[L] stays zero
-    G[0] = Minv
-    mux = mu.astype(np.longdouble)
+    B, r = Minv.shape[:2]
+    G = np.empty((B, max(L, 1), r, r), dtype=np.longdouble)  # G_0 also for a run of no steps
+    G[:, 0] = Minv
+    lags = G.reshape(B, -1, r * r)
+    mux = mus[:, None, :L].astype(np.longdouble)  # (B, 1, L)
     for k in range(1, L):
-        G[k] = -G[0] @ np.tensordot(mux[k:0:-1], G[:k], axes=1)
+        G[:, k] = -G[:, 0] @ np.matmul(mux[..., k:0:-1], lags[:, :k]).reshape(B, r, r)
     G = G.astype(float)
     if not np.all(np.isfinite(G)):
         return None
-    lag = np.subtract.outer(np.arange(L), np.arange(L))
-    lag[lag < 0] = L
-    return G[lag].transpose(0, 2, 1, 3).reshape(L * r, L * r)
+    T = np.zeros((B, L, r, L, r))  # T[:, i, :, j] = G_{i-j}
+    for i in range(L):
+        T[:, i, :, :i + 1] = G[:, i::-1].swapaxes(1, 2)
+    return T.reshape(B, L * r, L * r)
 
 
 @functools.lru_cache(maxsize=1024)  # a run merges blocks of about 2 log2 N sizes
@@ -453,8 +497,10 @@ def _run(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]], A: n
 
     Steps a batch of B runs (w_b, alpha_b, iv_b) that share A, Y0, f, h and
     N; each has its own weights mu_b, initial-value term iv_b (None for
-    cumsum(mu_b), that of L1 and the F-LMMs) and h^alpha_b.  Step n of run b
-    solves sum_{j=0}^{n} mu_j H_{n-j} = iv_n Y0 + h^alpha (A Y_n + F_n) for
+    cumsum(mu_b), that of L1 and the F-LMMs) and h^alpha_b.  f receives what
+    _ImplicitStep.advance hands it: one (d,) vector when B = 1, else a
+    (k, d) stack of states, whose values it returns row by row.  Step n of
+    run b solves sum_{j=0}^{n} mu_j H_{n-j} = iv_n Y0 + h^alpha (A Y_n + F_n) for
     states Y of shape (d,) or (d, d), i.e. M Y_n = iv_n Y0 - S_n +
     h^alpha F_n with M = mu_0 I - h^alpha A and the history sum
     S_n = sum_{m=0}^{n-1} mu_{n-m} H_m.  F_n = f(t_n, Y_n), or for impulse
@@ -486,7 +532,7 @@ def _run(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]], A: n
     When a leaf [lo, hi) starts, its rows R_n hold every history term from
     steps before lo.  A linear batch with _stacked(d) then solves the leaf at
     once, Y_{lo+i} = sum_{k<=i} G_k R_{lo+i-k} with each run's discrete
-    resolvent G (_leaf_resolvent): one product of the resolvent matrix's
+    resolvent G (_leaf_resolvents): one product of the resolvent matrix's
     top-left corner with the leaf's states stacked into L r rows.  A run's
     first row with a non-finite entry, or with a norm above guard, ends it
     as the same step would have.  Other batches, and a linear batch in which
@@ -507,9 +553,7 @@ def _run(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]], A: n
     G = None  # the resolvent matrices of a linear batch's leaves
     if f is None and _stacked(d):
         with np.errstate(over="ignore", invalid="ignore"):  # None if a G overflows
-            Gs = [_leaf_resolvent(Minv, mu, min(_LEAF, N)) for Minv, mu in zip(step.Minv_r, mus)]
-        if all(g is not None for g in Gs):
-            G = np.stack(Gs)
+            G = _leaf_resolvents(step.Minv_r, mus, min(_LEAF, N))
     revs = np.ascontiguousarray(mus[:, None, :0:-1])  # mu_N .. mu_1 of each run, (B, 1, N)
     mu_hat = {}  # rfft of each run's mu per FFT length
 
@@ -573,7 +617,7 @@ def _run(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]], A: n
                     if f is None:
                         X[m] = Minv_r @ X[m]
                     else:
-                        S[m] = step.advance(S[m], m * h, S[m - 1], m, live)
+                        S[m] = step.advance(S[m], m * h, m, live, S[0] if m == 1 else None)
                     if not _norm(Xv[m]) <= bound:  # then test each run
                         xf, ny = Xf[m], _norms(Xf[m])
                         for b in [b for b in live if not (np.all(np.isfinite(xf[b])) and
@@ -795,9 +839,10 @@ def solve_cells(problem: FOdeProblem, cells: Sequence[tuple[str, float]], h: flo
     before any runs.  Batching follows the dimension that is stepped.  When
     _stacked(problem.dim), i.e. d <= 4, the cells step together as one
     batch of the core (_run), which costs about one run's Python overhead
-    instead of one per cell: f then receives the (B, d) stack of the cells'
-    states, one row per cell, and must return the stack of their values
-    (the built-in problems index the last axis).  A real linear problem with
+    instead of one per cell: f then receives a (k, d) stack of states, the
+    cells' iterates (k = B) or, for a Jacobian, those and their shifted
+    states (k = B (d + 1)), and must return the stack of their values row by
+    row (the built-in problems index the last axis).  A real linear problem with
     d > 4 whose y0 excites at most 4 rows of modes in the orthonormal
     eigenbasis of A steps those rows, the cells as one batch, and each
     trajectory is mapped back on its own (_states; T4 and T5 keep 2 rows of

@@ -472,8 +472,8 @@ class TestLeafProducts:
     @pytest.mark.parametrize("d, batched", [(1, True), (4, True), (5, False), (64, False)])
     def test_path_rule(self, d, batched, monkeypatch):
         built = []
-        leaf_resolvent = slv._leaf_resolvent
-        monkeypatch.setattr(slv, "_leaf_resolvent", lambda *a: built.append(a) or
+        leaf_resolvent = slv._leaf_resolvents
+        monkeypatch.setattr(slv, "_leaf_resolvents", lambda *a: built.append(a) or
                             leaf_resolvent(*a))
         solve(FOdeProblem(0.5, -np.eye(d), np.ones(d)), wt.FBDF1, 0.1, 100)
         assert _LEAF * 4 <= _LEAF_ROWS < _LEAF * 5
@@ -493,6 +493,48 @@ class TestLeafProducts:
                                  p.y0, guard=BLOWUP_FACTOR)
         assert traj.truncated_at == stop == 41
         _assert_close(traj.states, ref)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_batched_builder_is_the_per_run_recurrence(self, r):
+        # the resolvents of a batch of 8 runs, built in one recurrence,
+        # against each run's own in np.longdouble, bit for bit
+        rng = np.random.default_rng(r)
+        Minv = rng.standard_normal((8, r, r))
+        mus = np.stack([wt.scheme_weights(s, a, 100).mu for s in SCHEMES for a in (0.3, 0.7)])
+        L = _LEAF
+        G = slv._leaf_resolvents(Minv, mus, L)
+        assert G.shape == (8, L * r, L * r)
+        for b in range(8):
+            mu = mus[b].astype(np.longdouble)
+            Gk = [Minv[b].astype(np.longdouble)]
+            for k in range(1, L):
+                Gk.append(-Gk[0] @ np.tensordot(mu[k:0:-1], np.stack(Gk), axes=1))
+            zero = np.zeros((r, r))
+            ref = np.block([[Gk[i - j].astype(float) if j <= i else zero for j in range(L)]
+                            for i in range(L)])
+            assert np.array_equal(G[b], ref)
+
+    def test_overflowing_run_steps_the_whole_batch(self, monkeypatch):
+        # the resolvent of the alpha = 0.5 cell overflows (as above), that of
+        # the alpha = 0.3 cell alone would not: the batch steps every leaf,
+        # and each cell stops where its direct-sum run does
+        built = []
+        leaf_resolvents = slv._leaf_resolvents
+        monkeypatch.setattr(slv, "_leaf_resolvents", lambda *a: built.append(leaf_resolvents(*a))
+                            or built[-1])
+        p = FOdeProblem(0.5, np.array([[(1 - 1e-8) / 0.1 ** 0.5]]), np.array([1e-300]))
+        with pytest.warns(UserWarning, match="blow-up"):
+            alone = solve(dataclasses.replace(p, alpha=0.3), wt.FBDF1, 0.1, 100)
+            assert built[-1] is not None
+            cells = solve_cells(p, [(wt.FBDF1, 0.5), (wt.FBDF1, 0.3)], 0.1, 100)
+        assert built[-1] is None
+        # the alpha = 0.3 cell decays from 1e-300, where squares underflow
+        for traj, alpha, scale in zip(cells, (0.5, 0.3), (1.0, 2.0 ** 996)):
+            ref, stop = _mu_form_run(wt.scheme_weights(wt.FBDF1, alpha, 101).mu, p.A, alpha,
+                                     0.1, 100, p.y0, guard=BLOWUP_FACTOR)
+            assert traj.truncated_at == stop
+            _assert_close(traj.states * scale, ref * scale)
+        assert cells[1].truncated_at == alone.truncated_at
 
     @pytest.mark.parametrize("case, rows", [("real", 1), ("complex A", 2), ("complex y0", 2),
                                             ("nonlinear", 2), ("impulse", 1)])
@@ -655,6 +697,27 @@ class TestCells:
         cells = [(wt.FBDF1, 0.5), (wt.L1, 0.7)]
         for got, ref in zip(solve_cells(wide, cells, 0.1, 100), self._solo(wide, cells, 0.1, 100)):
             assert np.array_equal(got.states, ref.states)
+
+    def test_lorenz_cells_are_their_solo_solves(self):
+        # the 20 controlled-Lorenz cells of T6 and T7: each chord iteration
+        # starts from the predictor of its own run's last f value, so every
+        # cell of the batch is its solo solve bit for bit
+        p = problems.lorenz_controlled(alpha=0.5)
+        cells = [(s, a) for s in (*SCHEMES, wt.ALPHA_DIFF) for a in (0.3, 0.5, 0.7, 0.9)]
+        for got, ref in zip(solve_cells(p, cells, 0.1, 1005), self._solo(p, cells, 0.1, 1005)):
+            assert got.truncated_at is ref.truncated_at is None
+            assert np.array_equal(got.states, ref.states)
+
+    def test_batch_calls_f_once_per_jacobian(self):
+        # the 16 T6 cells as one batch: one f call per iterate, the FD
+        # Jacobian's included; the batch made 6153 calls with d + 1 per
+        # Jacobian and each step started from the state before
+        spec = tables._SPECS["T6"]
+        p = spec.problem()
+        calls = _count_f_calls(p)
+        solve_cells(p, [(s, a) for s in spec.schemes for a in spec.alphas], spec.h,
+                    tables._steps(spec, 5))
+        assert calls[0] <= 2500
 
     @pytest.mark.parametrize("cell, message", [
         ((wt.FBDF1, 1.5), "alpha must lie in"), ((wt.ALPHA_DIFF, 1.0), "requires alpha in"),
