@@ -5,15 +5,18 @@ three-parameter (Prabhakar) generalization for integer third parameter,
 the continuous fractional resolvent t^{beta-1} E_{alpha,beta}(t^alpha A),
 and the stability-sector test |arg(lambda)| > alpha*pi/2.
 
-Evaluation strategy for E_{alpha,beta}(z), 0 < alpha <= 1.  Three branches are
-tried in this order; each returns its value together with its own error
-estimate, and a branch is accepted only when that estimate meets `rtol`
-relative to the value:
+Evaluation strategy for E_{alpha,beta}(z), 0 < alpha <= 1, on a scalar or an
+array of z.  Three branches are tried in this order, each on the z the
+earlier ones left; each returns its values together with their own error
+estimates, and a value is accepted only when its estimate meets `rtol`
+relative to it.  Every branch works row by row: a z gets the same value, bit
+for bit, alone or among any other z, and a scalar is the one-element case.
 
 1. Taylor series  sum_k z^k / Gamma(alpha*k + beta)  in double precision for
    small |z| (<= SERIES_RADIUS).  The partial sums cancel heavily when
    Re(z) < 0; the estimate is the largest term times the rounding noise of
-   one term, so the lost digits are counted.
+   one term, so the lost digits are counted.  Each z takes its own term
+   count; z with nearby counts share one zero-padded block of terms.
 
 2. Large-|z| expansion for |z| >= ASYMPTOTIC_MIN:
 
@@ -25,7 +28,7 @@ relative to the value:
    |arg z| <= alpha*pi and absent in the decay sector |arg z| > alpha*pi.
    The estimate is the first omitted term.
 
-3. Contour integral in double precision, any z (and arrays of z): the
+3. Contour integral in double precision, any z: the
    inverse Laplace transform of s^(alpha-beta) / (s^alpha - z) at t = 1 by
    the trapezoidal rule on a parabola, plus the residue of the pole
    z^(1/alpha) when it lies to the right of the parabola (Garrappa 2015,
@@ -33,27 +36,32 @@ relative to the value:
    and its half-step refinement plus the rounding floor of the sum, which
    grows like e^mu / |E| (mu the parabola's vertex).  The rule is tried with
    at most 64 nodes per half, and the z it fails again with at most 256,
-   which admits smaller vertices mu and so a lower floor.
+   which admits smaller vertices mu and so a lower floor.  Each z takes the
+   node count its own step needs.
 
-If no branch meets `rtol`, AccuracyError is raised: the documented accuracy
-gap.  At rtol 1e-13 it holds small values in the decay sector, values near
-the zeros of E on the negative real axis such as E_{0.6,0.5}(-3.0107), and
-huge values at alpha <= 0.15 (90 of 109,725 probed points, see the README);
-rtol 1e-11 serves them.  Far outside the decay sector exp(z^(1/alpha))
-exceeds the double range, which raises AccuracyError too.
+If no branch meets `rtol` for some z, AccuracyError is raised, naming the
+first such z: the documented accuracy gap.  At rtol 1e-13 it holds small
+values in the decay sector, values near the zeros of E on the negative real
+axis such as E_{0.6,0.5}(-3.0107), and huge values at alpha <= 0.15 (90 of
+109,725 probed points, see the README); rtol 1e-11 serves them.  Far
+outside the decay sector exp(z^(1/alpha)) exceeds the double range, which
+raises AccuracyError too.
 
 All functions here are pure.  The only state is a store of the Gamma-function
 coefficients of the Taylor and large-z sums (_coefficients): one table per
 (alpha, beta), for at most _TABLES_KEPT pairs, grown to the longest term count
 asked for and sliced, so that no value depends on what was evaluated before
-it.  scipy.special is imported on first use by the functions that evaluate
-Gamma; the rest of mlstab (weights, solver, the F-LMM regions, the impulse
-resolvents) runs on numpy alone.
+it.  Blocks of terms or contour nodes hold at most _BLOCK entries, so a long
+array of z is evaluated a block of rows at a time.  scipy.special is imported
+on first use by the functions that evaluate Gamma; the rest of mlstab
+(weights, solver, the F-LMM regions, the impulse resolvents) runs on numpy
+alone.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import NamedTuple
 
@@ -189,33 +197,82 @@ def _coefficients(alpha: float, beta: float) -> _Coefficients:
     return table
 
 
-def _taylor_double(z: complex, alpha: float, beta: float, rtol: float):
-    """Double-precision Taylor sum.  Returns (value, ok)."""
-    az = abs(z)
-    peak = az ** (1.0 / alpha)  # ~ log of the largest term magnitude
-    if peak > 300.0:
-        return 0j, False
-    kpeak = peak / alpha
-    n_terms = int(3.5 * kpeak + 12.0 * math.sqrt(kpeak + 4.0) + 48)
-    k = np.arange(n_terms + 1)
-    terms = np.empty(n_terms + 1, dtype=complex)
-    if z == 0:
-        terms[:] = 0.0
-        terms[0] = reciprocal_gamma(beta)
-    else:
-        k0, coef = _coefficients(alpha, beta).taylor(n_terms + 1)
-        terms[k0:] = np.exp(k[k0:] * cmath.log(z) - coef[k0:])
-        terms[:k0] = np.power(z, k[:k0].astype(float)) * coef[:k0]
-    val = complex(terms.sum())
-    max_mag = float(np.max(np.abs(terms)))
-    if abs(terms[-1]) > 1e-20 * max(max_mag, 1.0):
-        return val, False  # truncation budget exceeded, should not happen
-    scale = max(abs(val), max_mag * 1e-290)
-    # Per-term noise is dominated by the rounding of gammaln's value (the
-    # exponent), about eps * |gammaln|, which cancellation then amplifies.
-    xmax = alpha * n_terms + abs(beta) + 2.0
-    noise = _EPS * (8.0 + xmax * math.log(xmax) + math.sqrt(n_terms + 1.0))
-    return val, max_mag * noise <= rtol * scale
+#: most entries in one block of series terms or contour nodes; longer row sets
+#: are evaluated a block of rows at a time.
+_BLOCK = 2 ** 17
+
+
+def _blocks(rows: np.ndarray, width: int):
+    """Consecutive slices of `rows` with at most _BLOCK // width rows each."""
+    step = max(1, _BLOCK // width)
+    return (rows[i:i + step] for i in range(0, rows.size, step))
+
+
+def _rowwise(branch):
+    """Let a branch on a 1-D array of z take any z: an array gives arrays of
+    its shape, a scalar gives (complex, bool)."""
+
+    @functools.wraps(branch)
+    def per_row(z, *args, **kwargs):
+        z = np.asarray(z, dtype=complex)
+        val, ok = branch(z.ravel(), *args, **kwargs)
+        if z.ndim == 0:
+            return complex(val[0]), bool(ok[0])
+        return val.reshape(z.shape), ok.reshape(z.shape)
+
+    return per_row
+
+
+def _padded(n: int) -> int:
+    """n rounded up to a multiple of 2^(bit_length(n) - 3): at most four block
+    widths per octave, so that rows of nearby term counts share a block."""
+    step = 1 << max(0, n.bit_length() - 3)
+    return -(-n // step) * step
+
+
+@_rowwise
+def _taylor_double(z, alpha: float, beta: float, rtol: float):
+    """Double-precision Taylor sum per z (nonzero).  Returns (values, ok).
+
+    Each row's term count and noise follow from its own |z|.  Rows are summed
+    in blocks of a common padded width, their terms past their own count set
+    to zero, so a row's value does not depend on the rows beside it.
+    """
+    val, ok = np.zeros(z.size, dtype=complex), np.zeros(z.size, dtype=bool)
+    zl = z.tolist()
+    n_terms, noise = np.zeros(z.size, dtype=int), np.zeros(z.size)
+    blocks: dict[int, list[int]] = {}  # rows by padded width
+    for i, zi in enumerate(zl):
+        peak = abs(zi) ** (1.0 / alpha)  # ~ log of the largest term magnitude
+        if peak > 300.0:
+            continue
+        kpeak = peak / alpha
+        n = n_terms[i] = int(3.5 * kpeak + 12.0 * math.sqrt(kpeak + 4.0) + 48)
+        # Per-term noise is dominated by the rounding of gammaln's value (the
+        # exponent), about eps * |gammaln|, which cancellation then amplifies.
+        xmax = alpha * n + abs(beta) + 2.0
+        noise[i] = _EPS * (8.0 + xmax * math.log(xmax) + math.sqrt(n + 1.0))
+        blocks.setdefault(_padded(n + 1), []).append(i)
+    table = _coefficients(alpha, beta)
+    for w, members in blocks.items():
+        k0, coef = table.taylor(w)
+        k = np.arange(w)
+        for rows in _blocks(np.array(members), w):
+            logz = np.array([cmath.log(zl[i]) for i in rows])
+            terms = np.empty((rows.size, w), dtype=complex)
+            terms[:, k0:] = np.exp(k[k0:] * logz[:, None] - coef[k0:])
+            terms[:, :k0] = np.power(z[rows, None], k[:k0].astype(float)) * coef[:k0]
+            n = n_terms[rows]
+            terms[k > n[:, None]] = 0.0
+            val[rows] = terms.sum(axis=1)
+            max_mag = np.abs(terms).max(axis=1)
+            # the last term must be negligible: a truncation budget exceeded
+            # should not happen
+            last = np.abs(terms[np.arange(rows.size), n])
+            scale = np.maximum(np.abs(val[rows]), max_mag * 1e-290)
+            ok[rows] = ((last <= 1e-20 * np.maximum(max_mag, 1.0))
+                        & (max_mag * noise[rows] <= rtol * scale))
+    return val, ok
 
 
 def _exponential_term(z: complex, alpha: float, beta: float) -> complex:
@@ -229,26 +286,34 @@ def _exponential_term(z: complex, alpha: float, beta: float) -> complex:
     return power * cmath.exp(w) / alpha
 
 
-def _asymptotic(z: complex, alpha: float, beta: float, rtol: float, n_max: int = 160):
-    """Large-|z| expansion truncated at its smallest term, from the terms
-    z^{-k}/Gamma(beta - k alpha), k = 1..n_max.  Returns (value, ok)."""
+@_rowwise
+def _asymptotic(z, alpha: float, beta: float, rtol: float, n_max: int = 160):
+    """Large-|z| expansion per z (nonzero), truncated at its smallest term,
+    from the terms z^{-k}/Gamma(beta - k alpha), k = 1..n_max.  Returns
+    (values, ok)."""
+    val, est = np.zeros(z.size, dtype=complex), np.zeros(z.size)
+    zl = z.tolist()
     k = np.arange(1, n_max + 1)
-    terms = np.exp(-k * cmath.log(z)) * _coefficients(alpha, beta).asymptotic(n_max)
-    mags = np.abs(terms)
-    nonzero = np.nonzero(mags)[0]
-    if nonzero.size == 0:
-        series = 0j
-        est = 0.0
-    else:
-        k_star = int(nonzero[np.argmin(mags[nonzero])])
-        series = complex(terms[: k_star + 1].sum())
-        later = nonzero[nonzero > k_star]
-        est = float(mags[later[0]]) if later.size else float(mags[nonzero[-1]])
-    val = -series
-    if abs(math.atan2(z.imag, z.real)) <= alpha * math.pi + 1e-15:
-        val += _exponential_term(z, alpha, beta)
-    scale = max(abs(val), 1e-290)
-    return val, est <= rtol * scale
+    j = np.arange(n_max)
+    coef = _coefficients(alpha, beta).asymptotic(n_max)
+    for rows in _blocks(np.arange(z.size), n_max):
+        logz = np.array([cmath.log(zl[i]) for i in rows])
+        terms = np.exp(-k * logz[:, None]) * coef
+        mags = np.abs(terms)
+        nonzero = mags != 0.0
+        # the smallest nonzero term, and the first nonzero one after it (or
+        # the last nonzero one) as the estimate
+        j_star = np.where(nonzero, mags, np.inf).argmin(axis=1)[:, None]
+        later = nonzero & (j > j_star)
+        last = n_max - 1 - nonzero[:, ::-1].argmax(axis=1)
+        at = np.where(later.any(axis=1), later.argmax(axis=1), last)
+        some = nonzero.any(axis=1)
+        val[rows] = np.where(some, -np.where(j <= j_star, terms, 0.0).sum(axis=1), 0.0)
+        est[rows] = np.where(some, mags[np.arange(rows.size), at], 0.0)
+    for i, zi in enumerate(zl):
+        if abs(math.atan2(zi.imag, zi.real)) <= alpha * math.pi + 1e-15:
+            val[i] += _exponential_term(zi, alpha, beta)
+    return val, est <= rtol * np.maximum(np.abs(val), 1e-290)
 
 
 #: aimed error (log) of the coarse contour rule; its refinement is far below.
@@ -319,54 +384,67 @@ def _contour_rule(z: np.ndarray, alpha: float, beta: float, rtol: float, n_max: 
         rows = np.arange(z.size)
         found = feasible[rows, pick]
         mu, h, right = _CONTOUR_MU[pick], h[rows, pick], rho[rows, pick] > 1.0
-        n = int(np.max(n_nodes[rows, pick], where=found, initial=1.0))
-        w = 1.0 + 1j * (0.5 * h)[:, None] * np.arange(-2 * n, 2 * n + 1)
-        s = mu[:, None] * w * w
-        terms = (np.exp(s) * s ** (alpha - beta) / (s ** alpha - z[:, None])
-                 * (mu[:, None] * w) * (0.5 * h / math.pi)[:, None])  # ds/(2 pi i)
-        fine = terms.sum(axis=1)
-        coarse = 2.0 * terms[:, ::2].sum(axis=1)
+        # each z takes its own node count, so its value does not depend on
+        # the z beside it
+        n_row = np.where(found, n_nodes[rows, pick], 1.0).astype(int)
+        fine, coarse = np.empty(z.size, dtype=complex), np.empty(z.size, dtype=complex)
+        spread = np.empty(z.size)
+        for n in np.unique(n_row).tolist():
+            u = np.arange(-2 * n, 2 * n + 1)
+            for sel in _blocks(np.flatnonzero(n_row == n), u.size):
+                w = 1.0 + 1j * (0.5 * h[sel])[:, None] * u
+                s = mu[sel, None] * w * w
+                terms = (np.exp(s) * s ** (alpha - beta) / (s ** alpha - z[sel, None])
+                         * (mu[sel, None] * w) * (0.5 * h[sel] / math.pi)[:, None])  # ds/(2 pi i)
+                fine[sel] = terms.sum(axis=1)
+                coarse[sel] = 2.0 * terms[:, ::2].sum(axis=1)
+                spread[sel] = (np.abs(terms) * (1.0 + np.abs(s))).sum(axis=1)
         residue = np.where(right, s0 ** (1.0 - beta) * np.exp(s0) / alpha, 0.0)
         val = fine + residue
         # every term carries a relative error of about eps |s| through exp(s)
-        floor = _EPS * ((np.abs(terms) * (1.0 + np.abs(s))).sum(axis=1)
-                        + (1.0 + np.abs(s0)) * np.abs(residue))
+        floor = _EPS * (spread + (1.0 + np.abs(s0)) * np.abs(residue))
         val = np.where(z.imag == 0.0, val.real, val)
         ok = found & np.isfinite(val) & (np.abs(fine - coarse) + floor <= rtol * np.abs(val))
     return val, ok
 
 
-def mittag_leffler(z, alpha: float, beta: float = 1.0, rtol: float = 1e-13) -> complex:
+def mittag_leffler(z, alpha: float, beta: float = 1.0, rtol: float = 1e-13):
     """E_{alpha,beta}(z) = sum_k z^k / Gamma(alpha k + beta) for alpha in (0, 1].
 
-    beta may be any real number (terms with Gamma evaluated at a pole vanish).
-    The three double-precision branches (Taylor series, large-z expansion,
-    contour integral) are tried in the order of the module docstring.  Raises
-    AccuracyError on the documented gap, where none of them attains `rtol`:
-    small values in the decay sector, values near the zeros of E on the
-    negative real axis, huge values at alpha <= 0.15, and z whose
-    exp(z^(1/alpha)) overflows.
+    z is a scalar, giving a complex, or an array, giving a complex array of
+    its shape; a scalar is the one-element case, and each value is the same
+    bit for bit whatever else the array holds.  beta may be any real number
+    (terms with Gamma evaluated at a pole vanish).  The three double-precision
+    branches (Taylor series, large-z expansion, contour integral) are tried in
+    the order of the module docstring, each on the z the earlier ones left.
+    Raises AccuracyError, naming the first such z, on the documented gap,
+    where none of them attains `rtol`: small values in the decay sector,
+    values near the zeros of E on the negative real axis, huge values at
+    alpha <= 0.15, and z whose exp(z^(1/alpha)) overflows.
     """
     _validate_ml_params(alpha, beta)
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    z = np.asarray(z, dtype=complex)
+    if not np.isfinite(z).all():
         raise ValueError("z must be finite")
-    if z == 0:
-        return complex(reciprocal_gamma(beta))
-    az = abs(z)
-    if az <= SERIES_RADIUS:
-        val, ok = _taylor_double(z, alpha, beta, rtol)
-        if ok:
-            return val
-    if az >= ASYMPTOTIC_MIN:
-        val, ok = _asymptotic(z, alpha, beta, rtol)
-        if ok:
-            return val
-    val, ok = _contour(np.array([z]), alpha, beta, rtol)
-    if ok[0]:
-        return complex(val[0])
-    raise AccuracyError(f"E_alpha,beta(z) at z={z}, alpha={alpha}, beta={beta}: no "
-                        f"double-precision branch meets rtol={rtol:g} (documented accuracy gap)")
+    flat = z.ravel()
+    val = np.zeros(flat.size, dtype=complex)
+    todo = flat != 0
+    if not todo.all():
+        val[~todo] = reciprocal_gamma(beta)
+    az = np.abs(flat)
+    for branch, near in ((_taylor_double, az <= SERIES_RADIUS),
+                         (_asymptotic, az >= ASYMPTOTIC_MIN),
+                         (_contour, True)):
+        rows = np.flatnonzero(todo & near)
+        if rows.size:
+            got, ok = branch(flat[rows], alpha, beta, rtol)
+            val[rows[ok]] = got[ok]
+            todo[rows[ok]] = False
+    if todo.any():
+        bad = complex(flat[todo][0])
+        raise AccuracyError(f"E_alpha,beta(z) at z={bad}, alpha={alpha}, beta={beta}: no double-"
+                            f"precision branch meets rtol={rtol:g} (documented accuracy gap)")
+    return complex(val[0]) if z.ndim == 0 else val.reshape(z.shape)
 
 
 def prabhakar(z, alpha: float, beta: float, gamma_order: int = 1) -> complex:
@@ -410,15 +488,17 @@ def resolvent_matrix(A, alpha: float, beta: float, t: float) -> np.ndarray:
 
 def matrix_function(A, fn) -> np.ndarray:
     """fn(A) = V diag(fn(lambda_i)) V^{-1}, fn applied per eigenvalue (a 1x1 A
-    directly); EigenbasisError if cond(V) is not finite or exceeds COND_CAP."""
+    directly); EigenbasisError if cond(V) is not finite or exceeds COND_CAP.
+    An fn that returns m values per eigenvalue gives the (m, d, d) stack."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     if A.shape[0] == 1:
-        return np.array([[fn(A[0, 0])]])
+        return np.asarray(fn(A[0, 0]), dtype=complex)[..., None, None]
     evals, V = np.linalg.eig(A)
     cond = np.linalg.cond(V)
     if not np.isfinite(cond) or cond > COND_CAP:
         raise EigenbasisError(f"eigenbasis condition number {cond:.3g} exceeds cap {COND_CAP:g}")
-    return (V * np.array([fn(lam) for lam in evals])) @ np.linalg.inv(V)
+    vals = np.array([fn(lam) for lam in evals])  # (d,) or (d, m)
+    return (V * vals.T[..., None, :]) @ np.linalg.inv(V)
 
 
 class SectorResult(NamedTuple):

@@ -248,12 +248,24 @@ class TestResolventCommand:
         seen = []
         orig = cli.rsv.poisson_resolvent
         monkeypatch.setattr(cli.rsv, "poisson_resolvent",
-                            lambda A, alpha, h, n, beta: seen.append(n) or orig(A, alpha, h, n, beta))
+                            lambda A, alpha, h, n, beta:
+                            seen.append(list(n)) or orig(A, alpha, h, n, beta))
         res = run_cli("resolvent", "--scheme", "alpha_diff", "--alpha", "0.5",
                       "--h", "0.1", "--problem", "lorenz", "--n-max", "30",
                       "--q-check", "20", "--q-stride", "10", "--out", str(tmp_path))
         assert res.returncode == 0
-        assert seen == [10, 20]
+        assert seen == [[10, 20]]  # one sweep call for every compared n
+
+    def test_alpha_diff_quadrature_failure_exits_3(self, tmp_path, monkeypatch):
+        # a Poisson value whose quadrature runs out of panels is an accuracy
+        # failure that names the eigenvalue and n, not a number
+        monkeypatch.setattr(cli.rsv, "_Q_PANELS", 1)
+        res = run_cli("resolvent", "--scheme", "alpha_diff", "--alpha", "0.5",
+                      "--h", "0.1", "--problem", "lorenz", "--n-max", "30",
+                      "--q-check", "20", "--q-stride", "10", "--out", str(tmp_path))
+        assert res.returncode == 3
+        assert "accuracy failure: Poisson quadrature for eigenvalue" in res.stderr
+        assert "n = 10" in res.stderr and "budget of 1 panels per n" in res.stderr
 
     def test_alpha_diff_nothing_compared_is_null(self, tmp_path):
         res = run_cli("resolvent", "--scheme", "alpha_diff", "--alpha", "0.5",
@@ -655,6 +667,27 @@ assert not loaded, loaded
 assert len(region_boundary(weights.L1, 0.5, 0.1).theta) > 0
 assert abs(mittag_leffler(-1.0, 0.5) - math.exp(1.0) * math.erfc(1.0)) < 1e-15
 assert poisson_resolvent(problems.lorenz_controlled(alpha=0.5).A, 0.5, 0.1, 10, 1.0).shape == (3, 3)
+"""
+    res = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
+def test_poisson_check_never_loads_scipy_integrate(tmp_path):
+    # the Poisson quadrature is G10/K21 on numpy; scipy is used only through
+    # scipy.special, for Gamma values
+    script = """
+import contextlib, io, sys
+from mlstab import cli, problems
+from mlstab.resolvent import poisson_resolvent
+q = poisson_resolvent(problems.lorenz_controlled(alpha=0.5).A, 0.5, 0.1, range(10, 201, 10), 1.0)
+assert q.shape == (20, 3, 3)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["resolvent", "--scheme", "alpha_diff", "--problem", "lorenz", "--alpha", "0.5",
+                     "--h", "0.1", "--n-max", "200", "--q-check", "200", "--q-stride", "10",
+                     "--out", sys.argv[1]]) == 0
+assert "scipy.special" in sys.modules
+assert "scipy.integrate" not in sys.modules, "scipy.integrate was imported"
 """
     res = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                          capture_output=True, text=True)

@@ -17,7 +17,7 @@ from mlstab.resolvent import (
     verify_resolvent_decay,
 )
 from mlstab.solver import FOdeProblem, SingularStepError, SolverError, solve, solve_alpha_diff
-from mlstab.special import EigenbasisError
+from mlstab.special import AccuracyError, EigenbasisError
 
 SCHEMES = (wt.FBDF1, wt.FBDF2, wt.FADAMS2, wt.L1)
 LAM = np.array([[1 + 11j]])
@@ -220,6 +220,48 @@ class TestPoisson:
         A = problems.lorenz_controlled(False).A
         with pytest.raises(ValueError, match=r"diverges for eigenvalue 11\.8277"):
             poisson_resolvent(A, 0.5, 0.1, 1, 1.0)
+
+
+class TestPoissonSweep:
+    LORENZ = problems.lorenz_controlled(alpha=0.5).A
+
+    def test_many_n_match_their_single_calls(self):
+        ns = [0, 1, 10, 55, 200]
+        for A, alpha, beta in ((self.LORENZ, 0.5, 1.0), (LAM, 0.7, 0.7), (LAM, 0.5, 1.0)):
+            q = poisson_resolvent(A, alpha, 0.1, ns, beta)
+            assert q.shape == (len(ns), A.shape[0], A.shape[0])
+            for n, qn in zip(ns, q):
+                one = poisson_resolvent(A, alpha, 0.1, n, beta)
+                assert np.all(np.abs(qn - one) <= np.maximum(1e-14, 1e-8 * np.abs(one)))
+
+    @pytest.mark.parametrize("n", [-1, 2.5])
+    def test_every_n_is_checked(self, n):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            poisson_resolvent(self.LORENZ, 0.5, 0.1, [10, n, 20], 1.0)
+
+    def test_no_n(self):
+        assert poisson_resolvent(self.LORENZ, 0.5, 0.1, [], 1.0).shape == (0, 3, 3)
+        assert poisson_resolvent(LAM, 0.5, 0.1, (), 1.0).shape == (0, 1, 1)
+
+    @pytest.mark.parametrize("n", [20, 30])
+    def test_served_within_tolerance_of_the_closed_form(self, n):
+        # E_{1,1} = exp: Q_1^n(lam) = (1 - h lam)^-(n+1), a value that the
+        # integrand, of total mass 0.9^-(n+1), cancels down to
+        q = poisson_resolvent(LAM, 1.0, 0.1, n, 1.0)[0, 0]
+        assert q == pytest.approx((1.0 - 0.1 * LAM[0, 0]) ** -(n + 1), rel=1e-8)
+
+    def test_missed_tolerance_raises(self):
+        # Q_1^400 is 6e-62 under an integrand of mass 2e18: no double
+        # quadrature meets 1e-14, so no number is returned
+        with pytest.raises(AccuracyError, match=r"eigenvalue 1\+11j, n = 400"):
+            poisson_resolvent(LAM, 1.0, 0.1, 400, 1.0)
+        with pytest.raises(AccuracyError, match="n = 400"):
+            poisson_resolvent(LAM, 1.0, 0.1, [20, 400], 1.0)
+
+    def test_panel_budget(self, monkeypatch):
+        monkeypatch.setattr("mlstab.resolvent._Q_PANELS", 1)
+        with pytest.raises(AccuracyError, match="budget of 1 panels per n"):
+            poisson_resolvent(self.LORENZ, 0.5, 0.1, 50, 1.0)
 
 
 class TestDecayReport:

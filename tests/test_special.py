@@ -205,6 +205,51 @@ class TestMittagLeffler:
             assert 1 <= len(special._tables) <= special._TABLES_KEPT
 
 
+class TestArrayArgument:
+    # one z per branch at alpha = 0.8, beta = 0.5: the Taylor sum, the
+    # large-z expansion and the contour (past the Taylor radius, where the
+    # expansion misses rtol), plus z = 0
+    ALPHA, BETA = 0.8, 0.5
+    TAYLOR, ASYMPTOTIC, CONTOUR = 1.0 + 1.0j, -30.0, 9.5 * cmath.exp(2j * math.pi / 3)
+
+    def test_rows_come_from_every_branch(self):
+        a, b = self.ALPHA, self.BETA
+        assert special._taylor_double(self.TAYLOR, a, b, 1e-13)[1]
+        assert special._asymptotic(self.ASYMPTOTIC, a, b, 1e-13)[1]
+        assert abs(self.CONTOUR) > special.SERIES_RADIUS
+        assert not special._asymptotic(self.CONTOUR, a, b, 1e-13)[1]
+        assert special._contour(np.array([self.CONTOUR]), a, b, 1e-13)[1][0]
+
+    def test_rows_equal_their_one_element_calls(self):
+        rng = np.random.default_rng(7)
+        base = [self.TAYLOR, self.ASYMPTOTIC, self.CONTOUR, 0.0]
+        zs = np.array(base + [r * cmath.exp(1j * t) for r, t in
+                              zip(rng.uniform(0.01, 60.0, 60), rng.uniform(-math.pi, math.pi, 60))])
+        for rtol in (1e-13, 3e-9):
+            one = np.array([mittag_leffler(z, self.ALPHA, self.BETA, rtol) for z in zs])
+            assert one[3] == reciprocal_gamma(self.BETA)
+            for perm in (np.arange(zs.size), rng.permutation(zs.size), np.arange(zs.size)[::-1]):
+                got = mittag_leffler(zs[perm], self.ALPHA, self.BETA, rtol)
+                assert got.dtype == complex and np.array_equal(got, one[perm])
+            grid = mittag_leffler(zs[4:].reshape(6, 10), self.ALPHA, self.BETA, rtol)
+            assert grid.shape == (6, 10) and np.array_equal(grid.ravel(), one[4:])
+
+    def test_scalar_is_complex(self):
+        assert type(mittag_leffler(self.TAYLOR, self.ALPHA, self.BETA)) is complex
+        assert type(mittag_leffler(np.float64(-1.0), 0.5)) is complex
+
+    def test_one_unserved_row_raises(self):
+        # E_{0.6,0.5} has a zero near -3.0107, where no branch meets 1e-13
+        zs = np.array([0.5, -3.0107, 4.0 + 4.0j])
+        with pytest.raises(AccuracyError, match=r"z=\(-3\.0107\+0j\)"):
+            mittag_leffler(zs, 0.6, 0.5)
+        assert np.all(np.isfinite(mittag_leffler(zs[[0, 2]], 0.6, 0.5)))
+
+    def test_non_finite_row_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            mittag_leffler(np.array([0.5, np.nan]), 0.5)
+
+
 def test_runtime_path_never_loads_mpmath():
     # mpmath is a test oracle only: the package, its CLI, the L1 region, the
     # Lorenz Poisson sweep and the points past the first contour node cap run
