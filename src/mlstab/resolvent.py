@@ -22,7 +22,10 @@ continuous resolvents directly:
     rho_n^h(t) = e^(-t/h) (t/h)^n / (h n!),
 
 computed per eigenvalue lam over a window of +-12 standard deviations of the
-Poisson density (mean n h, std sqrt(n) h) plus padding.  One integrand serves
+Poisson density (mean n h, std sqrt(n) h) plus padding, stretched by
+1/(1 - c) when E grows like e^(c t/h) (|arg lam| < alpha pi, c =
+Re((h^alpha lam)^(1/alpha)) > 0), since the integrand is then about a Gamma
+density of rate (1 - c)/h.  One integrand serves
 every n and both betas: in u = s^alpha, s = t/h, the integrand
 
     h^(beta-1)/alpha exp(-s + (n+beta-alpha) ln s - ln n!) E_{alpha,beta}(h^alpha u lam)
@@ -193,13 +196,18 @@ def _poisson_scalar(lam: complex, alpha: float, h: float, ns, beta: float) -> np
     """
     from scipy.special import gammaln, xlogy
 
-    if abs(cmath.phase(lam)) < alpha * math.pi and ((h ** alpha * lam) ** (1.0 / alpha)).real >= 1:
+    # E grows like exp(c s) along the path, so the integrand is about a Gamma
+    # density of rate 1 - c in s: its window is the Poisson one over 1 - c
+    c = 0.0
+    if abs(cmath.phase(lam)) < alpha * math.pi:
+        c = max(0.0, ((h ** alpha * lam) ** (1.0 / alpha)).real)
+    if c >= 1:
         raise ValueError(f"the Poisson transform diverges for eigenvalue {lam:.6g} "
                          f"at alpha = {alpha:g}, h = {h:g}")
     ns = np.asarray(ns, dtype=int)
     if ns.size == 0:
         return np.zeros(0, dtype=complex)
-    lo, hi = np.array([_poisson_window(n) for n in ns.tolist()]).T
+    lo, hi = np.array([_poisson_window(n) for n in ns.tolist()]).T / (1.0 - c)
     a, b = lo ** alpha, hi ** alpha  # each n's window in u
     scale = h ** (beta - 1.0) / alpha
     expo, log_fact = ns + beta - alpha, gammaln(ns + 1.0)

@@ -6,19 +6,13 @@ the continuous fractional resolvent t^{beta-1} E_{alpha,beta}(t^alpha A),
 and the stability-sector test |arg(lambda)| > alpha*pi/2.
 
 Evaluation strategy for E_{alpha,beta}(z), 0 < alpha <= 1, on a scalar or an
-array of z.  Three branches are tried in this order, each on the z the
-earlier ones left; each returns its values together with their own error
-estimates, and a value is accepted only when its estimate meets `rtol`
-relative to it.  Every branch works row by row: a z gets the same value, bit
-for bit, alone or among any other z, and a scalar is the one-element case.
+array of z.  Two branches are tried in this order, the second on the z the
+first left; each returns its values together with their own error estimates,
+and a value is accepted only when its estimate meets `rtol` relative to it.
+Both branches work row by row: a z gets the same value, bit for bit, alone or
+among any other z, and a scalar is the one-element case.
 
-1. Taylor series  sum_k z^k / Gamma(alpha*k + beta)  in double precision for
-   small |z| (<= SERIES_RADIUS).  The partial sums cancel heavily when
-   Re(z) < 0; the estimate is the largest term times the rounding noise of
-   one term, so the lost digits are counted.  Each z takes its own term
-   count; z with nearby counts share one zero-padded block of terms.
-
-2. Large-|z| expansion for |z| >= ASYMPTOTIC_MIN:
+1. Large-|z| expansion for |z| >= ASYMPTOTIC_MIN:
 
       E_{alpha,beta}(z) = [exp-term] - sum_{k=1}^{K} z^{-k}/Gamma(beta-k*alpha)
                           + O(|z|^{-K-1}),
@@ -28,7 +22,7 @@ for bit, alone or among any other z, and a scalar is the one-element case.
    |arg z| <= alpha*pi and absent in the decay sector |arg z| > alpha*pi.
    The estimate is the first omitted term.
 
-3. Contour integral in double precision, any z: the
+2. Contour integral in double precision, any z: the
    inverse Laplace transform of s^(alpha-beta) / (s^alpha - z) at t = 1 by
    the trapezoidal rule on a parabola, plus the residue of the pole
    z^(1/alpha) when it lies to the right of the parabola (Garrappa 2015,
@@ -39,6 +33,10 @@ for bit, alone or among any other z, and a scalar is the one-element case.
    which admits smaller vertices mu and so a lower floor.  Each z takes the
    node count its own step needs.
 
+When beta is 0 or a negative integer, 1/Gamma(beta) = 0 and E is about
+z/Gamma(alpha+beta) near 0, too small for the contour's rounding floor; for
+|z| < 1 the value is z E_{alpha,alpha+beta}(z), an exact identity.
+
 If no branch meets `rtol` for some z, AccuracyError is raised, naming the
 first such z: the documented accuracy gap.  At rtol 1e-13 it holds small
 values in the decay sector, values near the zeros of E on the negative real
@@ -47,21 +45,16 @@ axis such as E_{0.6,0.5}(-3.0107), and huge values at alpha <= 0.15 (90 of
 outside the decay sector exp(z^(1/alpha)) exceeds the double range, which
 raises AccuracyError too.
 
-All functions here are pure.  The only state is a store of the Gamma-function
-coefficients of the Taylor and large-z sums (_coefficients): one table per
-(alpha, beta), for at most _TABLES_KEPT pairs, grown to the longest term count
-asked for and sliced, so that no value depends on what was evaluated before
-it.  Blocks of terms or contour nodes hold at most _BLOCK entries, so a long
-array of z is evaluated a block of rows at a time.  scipy.special is imported
-on first use by the functions that evaluate Gamma; the rest of mlstab
-(weights, solver, the F-LMM regions, the impulse resolvents) runs on numpy
-alone.
+All functions here are pure and the module holds no mutable state.  Blocks of
+expansion terms or contour nodes hold at most _BLOCK entries, so a long array
+of z is evaluated a block of rows at a time.  scipy.special is imported on
+first use by the functions that evaluate Gamma; the rest of mlstab (weights,
+solver, the F-LMM regions, the impulse resolvents) runs on numpy alone.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from typing import NamedTuple
 
@@ -72,7 +65,6 @@ __all__ = [
     "AccuracyError",
     "EigenbasisError",
     "SectorResult",
-    "SERIES_RADIUS",
     "ASYMPTOTIC_MIN",
     "COND_CAP",
     "gamma",
@@ -97,8 +89,6 @@ class EigenbasisError(np.linalg.LinAlgError):
     """Matrix is not diagonalizable with a well-conditioned eigenbasis."""
 
 
-#: |z| up to which the double-precision Taylor sum is attempted first.
-SERIES_RADIUS = 9.0
 #: smallest |z| at which the large-z expansion is attempted at all.
 ASYMPTOTIC_MIN = 3.5
 #: largest eigenbasis condition number a matrix function accepts.
@@ -140,64 +130,7 @@ def _validate_ml_params(alpha: float, beta: float) -> None:
         raise ValueError("beta must be finite")
 
 
-class _Coefficients:
-    """The Gamma-function coefficient tables of E_{alpha,beta} for one
-    (alpha, beta), each grown to the longest term count asked for so far and
-    returned as a prefix, whose entries do not depend on the length asked.
-
-    taylor(n): for x_k = alpha k + beta, k < n, the count k0 of x_k <= 0.5
-    (a prefix, as x_k increases) and the array of 1/Gamma(x_k) for k < k0,
-    log|Gamma(x_k)| after.  asymptotic(n): 1/Gamma(beta - alpha k) for
-    k = 1..n, 0 at the poles.  A table grows by one assignment, so a thread
-    reads either the old or the new one.
-    """
-
-    def __init__(self, alpha: float, beta: float):
-        self.alpha, self.beta = alpha, beta
-        self._taylor = 0, np.empty(0)
-        self._asymptotic = np.empty(0)
-
-    def taylor(self, n: int) -> tuple[int, np.ndarray]:
-        k0, coef = self._taylor
-        if n > coef.size:
-            from scipy import special as sc
-
-            x = self.alpha * np.arange(coef.size, n) + self.beta
-            small = x <= 0.5
-            ext = np.empty(x.size)
-            ext[small] = sc.rgamma(x[small])
-            ext[~small] = sc.gammaln(x[~small])
-            k0, coef = self._taylor = (k0 + int(np.count_nonzero(small)),
-                                       np.concatenate((coef, ext)))
-        return min(k0, n), coef[:n]
-
-    def asymptotic(self, n: int) -> np.ndarray:
-        coef = self._asymptotic
-        if n > coef.size:
-            from scipy import special as sc
-
-            ext = sc.rgamma(self.beta - self.alpha * np.arange(coef.size + 1, n + 1))
-            coef = self._asymptotic = np.concatenate((coef, ext))
-        return coef[:n]
-
-
-#: (alpha, beta) pairs whose coefficient tables are kept; a new pair past
-#: this many starts the store afresh.
-_TABLES_KEPT = 32
-_tables: dict[tuple[float, float], _Coefficients] = {}
-
-
-def _coefficients(alpha: float, beta: float) -> _Coefficients:
-    """The coefficient tables of (alpha, beta), made on first use."""
-    table = _tables.get((alpha, beta))
-    if table is None:
-        if len(_tables) >= _TABLES_KEPT:
-            _tables.clear()
-        table = _tables[alpha, beta] = _Coefficients(alpha, beta)
-    return table
-
-
-#: most entries in one block of series terms or contour nodes; longer row sets
+#: most entries in one block of expansion terms or contour nodes; longer row sets
 #: are evaluated a block of rows at a time.
 _BLOCK = 2 ** 17
 
@@ -206,73 +139,6 @@ def _blocks(rows: np.ndarray, width: int):
     """Consecutive slices of `rows` with at most _BLOCK // width rows each."""
     step = max(1, _BLOCK // width)
     return (rows[i:i + step] for i in range(0, rows.size, step))
-
-
-def _rowwise(branch):
-    """Let a branch on a 1-D array of z take any z: an array gives arrays of
-    its shape, a scalar gives (complex, bool)."""
-
-    @functools.wraps(branch)
-    def per_row(z, *args, **kwargs):
-        z = np.asarray(z, dtype=complex)
-        val, ok = branch(z.ravel(), *args, **kwargs)
-        if z.ndim == 0:
-            return complex(val[0]), bool(ok[0])
-        return val.reshape(z.shape), ok.reshape(z.shape)
-
-    return per_row
-
-
-def _padded(n: int) -> int:
-    """n rounded up to a multiple of 2^(bit_length(n) - 3): at most four block
-    widths per octave, so that rows of nearby term counts share a block."""
-    step = 1 << max(0, n.bit_length() - 3)
-    return -(-n // step) * step
-
-
-@_rowwise
-def _taylor_double(z, alpha: float, beta: float, rtol: float):
-    """Double-precision Taylor sum per z (nonzero).  Returns (values, ok).
-
-    Each row's term count and noise follow from its own |z|.  Rows are summed
-    in blocks of a common padded width, their terms past their own count set
-    to zero, so a row's value does not depend on the rows beside it.
-    """
-    val, ok = np.zeros(z.size, dtype=complex), np.zeros(z.size, dtype=bool)
-    zl = z.tolist()
-    n_terms, noise = np.zeros(z.size, dtype=int), np.zeros(z.size)
-    blocks: dict[int, list[int]] = {}  # rows by padded width
-    for i, zi in enumerate(zl):
-        peak = abs(zi) ** (1.0 / alpha)  # ~ log of the largest term magnitude
-        if peak > 300.0:
-            continue
-        kpeak = peak / alpha
-        n = n_terms[i] = int(3.5 * kpeak + 12.0 * math.sqrt(kpeak + 4.0) + 48)
-        # Per-term noise is dominated by the rounding of gammaln's value (the
-        # exponent), about eps * |gammaln|, which cancellation then amplifies.
-        xmax = alpha * n + abs(beta) + 2.0
-        noise[i] = _EPS * (8.0 + xmax * math.log(xmax) + math.sqrt(n + 1.0))
-        blocks.setdefault(_padded(n + 1), []).append(i)
-    table = _coefficients(alpha, beta)
-    for w, members in blocks.items():
-        k0, coef = table.taylor(w)
-        k = np.arange(w)
-        for rows in _blocks(np.array(members), w):
-            logz = np.array([cmath.log(zl[i]) for i in rows])
-            terms = np.empty((rows.size, w), dtype=complex)
-            terms[:, k0:] = np.exp(k[k0:] * logz[:, None] - coef[k0:])
-            terms[:, :k0] = np.power(z[rows, None], k[:k0].astype(float)) * coef[:k0]
-            n = n_terms[rows]
-            terms[k > n[:, None]] = 0.0
-            val[rows] = terms.sum(axis=1)
-            max_mag = np.abs(terms).max(axis=1)
-            # the last term must be negligible: a truncation budget exceeded
-            # should not happen
-            last = np.abs(terms[np.arange(rows.size), n])
-            scale = np.maximum(np.abs(val[rows]), max_mag * 1e-290)
-            ok[rows] = ((last <= 1e-20 * np.maximum(max_mag, 1.0))
-                        & (max_mag * noise[rows] <= rtol * scale))
-    return val, ok
 
 
 def _exponential_term(z: complex, alpha: float, beta: float) -> complex:
@@ -286,16 +152,17 @@ def _exponential_term(z: complex, alpha: float, beta: float) -> complex:
     return power * cmath.exp(w) / alpha
 
 
-@_rowwise
-def _asymptotic(z, alpha: float, beta: float, rtol: float, n_max: int = 160):
-    """Large-|z| expansion per z (nonzero), truncated at its smallest term,
-    from the terms z^{-k}/Gamma(beta - k alpha), k = 1..n_max.  Returns
-    (values, ok)."""
+def _asymptotic(z: np.ndarray, alpha: float, beta: float, rtol: float, n_max: int = 160):
+    """Large-|z| expansion on a 1-D array of z (nonzero), each truncated at
+    its smallest term, from the terms z^{-k}/Gamma(beta - k alpha),
+    k = 1..n_max.  Returns (values, ok)."""
+    from scipy import special as sc
+
     val, est = np.zeros(z.size, dtype=complex), np.zeros(z.size)
     zl = z.tolist()
     k = np.arange(1, n_max + 1)
     j = np.arange(n_max)
-    coef = _coefficients(alpha, beta).asymptotic(n_max)
+    coef = sc.rgamma(beta - alpha * k)  # 0 at the poles
     for rows in _blocks(np.arange(z.size), n_max):
         logz = np.array([cmath.log(zl[i]) for i in rows])
         terms = np.exp(-k * logz[:, None]) * coef
@@ -414,9 +281,9 @@ def mittag_leffler(z, alpha: float, beta: float = 1.0, rtol: float = 1e-13):
     z is a scalar, giving a complex, or an array, giving a complex array of
     its shape; a scalar is the one-element case, and each value is the same
     bit for bit whatever else the array holds.  beta may be any real number
-    (terms with Gamma evaluated at a pole vanish).  The three double-precision
-    branches (Taylor series, large-z expansion, contour integral) are tried in
-    the order of the module docstring, each on the z the earlier ones left.
+    (terms with Gamma evaluated at a pole vanish).  The two double-precision
+    branches (large-z expansion, contour integral) are tried in the order of
+    the module docstring, the second on the z the first left.
     Raises AccuracyError, naming the first such z, on the documented gap,
     where none of them attains `rtol`: small values in the decay sector,
     values near the zeros of E on the negative real axis, huge values at
@@ -432,8 +299,14 @@ def mittag_leffler(z, alpha: float, beta: float = 1.0, rtol: float = 1e-13):
     if not todo.all():
         val[~todo] = reciprocal_gamma(beta)
     az = np.abs(flat)
-    for branch, near in ((_taylor_double, az <= SERIES_RADIUS),
-                         (_asymptotic, az >= ASYMPTOTIC_MIN),
+    if beta <= 0.0 and beta == int(beta):
+        # 1/Gamma(beta) = 0, so E is about z/Gamma(alpha+beta) near 0, below
+        # the contour's rounding floor; there E_{alpha,beta}(z) = z E_{alpha,alpha+beta}(z)
+        rows = np.flatnonzero(todo & (az < 1.0))
+        if rows.size:
+            val[rows] = flat[rows] * mittag_leffler(flat[rows], alpha, alpha + beta, rtol)
+            todo[rows] = False
+    for branch, near in ((_asymptotic, az >= ASYMPTOTIC_MIN),
                          (_contour, True)):
         rows = np.flatnonzero(todo & near)
         if rows.size:

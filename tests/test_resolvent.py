@@ -215,6 +215,17 @@ class TestPoisson:
         q = poisson_resolvent(np.array([[lam]]), 1.0, h, n, 1.0)[0, 0]
         assert q == pytest.approx((1.0 - h * lam) ** -(n + 1), rel=1e-8)
 
+    @pytest.mark.parametrize("n", [10, 40])
+    def test_window_follows_the_growth_of_e(self, n):
+        # E_{1,1}(h lam s) = e^(0.5 s) at lam = 5: the integrand peaks near
+        # 2(n+1), past the Poisson window, which is widened to reach it
+        q = poisson_resolvent(np.array([[5.0]]), 1.0, 0.1, n, 1.0)[0, 0]
+        assert q == pytest.approx(0.5 ** -(n + 1), rel=1e-8)
+        # at lam = 9 it peaks near 10(n+1), where e^(0.9 s) overflows a double:
+        # an error, not a truncated value
+        with pytest.raises(AccuracyError, match="overflows"):
+            poisson_resolvent(np.array([[9.0]]), 1.0, 0.1, n, 1.0)
+
     def test_divergent_transform_rejected(self):
         # the uncontrolled Lorenz eigenvalue +11.83 has (h^alpha lam)^(1/alpha) = 1.18 at h = 0.1
         A = problems.lorenz_controlled(False).A

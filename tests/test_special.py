@@ -112,7 +112,7 @@ class TestMittagLeffler:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
     @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5])
     def test_against_series_oracle_midrange(self, alpha, beta):
-        # the awkward band between the Taylor and asymptotic regimes; radii
+        # the awkward band where the large-z expansion starts to apply; radii
         # where the reference sum itself stays affordable (< ~200 digits)
         for r in (4.0, 6.5, 9.5):
             if 0.9 * r ** (1.0 / alpha) > 150.0:
@@ -124,7 +124,7 @@ class TestMittagLeffler:
                 assert abs(val - ref) <= 1e-11 * max(abs(ref), 1e-30)
 
     def test_saturation_band_routed_to_extended_precision(self):
-        # just past the Taylor radius the large-z expansion saturates above
+        # at |z| = 10, alpha = 0.7 the large-z expansion saturates above
         # tolerance; the first-omitted-term check must reject it there, so
         # that the contour integral serves the point
         z = 10.0 * cmath.exp(2.4j)
@@ -174,55 +174,52 @@ class TestMittagLeffler:
             assert abs(val - ref) <= 1e-13 * abs(ref)
         assert abs(mittag_leffler(z, alpha, beta, rtol=1e-11) - ref) <= 1e-11 * abs(ref)
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("beta", [0.0, -1.0, -2.0])
+    def test_pole_beta_near_zero(self, alpha, beta):
+        # 1/Gamma(beta) = 0, so E ~ z/Gamma(alpha+beta) sits below the
+        # contour's rounding floor near 0: served through z E_{alpha,alpha+beta}
+        for r in (1e-6, 1e-3, 0.5, 0.99):
+            z = r * cmath.exp(2.1j)
+            ref = ml_series_oracle(z, alpha, beta)
+            assert abs(mittag_leffler(z, alpha, beta) - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_complex_plane_against_closed_forms(self, alpha):
+        # E_{1,1}(z) = exp(z) and E_{1/2,1}(z) = erfcx(-z) over the upper half
+        # plane, |z| from 0.01 to 25: both branches, one array call each
+        from scipy.special import erfcx
+        z = (np.geomspace(0.01, 25.0, 15)[:, None]
+             * np.exp(1j * np.linspace(0.0, math.pi, 17))).ravel()
+        z = z[(z ** (1.0 / alpha)).real < 600.0]
+        ref = np.exp(z) if alpha == 1.0 else erfcx(-z)
+        val = mittag_leffler(z, alpha, 1.0, rtol=1e-11)
+        assert np.all(np.abs(val - ref) <= 1e-11 * np.abs(ref))
+
     def test_overflow_gap_raises(self):
         # far outside the decay sector exp(z^(1/alpha)) exceeds double range
         with pytest.raises(AccuracyError):
             mittag_leffler(1e4, 0.5)
 
-    def test_values_do_not_depend_on_table_growth(self, monkeypatch):
-        # each (alpha, beta) keeps one coefficient table, grown to the longest
-        # term count asked for: a value read from a grown table is bit-identical
-        # to the value computed from a fresh one (beta = -0.4 puts the first
-        # Taylor terms at x <= 0.5, where 1/Gamma is tabulated)
-        monkeypatch.setattr(special, "_tables", {})
-        zs = [0.5, -2.0 + 1j, 8.5j, -8.9, 4.0 + 4.0j, -30.0, 25.0j]
-        for beta in (0.8, -0.4):
-            fresh = []
-            for z in zs:
-                special._tables.clear()
-                fresh.append(mittag_leffler(z, 0.6, beta, rtol=1e-11))
-            special._tables.clear()
-            ref = special._asymptotic(-30.0 + 0j, 0.6, beta, 1e-11, n_max=5)
-            grown = [mittag_leffler(z, 0.6, beta, rtol=1e-11) for z in zs[::-1]][::-1]
-            assert grown == fresh
-            assert special._asymptotic(-30.0 + 0j, 0.6, beta, 1e-11, n_max=5) == ref
-            assert len(special._tables) == 1
-
-    def test_table_store_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(special, "_tables", {})
-        for i in range(3 * special._TABLES_KEPT):
-            mittag_leffler(-1.0, 0.5, 1.0 + i / 100)
-            assert 1 <= len(special._tables) <= special._TABLES_KEPT
-
 
 class TestArrayArgument:
-    # one z per branch at alpha = 0.8, beta = 0.5: the Taylor sum, the
-    # large-z expansion and the contour (past the Taylor radius, where the
-    # expansion misses rtol), plus z = 0
+    # z from both branches at alpha = 0.8, beta = 0.5: the large-z expansion,
+    # and the contour below its radius and past it (where the expansion
+    # misses rtol), plus z = 0
     ALPHA, BETA = 0.8, 0.5
-    TAYLOR, ASYMPTOTIC, CONTOUR = 1.0 + 1.0j, -30.0, 9.5 * cmath.exp(2j * math.pi / 3)
+    SMALL, ASYMPTOTIC, CONTOUR = 1.0 + 1.0j, -30.0, 9.5 * cmath.exp(2j * math.pi / 3)
 
     def test_rows_come_from_every_branch(self):
         a, b = self.ALPHA, self.BETA
-        assert special._taylor_double(self.TAYLOR, a, b, 1e-13)[1]
-        assert special._asymptotic(self.ASYMPTOTIC, a, b, 1e-13)[1]
-        assert abs(self.CONTOUR) > special.SERIES_RADIUS
-        assert not special._asymptotic(self.CONTOUR, a, b, 1e-13)[1]
+        assert abs(self.SMALL) < special.ASYMPTOTIC_MIN
+        assert special._contour(np.array([self.SMALL]), a, b, 1e-13)[1][0]
+        assert special._asymptotic(np.array([self.ASYMPTOTIC + 0j]), a, b, 1e-13)[1][0]
+        assert not special._asymptotic(np.array([self.CONTOUR]), a, b, 1e-13)[1][0]
         assert special._contour(np.array([self.CONTOUR]), a, b, 1e-13)[1][0]
 
     def test_rows_equal_their_one_element_calls(self):
         rng = np.random.default_rng(7)
-        base = [self.TAYLOR, self.ASYMPTOTIC, self.CONTOUR, 0.0]
+        base = [self.SMALL, self.ASYMPTOTIC, self.CONTOUR, 0.0]
         zs = np.array(base + [r * cmath.exp(1j * t) for r, t in
                               zip(rng.uniform(0.01, 60.0, 60), rng.uniform(-math.pi, math.pi, 60))])
         for rtol in (1e-13, 3e-9):
@@ -235,7 +232,7 @@ class TestArrayArgument:
             assert grid.shape == (6, 10) and np.array_equal(grid.ravel(), one[4:])
 
     def test_scalar_is_complex(self):
-        assert type(mittag_leffler(self.TAYLOR, self.ALPHA, self.BETA)) is complex
+        assert type(mittag_leffler(self.SMALL, self.ALPHA, self.BETA)) is complex
         assert type(mittag_leffler(np.float64(-1.0), 0.5)) is complex
 
     def test_one_unserved_row_raises(self):
@@ -331,6 +328,11 @@ class TestPrabhakar:
                 poch = mpmath.gamma(g + k) / mpmath.gamma(g)
                 s += poch * zm ** k / mpmath.factorial(k) * mpmath.rgamma(am * k + bm)
             return complex(s)
+
+    def test_near_zero_takes_a_pole_beta(self):
+        # order 2 at beta = 1 reads E_{1/2,0}, whose 1/Gamma(0) term vanishes
+        ref = self.prabhakar_series_oracle(1e-4, 0.5, 1.0, 2)
+        assert abs(prabhakar(1e-4, 0.5, 1.0, 2) - ref) <= 1e-13 * abs(ref)
 
     def test_reduction_vs_series_negative_beta(self):
         ref = self.prabhakar_series_oracle(-4.0, 0.5, -0.5, 2)
