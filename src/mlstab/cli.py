@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, problems, tables
+from . import __version__, _csvfmt, analysis, problems, tables
 from . import resolvent as rsv
 from . import solver as slv
 from . import weights as wt
@@ -35,36 +35,44 @@ def _meta_line(**kv) -> str:
     return "# " + " ".join(parts) + "\n"
 
 
-def _write(out_dir: str, name: str, text: str) -> Path:
+def _write(out_dir: str, name: str, data: bytes) -> Path:
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     path = root / name
-    path.write_text(text)
+    path.write_bytes(data)
     return path
 
 
-#: rows formatted per block by _csv.
-_CSV_BLOCK = 256
+#: values formatted per block by _csv_bytes; a block bounds the temporaries.
+_CSV_BLOCK = 4096
 
 
-def _csv(meta: str, columns: dict) -> str:
+def _csv_bytes(meta: str, columns: dict) -> bytes:
     """meta, the column names, then the rows in %.17g (which round-trips a
-    double); a None column leaves its field empty."""
+    double); a None column after the first leaves its field empty."""
     filled = [c for c in columns.values() if c is not None]
     table = np.empty((len(filled[0]), len(filled)))
     for j, c in enumerate(filled):
         table[:, j] = c
-    row = ",".join("" if c is None else "%.17g" for c in columns.values()) + "\n"
-    # blocks of rows bound the Python floats alive at once
-    body = "".join((row * len(block)) % tuple(block.ravel().tolist())
-                   for block in np.split(table, range(_CSV_BLOCK, len(table), _CSV_BLOCK)))
-    return meta + ",".join(columns) + "\n" + body
+    # the separators after each filled column
+    seps = ",".join("" if c is None else "%" for c in columns.values()).split("%")[1:]
+    seps[-1] += "\n"
+    tail = _csvfmt.tails(seps)
+    step = max(1, _CSV_BLOCK // len(filled))
+    return b"".join([(meta + ",".join(columns) + "\n").encode(),
+                     *(_csvfmt.rows_text(table[i:i + step], tail)
+                       for i in range(0, len(table), step))])
+
+
+def _csv(meta: str, columns: dict) -> str:
+    """The text of _csv_bytes."""
+    return _csv_bytes(meta, columns).decode()
 
 
 def _summary(out_dir: str, name: str, summary: dict) -> int:
     """Write a JSON summary, print it, and return exit code 0."""
     text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    _write(out_dir, name, text)
+    _write(out_dir, name, text.encode())
     print(text, end="")
     return 0
 
@@ -113,22 +121,29 @@ def _problem_from_args(args) -> slv.FOdeProblem:
 
 def cmd_weights(args) -> int:
     n = args.n
+    if n < 1:
+        raise ValueError(f"--n must be at least 1, got {n}")
     with _allocation(f"--n {n}", n):
         w = wt.scheme_weights(args.scheme, args.alpha, n)
-        text = _csv(_meta_line(cmd="weights", scheme=args.scheme, alpha=args.alpha, n=n),
-                    {"n": np.arange(n), "mu": w.mu[:n],
-                     "omega": None if w.omega is None else w.omega[:n],
-                     "sigma": None if w.sigma is None else w.sigma[:n]})
-    print(_write(args.out, f"weights_{args.scheme}_a{args.alpha:g}.csv", text))
+        meta = _meta_line(cmd="weights", scheme=args.scheme, alpha=args.alpha, n=n)
+        data = _csv_bytes(meta, {"n": np.arange(n), "mu": w.mu[:n],
+                                 "omega": None if w.omega is None else w.omega[:n],
+                                 "sigma": None if w.sigma is None else w.sigma[:n]})
+    print(_write(args.out, f"weights_{args.scheme}_a{args.alpha:g}.csv", data))
     return 0
 
 
-def _trajectory_csv(traj: slv.Trajectory, meta: str) -> str:
+def _trajectory_columns(traj: slv.Trajectory) -> dict:
     columns = {"t": traj.times}
     for i, y in enumerate(traj.states.T):
         columns[f"y{i}_re"], columns[f"y{i}_im"] = y.real, y.imag
     columns["norm"] = traj.norms()
-    return _csv(meta, columns)
+    return columns
+
+
+def _trajectory_csv(traj: slv.Trajectory, meta: str) -> str:
+    """The text of a trajectory's CSV."""
+    return _csv(meta, _trajectory_columns(traj))
 
 
 def _checkpoint_times(text: str) -> list[float]:
@@ -153,7 +168,9 @@ def cmd_solve(args) -> int:
     if args.t_end is not None:
         if not math.isfinite(args.t_end):
             raise ValueError(f"--t-end must be finite, got {args.t_end}")
-        N, flags = int(round(args.t_end / args.h)) + args.m, "--t-end and --h"
+        steps = args.t_end / args.h  # inf when the quotient overflows
+        N = int(round(steps)) + args.m if math.isfinite(steps) else steps
+        flags = "--t-end and --h"
     elif args.n_steps is not None:
         N, flags = args.n_steps, "--n-steps"
     else:
@@ -192,8 +209,9 @@ def cmd_solve(args) -> int:
     meta = _meta_line(cmd="solve", scheme=args.scheme, alpha=args.alpha, h=args.h,
                       problem=args.problem)
     stem = f"solve_{args.problem}_{args.scheme}_a{args.alpha:g}"
-    _write(args.out, stem + ".csv", _trajectory_csv(traj, meta))
-    _write(args.out, stem + "_pindex.csv", _csv(meta, {"t": report.times, "p_alpha": report.p}))
+    _write(args.out, stem + ".csv", _csv_bytes(meta, _trajectory_columns(traj)))
+    _write(args.out, stem + "_pindex.csv",
+           _csv_bytes(meta, {"t": report.times, "p_alpha": report.p}))
     return _summary(args.out, stem + "_summary.json", summary)
 
 
@@ -203,7 +221,7 @@ def cmd_reproduce(args) -> int:
         cells = tables.reproduce(args.table, m=args.m, tolerance=args.tolerance)
     meta = _meta_line(cmd="reproduce", table=args.table.upper(), m=args.m)
     path = _write(args.out, f"reproduce_{args.table.upper()}.csv",
-                  meta + tables.results_to_csv(cells))
+                  (meta + tables.results_to_csv(cells)).encode())
     n_fail = sum(1 for c in cells if not c.passed)
     asserted = [c for c in cells if c.asserted]
     worst = max((c.deviation for c in asserted), default=0.0)
@@ -246,10 +264,10 @@ def cmd_region(args) -> int:
     meta = _meta_line(cmd="region", scheme=args.scheme, alpha=args.alpha, h=args.h)
     stem = f"region_{args.scheme}_a{args.alpha:g}"
     path = _write(args.out, stem + ".csv",
-                  _csv(meta, {"theta": sample.theta, "re": sample.boundary.real,
-                              "im": sample.boundary.imag}))
+                  _csv_bytes(meta, {"theta": sample.theta, "re": sample.boundary.real,
+                                    "im": sample.boundary.imag}))
     if args.svg:
-        _write(args.out, stem + ".svg", _sector_svg(sample))
+        _write(args.out, stem + ".svg", _sector_svg(sample).encode())
     print(path)
     return 0
 
@@ -287,8 +305,9 @@ def cmd_resolvent(args) -> int:
         r = rsv.impulse_resolvent(args.scheme, prob.A, args.alpha, args.h, args.n_max)
     meta = _meta_line(cmd="resolvent", scheme=args.scheme, alpha=args.alpha, h=args.h)
     _write(args.out, stem + ".csv",
-           _csv(meta, {"n": np.arange(len(r.times)), "t": r.times,
-                       "norm_d": rsv.operator_norms(r.d), "norm_D": rsv.operator_norms(r.D)}))
+           _csv_bytes(meta, {"n": np.arange(len(r.times)), "t": r.times,
+                             "norm_d": rsv.operator_norms(r.d),
+                             "norm_D": rsv.operator_norms(r.D)}))
 
     d0_dev = float(np.max(np.abs(r.D[0] - rsv.d0_closed_form(args.scheme, prob.A,
                                                              args.alpha, args.h))))

@@ -7,8 +7,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from mlstab import cli
+from mlstab import _csvfmt, cli
 
 
 def run_cli(*args):
@@ -175,6 +177,76 @@ def test_csv_matches_per_element_format(columns):
         lines.append(",".join("" if c is None else f"{next(vals):.17g}"
                               for c in columns.values()))
     assert cli._csv("# meta\n", columns) == "# meta\n" + "\n".join(lines) + "\n"
+
+
+class TestCsvNumbers:
+    """`cli._csv_bytes` against `%.17g` one value at a time, with the numpy
+    fast path on (where longdouble allows it) and switched off."""
+
+    @pytest.fixture(params=["fast", "percent"], autouse=True)
+    def path(self, request, monkeypatch):
+        monkeypatch.setattr(_csvfmt, "_FAST", _csvfmt._FAST and request.param == "fast")
+
+    @staticmethod
+    def check(columns):
+        lines = ["# meta", ",".join(columns)]
+        filled = [np.asarray(c, float) for c in columns.values() if c is not None]
+        for row in zip(*filled):
+            vals = iter(row)
+            lines.append(",".join("" if c is None else "%.17g" % next(vals)
+                                  for c in columns.values()))
+        want = "\n".join(lines) + "\n"
+        assert cli._csv_bytes("# meta\n", columns) == want.encode()
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), n_cols=st.integers(1, 5), n_rows=st.integers(0, 30))
+    def test_arbitrary_bit_patterns(self, data, n_cols, n_rows):
+        bits = st.integers(0, 2 ** 64 - 1).map(
+            lambda b: float(np.array(b, np.uint64).view(np.float64)))
+        value = bits | st.floats(1e-12, 1e18) | st.floats(-1e18, -1e-12)
+        columns = {}
+        for j in range(n_cols):
+            if j and data.draw(st.booleans()):
+                columns[f"none{j}"] = None
+            columns[f"c{j}"] = data.draw(st.lists(value, min_size=n_rows, max_size=n_rows))
+        self.check(columns)
+
+    def test_ties_and_their_neighbours(self):
+        # 18-digit decimals ending in 5 lie halfway between two 17-digit ones
+        rng = np.random.default_rng(5)
+        x = [float(f"{rng.integers(10 ** 16, 10 ** 17)}5e{e - 17}")
+             for e in range(-11, 17) for _ in range(40)]
+        # odd * 2^-e is exactly the decimal odd * 5^e * 10^-e, which ends in 5
+        for e in range(2, 26):
+            odd = rng.integers(-(-10 ** 17 // 5 ** e), min(10 ** 18 // 5 ** e, 2 ** 53), 20) | 1
+            x += [float(o) * 2.0 ** -e for o in odd]
+        x = np.array(x)
+        vals = np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, np.inf), -x])
+        self.check({"x": vals, "y": vals[::-1]})
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        p = np.array([float(f"1e{k}") for k in range(-30, 31)])
+        vals = np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf), -p])
+        self.check({"p": vals})
+
+    def test_special_values(self):
+        vals = [1e-7, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, np.nan, np.inf, -np.inf, 1e-11, 1e17,
+                99999999999999984.0, 1e16 + 2, 0.1, 1 / 3, 123.0, 1e-4, 1e-5]
+        self.check({"v": vals, "w": None, "u": vals[::-1], "z": None})
+
+    @pytest.mark.parametrize("n_cols", [1, 3, 130])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_rows_at_block_boundaries(self, n_cols, extra):
+        per_block = cli._CSV_BLOCK // n_cols
+        n_rows = per_block + extra
+        vals = np.random.default_rng(n_cols).standard_normal((n_rows, n_cols))
+        vals[::7] = 0.0
+        self.check({f"c{j}": vals[:, j] for j in range(n_cols)})
+
+    def test_zero_rows(self):
+        self.check({"t": np.empty(0), "w": None, "p": np.empty(0)})
 
 
 class TestRegionCommand:
@@ -373,16 +445,23 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv, size", [
         (("solve", "--h", "0.1", "--t-end", "1e300"),
          f"N = {round(1e300 / 0.1) + 5} steps (from --t-end and --h)"),
+        (("solve", "--h", "1e-10", "--t-end", "1e300"), "N = inf steps (from --t-end and --h)"),
         (("solve", "--h", "0.1", "--n-steps", str(2 ** 62)), f"N = {2 ** 62} steps (from --n-steps)"),
         (("weights", "--n", str(2 ** 62)), f"--n {2 ** 62} is"),
         (("resolvent", "--h", "0.1", "--n-max", str(2 ** 62)), f"--n-max {2 ** 62} is"),
-    ], ids=["t-end", "n-steps", "weights-n", "n-max"])
+    ], ids=["t-end", "t-end-overflow", "n-steps", "weights-n", "n-max"])
     def test_run_too_large_to_allocate(self, tmp_path, capsys, argv, size):
         # numpy would refuse these arrays without allocating; the CLI names the size first
         assert cli.main([*argv, "--scheme", "fbdf1", "--alpha", "0.5",
                          "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and size in err and "too large to allocate" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_weights_n_at_least_one(self, tmp_path, capsys):
+        assert cli.main(["weights", "--scheme", "l1", "--alpha", "0.5", "--n", "0",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: --n must be at least 1, got 0\n"
         assert not (tmp_path / "out").exists()
 
     def test_memory_error_names_the_run(self, tmp_path, capsys, monkeypatch):
