@@ -17,7 +17,6 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .special import (
-    gamma,
     mittag_leffler,
     prabhakar,
     resolvent_matrix,
@@ -38,7 +37,6 @@ from . import problems, tables
 
 __all__ = [
     "__version__",
-    "gamma",
     "mittag_leffler",
     "prabhakar",
     "resolvent_matrix",

@@ -12,13 +12,16 @@ from byte strings, so the layout does not depend on the byte order:
 A value x = 0 or 1e-11 <= |x| < 1e17 takes its 17 significant digits from
 one scaling `y = |x| 10^(16-E)` in `np.longdouble`, E its decimal exponent.
 Each `10^k`, k <= 27, is exact there (5^k < 2^64), so `y < 2^57` carries one
-rounding, at most 2^-8; `D = rint(y)` is then the correctly rounded 17-digit
-integer unless `|y - D| >= 1/2 - 1/64`.  Every other value (nan, inf,
-subnormals, values outside that range or too close to a rounding tie, and
-every value where longdouble has fewer than 64 significand bits) is
-formatted by `"%.17g" % x` itself into its own row.  A fast path that knows
-when it is unsure, backed by an exact fallback, is Grisu3's design
-(Loitsch, PLDI 2010).
+rounding, at most half an ulp.  Where longdouble is an IEEE binary format
+(x87's 64-bit significand, quad's 113) that ulp divides 1/2, so y and D =
+rint(y) are multiples of it: `|y - D| < 1/2` leaves y at least an ulp from
+the tie, and D is the correctly rounded 17-digit integer.  Double-double
+has no fixed ulp and asks `|y - D| < 1/2 - 1/64`, against an error of at
+most 2^-8.  Every other value (nan, inf, subnormals, values outside that
+range or at a rounding tie, and every value where longdouble has fewer than
+64 significand bits) is formatted by `"%.17g" % x` itself into its own row.
+A fast path that knows when it is unsure, backed by an exact fallback, is
+Grisu3's design (Loitsch, PLDI 2010).
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ _E_MIN, _E_MAX = -11, 16
 _LO, _HI = 10 ** 16, 10 ** 17  # the 17-digit integers
 _POW10 = np.array([np.ldexp(np.longdouble(np.uint64(5 ** k)), k)
                    for k in range(_E_MAX - _E_MIN + 1)])
-_MARGIN = 0.5 - 1 / 64
+#: |y - D| below this decides D: exact for the IEEE formats, a margin for double-double
+_MARGIN = 0.5 if np.finfo(np.longdouble).nmant in (63, 112) else 0.5 - 1 / 64
 _WORDS = 5  # before the tail
 _PERCENT = b"%%-%d.17g" % (8 * _WORDS)  # "%.17g", padded with spaces to the five words
 

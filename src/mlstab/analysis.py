@@ -157,21 +157,61 @@ def p_at_checkpoints(traj: Trajectory, checkpoints, m: int = 5,
 #: terms of the Bose-Einstein series of _polylog: on |z| = 1, |log z| <= pi,
 #: so its terms shrink like 0.5^k.
 _BE_TERMS = 60
+#: Euler-Maclaurin cut-off of _zeta_1p, and its corrections B_2k / (2k)!,
+#: k = 1..10: the first omitted one is below 1e-19 relative for every t >= 0.
+_EM_N = 10
+_EM_BERNOULLI = np.array([b / math.factorial(2 * k) for k, b in enumerate(
+    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+     43867 / 798, -174611 / 330), 1)])
+
+
+def _zeta_1p(t: np.ndarray) -> np.ndarray:
+    """zeta(1 + t) on an array of t > 0, by Euler-Maclaurin summation at
+    N = _EM_N.  The pole term N^-t / t takes t itself, not (1 + t) - 1, so
+    its digits survive t -> 0."""
+    sigma = 1.0 + t
+    total = (np.arange(1.0, _EM_N)[:, None] ** -sigma).sum(axis=0)
+    total += float(_EM_N) ** -t / t + 0.5 * float(_EM_N) ** -sigma
+    rising = sigma * float(_EM_N) ** (-sigma - 1.0)  # sigma (sigma+1)..(sigma+2k-2) N^(-sigma-2k+1)
+    for k, b in enumerate(_EM_BERNOULLI):
+        total += b * rising
+        rising *= (sigma + 2 * k + 1) * (sigma + 2 * k + 2) / _EM_N ** 2
+    return total
+
+
+def _bose_einstein_coefficients(s: float) -> np.ndarray:
+    """zeta(s - j) / j! for j < _BE_TERMS and real s in (-1, 0], from the
+    functional equation with t = j - s:
+
+        zeta(s - j) = ((2 pi)^(s-j) / pi) sin(pi (s - j) / 2) Gamma(1 + t) zeta(1 + t).
+
+    The sine is sin or cos of pi s / 2 by j mod 4, and Gamma(1 + t) / j! a
+    running product from Gamma(1 - s).  At s = 0 (alpha = 1) the value is
+    exact: zeta(0) = -1/2, and the sine vanishes at the trivial zeros.
+    """
+    j = np.arange(_BE_TERMS)
+    t = j - s
+    a = 0.5 * math.pi * s
+    trig = np.array([math.sin(a), -math.cos(a), -math.sin(a), math.cos(a)])[j % 4]
+    ratio = math.gamma(1.0 - s) * np.cumprod(np.concatenate(([1.0], t[1:] / j[1:])))
+    coef = (2.0 * math.pi) ** (s - j) / math.pi * trig * ratio
+    if s == 0.0:
+        return np.concatenate(([-0.5], coef[1:] * _zeta_1p(t[1:])))
+    return coef * _zeta_1p(t)
 
 
 def _polylog(s: float, z: np.ndarray) -> np.ndarray:
-    """Li_s(z) for real s < 1 on an array with |z| = 1, z != 1, in doubles.
+    """Li_s(z) for real s in (-1, 0] on an array with |z| = 1, z != 1, in
+    doubles.
 
     The Bose-Einstein series in mu = log z (Wood 1992, "The computation of
     polylogarithms", Univ. Kent TR 15-92), convergent for |mu| < 2 pi:
 
         Li_s(e^mu) = Gamma(1-s) (-mu)^(s-1) + sum_{k>=0} zeta(s-k) mu^k / k!.
     """
-    from scipy import special as sc
-
     mu = np.log(z)
+    coef = _bose_einstein_coefficients(s)
     j = np.arange(_BE_TERMS)
-    coef = sc.zeta(s - j) / sc.factorial(j)
     return math.gamma(1.0 - s) * (-mu) ** (s - 1.0) + (mu[:, None] ** j * coef).sum(axis=1)
 
 

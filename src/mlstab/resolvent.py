@@ -194,8 +194,6 @@ def _poisson_scalar(lam: complex, alpha: float, h: float, ns, beta: float) -> np
     first n left unmet when only rounding-level error remains or the budget of
     _Q_PANELS panels per n runs out.
     """
-    from scipy.special import gammaln, xlogy
-
     # E grows like exp(c s) along the path, so the integrand is about a Gamma
     # density of rate 1 - c in s: its window is the Poisson one over 1 - c
     c = 0.0
@@ -210,7 +208,7 @@ def _poisson_scalar(lam: complex, alpha: float, h: float, ns, beta: float) -> np
     lo, hi = np.array([_poisson_window(n) for n in ns.tolist()]).T / (1.0 - c)
     a, b = lo ** alpha, hi ** alpha  # each n's window in u
     scale = h ** (beta - 1.0) / alpha
-    expo, log_fact = ns + beta - alpha, gammaln(ns + 1.0)
+    expo, log_fact = ns + beta - alpha, np.array([math.lgamma(n + 1.0) for n in ns.tolist()])
     real_line = lam.imag == 0.0  # then E stays real along the path
 
     def panels(left: np.ndarray, right: np.ndarray):
@@ -231,7 +229,9 @@ def _poisson_scalar(lam: complex, alpha: float, h: float, ns, beta: float) -> np
         step = max(1, _Q_BLOCK // (_GK_X.size * ns.size))
         for i in range(0, left.size, step):
             rows = slice(i, i + step)
-            lw = xlogy(expo, s[rows, :, None]) - s[rows, :, None] - log_fact  # (k, 21, m)
+            # the G10/K21 nodes are interior to their panel, so u > 0 and s > 0:
+            # expo log(s) needs no xlogy convention for s = 0
+            lw = expo * np.log(s[rows, :, None]) - s[rows, :, None] - log_fact  # (k, 21, m)
             f = scale * np.exp(lw) * e[rows, :, None] * inside[rows, None, :]
             kron = np.einsum("k,pkm->pm", _GK_WK, f)
             hr = half[rows, None]

@@ -1,6 +1,6 @@
 """Scalar and small-matrix special functions.
 
-Gamma, the two-parameter Mittag-Leffler function E_{alpha,beta}, the
+1/Gamma, the two-parameter Mittag-Leffler function E_{alpha,beta}, the
 three-parameter (Prabhakar) generalization for integer third parameter,
 the continuous fractional resolvent t^{beta-1} E_{alpha,beta}(t^alpha A),
 and the stability-sector test |arg(lambda)| > alpha*pi/2.
@@ -47,9 +47,9 @@ raises AccuracyError too.
 
 All functions here are pure and the module holds no mutable state.  Blocks of
 expansion terms or contour nodes hold at most _BLOCK entries, so a long array
-of z is evaluated a block of rows at a time.  scipy.special is imported on
-first use by the functions that evaluate Gamma; the rest of mlstab (weights,
-solver, the F-LMM regions, the impulse resolvents) runs on numpy alone.
+of z is evaluated a block of rows at a time.  Gamma values come from
+math.gamma (reciprocal_gamma); like the rest of mlstab, the module runs on
+numpy and the standard library alone.
 """
 
 from __future__ import annotations
@@ -61,13 +61,11 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "GammaPoleError",
     "AccuracyError",
     "EigenbasisError",
     "SectorResult",
     "ASYMPTOTIC_MIN",
     "COND_CAP",
-    "gamma",
     "reciprocal_gamma",
     "mittag_leffler",
     "prabhakar",
@@ -75,10 +73,6 @@ __all__ = [
     "matrix_function",
     "in_stable_sector",
 ]
-
-
-class GammaPoleError(ValueError):
-    """Gamma evaluated at a non-positive integer."""
 
 
 class AccuracyError(ArithmeticError):
@@ -98,29 +92,17 @@ _LN_OVERFLOW = 690.0  # ~ log(DBL_MAX)
 _EPS = 2.220446049250313e-16
 
 
-def gamma(x) -> complex:
-    """Gamma function for real or complex argument.
-
-    Raises GammaPoleError at the poles (non-positive integers).  Overflow for
-    large positive real part yields inf, as in the underlying scipy routine.
-    """
-    from scipy import special as sc
-
-    z = complex(x)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise GammaPoleError(f"gamma pole at {z.real:g}")
-    if z.imag == 0.0:
-        return complex(sc.gamma(z.real))
-    return complex(sc.gamma(z))
-
-
 def reciprocal_gamma(x: float) -> float:
-    """1/Gamma(x) for real x, exactly 0 at the poles."""
-    from scipy import special as sc
-
-    if x <= 0.0 and x == int(x):
-        return 0.0
-    return float(sc.rgamma(x))
+    """1/Gamma(x) for real x: exactly 0 at the poles and where Gamma(x)
+    overflows (x > 171.6), +-inf where 1/Gamma(x) overflows, nan for nan and
+    -inf."""
+    try:
+        g = math.gamma(x)
+    except ValueError:  # a pole, or -inf
+        return math.nan if x == -math.inf else 0.0
+    except OverflowError:  # x > 171.6, or |x| so small that 1/Gamma(x) = x
+        return 0.0 if x > 1.0 else x
+    return 1.0 / g if g else math.copysign(math.inf, g)
 
 
 def _validate_ml_params(alpha: float, beta: float) -> None:
@@ -156,13 +138,11 @@ def _asymptotic(z: np.ndarray, alpha: float, beta: float, rtol: float, n_max: in
     """Large-|z| expansion on a 1-D array of z (nonzero), each truncated at
     its smallest term, from the terms z^{-k}/Gamma(beta - k alpha),
     k = 1..n_max.  Returns (values, ok)."""
-    from scipy import special as sc
-
     val, est = np.zeros(z.size, dtype=complex), np.zeros(z.size)
     zl = z.tolist()
     k = np.arange(1, n_max + 1)
     j = np.arange(n_max)
-    coef = sc.rgamma(beta - alpha * k)  # 0 at the poles
+    coef = np.array(list(map(reciprocal_gamma, (beta - alpha * k).tolist())))  # 0 at the poles
     for rows in _blocks(np.arange(z.size), n_max):
         logz = np.array([cmath.log(zl[i]) for i in rows])
         terms = np.exp(-k * logz[:, None]) * coef

@@ -15,7 +15,9 @@ from mlstab.analysis import (
     GROWS,
     INCONCLUSIVE,
     UnreliableTailError,
+    _bose_einstein_coefficients,
     _f_omega,
+    _polylog,
     classify_problem,
     p_at_checkpoints,
     p_index,
@@ -252,6 +254,35 @@ def test_l1_against_polylog_closed_form(alpha):
         li = complex(mpmath.polylog(alpha - 1.0, z))
         ref = math.gamma(2.0 - alpha) * z / ((1.0 - z) ** 2 * li)
         assert abs(1.0 / sample.boundary[k] - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.9, 0.99, 0.999999, 1.0 - 1e-12, 1.0])
+def test_bose_einstein_coefficients(alpha):
+    # zeta(s - j) / j!, s = alpha - 1, against mpmath at the same double s,
+    # with alpha -> 1 where t = j - s nears the pole of zeta(1 + t)
+    s = alpha - 1.0
+    got = _bose_einstein_coefficients(s)
+    with mpmath.workdps(40):
+        ref = [mpmath.zeta(mpmath.mpf(s) - j) / mpmath.factorial(j) for j in range(got.size)]
+    for j, r in enumerate(ref):
+        if r == 0:  # the trivial zeros zeta(-2k), at alpha = 1
+            assert got[j] == 0.0, j
+        else:
+            assert abs(got[j] - float(r)) <= 3e-14 * abs(float(r)), j
+    if alpha == 1.0:
+        assert got[0] == -0.5  # zeta(0), exactly
+
+
+def test_polylog_near_alpha_one():
+    # Li_{alpha-1} at alpha = 0.999999, where zeta(s - j) / j! must keep the
+    # digits of t = j - s at j = 0
+    s = 0.999999 - 1.0
+    z = np.exp(1j * np.linspace(-math.pi + math.pi / 128, math.pi - math.pi / 128, 64))
+    got = _polylog(s, z)
+    with mpmath.workdps(30):  # at 15 digits mpmath.polylog itself is off by 1e-13 here
+        ref = [complex(mpmath.polylog(mpmath.mpf(s), zk)) for zk in z.tolist()]
+    for g, r in zip(got.tolist(), ref):
+        assert abs(g - r) <= 1e-14 * abs(r)
 
 
 def test_l1_region_without_extended_precision(monkeypatch):

@@ -717,16 +717,19 @@ class TestConfigFile:
 
 
 def test_stepping_path_never_loads_scipy(tmp_path):
-    # weights, solve, reproduce, the F-LMM region and the impulse resolvent run
-    # on numpy alone; scipy.special and scipy.integrate load only where a
-    # Gamma value, the zeta sum or the Poisson quadrature is needed
+    # mlstab runs on numpy alone: with scipy made unimportable, every command
+    # and the Gamma, zeta and Poisson paths (the L1 region, both Mittag-Leffler
+    # branches, the alpha-difference Poisson check) still run
     script = """
-import contextlib, io, math, sys
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import contextlib, io, math
+import numpy as np
 import mlstab, mlstab.cli
-from mlstab import cli, problems, weights
+from mlstab import cli, problems, special, weights
 from mlstab.analysis import region_boundary
 from mlstab.resolvent import poisson_resolvent
-from mlstab.special import mittag_leffler
+from mlstab.special import mittag_leffler, prabhakar, resolvent_matrix
 
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -739,34 +742,23 @@ for problem, h in (("scalar", "0.1"), ("advection", "0.01"), ("lorenz", "0.1")):
             "--n-steps", "300")
 run("reproduce", "T2")
 run("region", "--scheme", "fbdf2", "--alpha", "0.5")
+run("region", "--scheme", "l1", "--alpha", "0.5")
 run("resolvent", "--scheme", "fbdf1", "--problem", "lorenz", "--alpha", "0.5", "--h", "0.1",
     "--n-max", "200")
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-assert not loaded, loaded
+run("resolvent", "--scheme", "alpha_diff", "--problem", "lorenz", "--alpha", "0.5", "--h", "0.1",
+    "--n-max", "200", "--q-check", "200", "--q-stride", "10")
 assert len(region_boundary(weights.L1, 0.5, 0.1).theta) > 0
-assert abs(mittag_leffler(-1.0, 0.5) - math.exp(1.0) * math.erfc(1.0)) < 1e-15
-assert poisson_resolvent(problems.lorenz_controlled(alpha=0.5).A, 0.5, 0.1, 10, 1.0).shape == (3, 3)
-"""
-    res = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
-                         capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-
-
-def test_poisson_check_never_loads_scipy_integrate(tmp_path):
-    # the Poisson quadrature is G10/K21 on numpy; scipy is used only through
-    # scipy.special, for Gamma values
-    script = """
-import contextlib, io, sys
-from mlstab import cli, problems
-from mlstab.resolvent import poisson_resolvent
-q = poisson_resolvent(problems.lorenz_controlled(alpha=0.5).A, 0.5, 0.1, range(10, 201, 10), 1.0)
-assert q.shape == (20, 3, 3)
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["resolvent", "--scheme", "alpha_diff", "--problem", "lorenz", "--alpha", "0.5",
-                     "--h", "0.1", "--n-max", "200", "--q-check", "200", "--q-stride", "10",
-                     "--out", sys.argv[1]]) == 0
-assert "scipy.special" in sys.modules
-assert "scipy.integrate" not in sys.modules, "scipy.integrate was imported"
+assert abs(mittag_leffler(-1.0, 0.5) - math.exp(1.0) * math.erfc(1.0)) < 1e-15  # contour
+far, ok = special._asymptotic(np.array([-30.0 + 0j]), 0.5, 1.0, 1e-13)  # expansion
+assert ok[0] and mittag_leffler(-30.0, 0.5) == far[0]
+assert abs(far[0] * 30.0 * math.sqrt(math.pi) - 1.0) < 1e-3  # erfcx(x) ~ 1/(x sqrt(pi))
+assert np.isfinite(prabhakar(-2.0, 0.5, 1.0, 2))
+A = problems.lorenz_controlled(alpha=0.5).A
+assert resolvent_matrix(A, 0.5, 0.5, 2.0).shape == (3, 3)
+assert poisson_resolvent(A, 0.5, 0.1, 10, 1.0).shape == (3, 3)
+assert poisson_resolvent(A, 0.5, 0.1, range(10, 201, 10), 1.0).shape == (20, 3, 3)
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert loaded == ["scipy"] and sys.modules["scipy"] is None, loaded
 """
     res = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                          capture_output=True, text=True)

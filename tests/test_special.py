@@ -13,8 +13,6 @@ from mlstab import special
 from mlstab.special import (
     AccuracyError,
     EigenbasisError,
-    GammaPoleError,
-    gamma,
     in_stable_sector,
     matrix_function,
     mittag_leffler,
@@ -46,26 +44,58 @@ def ml_series_oracle(z, alpha, beta, dps=None):
 
 
 class TestGamma:
+    # 1/Gamma, the package's one Gamma evaluator
     def test_known_values(self):
-        assert gamma(1) == pytest.approx(1.0)
-        assert gamma(5) == pytest.approx(24.0)
-        assert abs(gamma(0.5) - math.sqrt(math.pi)) < 1e-14
+        assert reciprocal_gamma(1) == pytest.approx(1.0)
+        assert reciprocal_gamma(5) == pytest.approx(1.0 / 24.0)
+        assert abs(reciprocal_gamma(0.5) - 1.0 / math.sqrt(math.pi)) < 1e-14
 
     def test_relative_accuracy_real_axis(self):
         xs = [1e-3, 0.1, 0.5, 2.5, 17.0, 95.5, 170.0]
         for x in xs:
-            ref = float(mpmath.gamma(x))
-            assert abs(gamma(x).real - ref) <= 1e-13 * abs(ref)
+            ref = float(mpmath.rgamma(x))
+            assert abs(reciprocal_gamma(x) - ref) <= 1e-13 * abs(ref)
 
     @pytest.mark.parametrize("x", [0, -1, -2.0, -17])
     def test_poles_raise(self, x):
-        with pytest.raises(GammaPoleError):
-            gamma(x)
+        # poles raise nothing: 1/Gamma is exactly 0 there
+        assert reciprocal_gamma(x) == 0.0
 
     def test_reciprocal_gamma_zero_at_poles(self):
         assert reciprocal_gamma(0.0) == 0.0
         assert reciprocal_gamma(-3.0) == 0.0
         assert reciprocal_gamma(1.5) == pytest.approx(1.0 / math.gamma(1.5))
+
+    def test_reciprocal_gamma_over_the_double_range(self):
+        # against mpmath on [-200.5, 200]: 1e-13 relative where 1/Gamma is a
+        # normal double, 0 at the poles, within the smallest normal double
+        # where it underflows (x > 171), +-inf below -171 where |1/Gamma|
+        # exceeds the largest double
+        rng = np.random.default_rng(3)
+        xs = np.concatenate((np.arange(-200.5, 200.01, 0.125), rng.uniform(-200.5, 200.0, 300)))
+        big, tiny = sys.float_info.max, sys.float_info.min
+        for x in xs.tolist():
+            got, ref = reciprocal_gamma(x), mpmath.rgamma(mpmath.mpf(x))
+            if ref == 0:
+                assert got == 0.0, x
+            elif abs(ref) > big:
+                assert got == math.copysign(math.inf, ref), x
+            elif abs(ref) < tiny:
+                assert abs(got - float(ref)) < tiny, x
+            else:
+                assert abs(got - float(ref)) <= 1e-13 * abs(float(ref)), x
+
+    def test_reciprocal_gamma_special_arguments(self):
+        assert reciprocal_gamma(math.inf) == 0.0
+        assert math.isnan(reciprocal_gamma(math.nan))
+        assert math.isnan(reciprocal_gamma(-math.inf))
+        assert reciprocal_gamma(-1e20) == 0.0  # a pole, as every double this large is an integer
+        # Gamma(x) overflows, and 1/Gamma(x) = x in doubles
+        assert reciprocal_gamma(1e-320) == 1e-320 and reciprocal_gamma(-1e-320) == -1e-320
+
+    def test_mittag_leffler_at_zero_underflows(self):
+        # E_{alpha,beta}(0) = 1/Gamma(beta), below the double range at beta = 200
+        assert mittag_leffler(0.0, 0.5, 200.0) == 0.0
 
 
 class TestMittagLeffler:
