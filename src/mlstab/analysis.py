@@ -22,7 +22,7 @@ import numpy as np
 from . import weights as wt
 from .resolvent import ResolventSequence, fit_final_decade, operator_norms, power_law_tail
 from .solver import FOdeProblem, Trajectory, _check_grid, _row_norms
-from .special import SectorResult, in_stable_sector
+from .special import SectorResult, _check_alpha, _Spectrum
 
 __all__ = [
     "DECAYS",
@@ -249,8 +249,7 @@ def region_boundary(scheme_id: str, alpha: float, h: float,
                     n_theta: int = 2048) -> RegionSample:
     """Sample the numerical stability-region boundary
     1/(h^alpha F_omega(e^{i theta})) on an even theta grid."""
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    _check_alpha(alpha)
     if n_theta < 8 or n_theta % 2:
         raise ValueError(f"n_theta must be even and at least 8, got {n_theta}")
     _check_grid(h)
@@ -274,21 +273,20 @@ class ProblemClassification:
 def classify_problem(problem: FOdeProblem) -> ProblemClassification:
     """Eigenvalues of A against the stability sector at the problem's alpha.
 
-    Eigenvalues within solver noise of the origin (relative to ||A||) are
-    flagged critical: the sector excludes zero, and the dense eigensolver
-    cannot place an exact zero mode better than ~1e-12 ||A||.
+    Both come from A's spectral record (special._Spectrum), whose zero floor
+    1e-9 max(1, ||A||_2) the solver's mode reduction shares: an eigenvalue
+    within it is flagged critical, as the sector excludes zero and the dense
+    eigensolver cannot place an exact zero mode better than ~1e-12 ||A||.
     """
-    evals = np.linalg.eigvals(problem.A)
-    zero_floor = 1e-9 * max(1.0, float(np.linalg.norm(problem.A, 2)))
-    sectors = [in_stable_sector(0.0 if abs(lam) <= zero_floor else lam, problem.alpha)
-               for lam in evals]
+    spectrum = _Spectrum(problem.A)
+    sectors = spectrum.sectors(problem.alpha)
     if any((not s.in_sector) and (not s.critical) for s in sectors):
         verdict = "unstable"
     elif any(s.critical for s in sectors):
         verdict = "critical"
     else:
         verdict = "stable"
-    return ProblemClassification(problem.alpha, evals, sectors, verdict)
+    return ProblemClassification(problem.alpha, spectrum.values, sectors, verdict)
 
 
 class UnreliableTailError(ArithmeticError):

@@ -64,11 +64,6 @@ def _csv_bytes(meta: str, columns: dict) -> bytes:
                        for i in range(0, len(table), step))])
 
 
-def _csv(meta: str, columns: dict) -> str:
-    """The text of _csv_bytes."""
-    return _csv_bytes(meta, columns).decode()
-
-
 def _summary(out_dir: str, name: str, summary: dict) -> int:
     """Write a JSON summary, print it, and return exit code 0."""
     text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
@@ -139,11 +134,6 @@ def _trajectory_columns(traj: slv.Trajectory) -> dict:
         columns[f"y{i}_re"], columns[f"y{i}_im"] = y.real, y.imag
     columns["norm"] = traj.norms()
     return columns
-
-
-def _trajectory_csv(traj: slv.Trajectory, meta: str) -> str:
-    """The text of a trajectory's CSV."""
-    return _csv(meta, _trajectory_columns(traj))
 
 
 def _checkpoint_times(text: str) -> list[float]:

@@ -49,8 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import weights as wt
-from .solver import _check_grid, _check_matrix, _run
-from .special import AccuracyError, matrix_function, mittag_leffler
+from .solver import _check_grid, _run
+from .special import AccuracyError, _check_matrix, matrix_function, mittag_leffler
 
 __all__ = [
     "ResolventSequence",
@@ -125,8 +125,9 @@ def impulse_resolvent(scheme_id: str, A, alpha: float, h: float, n_max: int) -> 
 
 def d0_closed_form(scheme_id: str, A, alpha: float, h: float) -> np.ndarray:
     """Closed form of D_0: h^alpha w0 (I - h^alpha w0 A)^{-1} with w0 = F_omega(0)
-    from weights.leading_omega; equivalently D_0 = ((h^alpha w0)^{-1} I - A)^{-1}."""
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
+    from weights.leading_omega; equivalently D_0 = ((h^alpha w0)^{-1} I - A)^{-1}.
+    ValueError unless A is square and finite."""
+    A = _check_matrix(A)
     c = h ** alpha * wt.leading_omega(scheme_id, alpha)
     return np.linalg.inv(np.eye(A.shape[0], dtype=complex) / c - A)
 

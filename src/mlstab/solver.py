@@ -66,7 +66,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import weights as wt
-from .special import in_stable_sector
+from .special import _check_alpha, _check_matrix, _Spectrum
 
 __all__ = [
     "FOdeProblem",
@@ -647,7 +647,8 @@ def _modes(A: np.ndarray, y0: np.ndarray, alpha: float
     basis, L their real (k, k) eigenvalue blocks and x the coordinates of y0
     on them, or None when the problem must step as it is.
 
-    From A's eigenpairs (np.linalg.eig), each real eigenvalue lambda gives
+    From the eigenpairs of A's spectral record (special._Spectrum, one
+    eigendecomposition in real arithmetic), each real eigenvalue lambda gives
     the column v, each conjugate pair with Im lambda > 0 the columns
     sqrt(2) Re v and sqrt(2) Im v, on which A acts as the block
     [[Re lambda, Im lambda], [-Im lambda, Re lambda]].  A normal A has such a
@@ -657,13 +658,12 @@ def _modes(A: np.ndarray, y0: np.ndarray, alpha: float
     into [1/2, 1), so a y0 of 1e160 or 1e-170 drops what y0 = 1 would.  A
     mode, one block of x, is dropped only when both hold:
     - its lambda lies strictly inside the sector |arg lambda| > alpha pi/2
-      at the largest alpha of the runs, or within the zero floor
-      1e-9 max(1, ||A||_2) of analysis.classify_problem (||A||_2 is the
-      largest |lambda| of a normal A);
+      at the largest alpha of the runs, or within the record's zero floor,
+      the one analysis.classify_problem applies (_Spectrum.sectors);
     - the norms of all dropped blocks sum to at most 1e-12 ||y0||
       (the smallest droppable blocks go first).
-    None when eig raises, the basis fails the test, or more than 4 rows
-    (_stacked) or no row would be kept.
+    None when the eigendecomposition raises, the basis fails the test, or
+    more than 4 rows (_stacked) or no row would be kept.
 
     Why a dropped mode stays at the rounding level: each block steps as its
     own scalar equation D^alpha u = lambda u, whose discrete solution u_n is
@@ -681,9 +681,10 @@ def _modes(A: np.ndarray, y0: np.ndarray, alpha: float
     """
     d = len(y0)
     try:
-        w, V = np.linalg.eig(A)
+        spectrum = _Spectrum(A)
     except np.linalg.LinAlgError:
         return None
+    w, V = spectrum.values, spectrum.vectors
     upper = w.imag >= 0  # a real eigenvalue, or the first of its conjugate pair
     lams, cols, block = w[upper], [], []
     for j, (lam, v) in enumerate(zip(lams, V[:, upper].T)):
@@ -697,9 +698,9 @@ def _modes(A: np.ndarray, y0: np.ndarray, alpha: float
     x = np.linalg.solve(W, y0)
     block = np.array(block)
     size = np.sqrt(np.bincount(block, weights=x * x))
-    floor = 1e-9 * max(1.0, np.max(np.abs(lams)))  # classify_problem's: ||A||_2 of a normal A
-    free = [j for j, lam in enumerate(lams)
-            if abs(lam) <= floor or in_stable_sector(lam, alpha).in_sector]
+    sectors = [s for s, up in zip(spectrum.sectors(alpha), upper) if up]
+    # in the sector, or within the zero floor (margin nan)
+    free = [j for j, s in enumerate(sectors) if s.in_sector or math.isnan(s.margin)]
     free.sort(key=lambda j: size[j])
     tol = _DROP_RTOL * np.linalg.norm(y0)
     dropped = np.zeros(len(lams), dtype=bool)
@@ -774,8 +775,6 @@ def _scheme_run(scheme_id: str, alpha: float, N: int
     """The (weights, alpha, iv) run of any scheme by id; the alpha-difference
     scheme runs its "difference" variant."""
     if scheme_id == wt.ALPHA_DIFF:
-        if not (0.0 < alpha < 1.0):
-            raise ValueError("alpha-difference scheme requires alpha in (0, 1)")
         return wt.alpha_diff_weights(alpha, N + 1), alpha, np.zeros(N + 1)
     return wt.scheme_weights(scheme_id, alpha, N + 1), alpha, None
 
@@ -802,8 +801,6 @@ def solve_alpha_diff(problem: FOdeProblem, h: float, N: int,
     """
     if variant not in ("difference", "poisson"):
         raise ValueError(f"unknown alpha-difference variant {variant!r}")
-    if not (0.0 < problem.alpha < 1.0):
-        raise ValueError("alpha-difference scheme requires alpha in (0, 1)")
     _check_grid(h, N)
     if variant == "poisson":
         run = (wt.alpha_diff_weights(problem.alpha, N + 1), problem.alpha,
@@ -819,8 +816,6 @@ def solve(problem: FOdeProblem, scheme_id: str, h: float, N: int) -> Trajectory:
     scheme runs its "difference" variant, see solve_alpha_diff for the other.
     """
     scheme_id = wt.scheme_name(scheme_id)
-    if scheme_id == wt.ALPHA_DIFF:
-        return solve_alpha_diff(problem, h, N)
     _check_grid(h, N)
     return _trajectories([_scheme_run(scheme_id, problem.alpha, N)], problem, h, N)[0]
 
@@ -853,26 +848,8 @@ def solve_cells(problem: FOdeProblem, cells: Sequence[tuple[str, float]], h: flo
     the same SolverError at the same step.
     """
     _check_grid(h, N)
-    runs = []
-    for scheme_id, alpha in cells:
-        _check_alpha(alpha)
-        runs.append(_scheme_run(wt.scheme_name(scheme_id), alpha, N))
+    runs = [_scheme_run(wt.scheme_name(scheme_id), alpha, N) for scheme_id, alpha in cells]
     return _trajectories(runs, problem, h, N, reduce=reduce) if runs else []
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-
-
-def _check_matrix(A) -> np.ndarray:
-    """A as a complex matrix; ValueError unless it is square and finite."""
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must be square")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("A must be finite (no NaN or inf entries)")
-    return A
 
 
 def _check_grid(h: float, N: int = 1) -> None:

@@ -3,7 +3,9 @@
 1/Gamma, the two-parameter Mittag-Leffler function E_{alpha,beta}, the
 three-parameter (Prabhakar) generalization for integer third parameter,
 the continuous fractional resolvent t^{beta-1} E_{alpha,beta}(t^alpha A),
-and the stability-sector test |arg(lambda)| > alpha*pi/2.
+and the stability-sector test |arg(lambda)| > alpha*pi/2.  As the lowest layer
+it also holds the alpha and matrix checks and the spectral record of A
+(_Spectrum) that the other modules share.
 
 Evaluation strategy for E_{alpha,beta}(z), 0 < alpha <= 1, on a scalar or an
 array of z.  Two branches are tried in this order, the second on the z the
@@ -105,11 +107,26 @@ def reciprocal_gamma(x: float) -> float:
     return 1.0 / g if g else math.copysign(math.inf, g)
 
 
-def _validate_ml_params(alpha: float, beta: float) -> None:
+def _check_alpha(alpha: float) -> None:
+    """ValueError unless alpha lies in (0, 1], every scheme's range."""
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if not math.isfinite(beta):
-        raise ValueError("beta must be finite")
+
+
+def _check_alpha_diff(alpha: float) -> None:
+    """ValueError unless alpha lies in (0, 1), the alpha-difference range."""
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha-difference scheme requires alpha in (0, 1), got {alpha}")
+
+
+def _check_matrix(A) -> np.ndarray:
+    """A as a complex matrix; ValueError unless it is square and finite."""
+    A = np.atleast_2d(np.asarray(A, dtype=complex))
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("A must be square")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("A must be finite (no NaN or inf entries)")
+    return A
 
 
 #: most entries in one block of expansion terms or contour nodes; longer row sets
@@ -269,7 +286,9 @@ def mittag_leffler(z, alpha: float, beta: float = 1.0, rtol: float = 1e-13):
     values near the zeros of E on the negative real axis, huge values at
     alpha <= 0.15, and z whose exp(z^(1/alpha)) overflows.
     """
-    _validate_ml_params(alpha, beta)
+    _check_alpha(alpha)
+    if not math.isfinite(beta):
+        raise ValueError("beta must be finite")
     z = np.asarray(z, dtype=complex)
     if not np.isfinite(z).all():
         raise ValueError("z must be finite")
@@ -325,14 +344,11 @@ def resolvent_matrix(A, alpha: float, beta: float, t: float) -> np.ndarray:
     R_{alpha,alpha}(t) = t^{alpha-1} E_{alpha,alpha}(t^alpha A) are the
     fractional resolvent operators of D^alpha y = A y.
 
-    Requires A diagonalizable with eigenbasis condition number below
-    COND_CAP; raises EigenbasisError otherwise (no Schur-Parlett fallback).
+    Requires A square, finite and diagonalizable with cond(V) below COND_CAP;
+    raises ValueError or EigenbasisError otherwise (no Schur-Parlett fallback).
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must be square")
     ta = t ** alpha
     prefac = t ** (beta - 1.0)
     return matrix_function(
@@ -340,18 +356,41 @@ def resolvent_matrix(A, alpha: float, beta: float, t: float) -> np.ndarray:
 
 
 def matrix_function(A, fn) -> np.ndarray:
-    """fn(A) = V diag(fn(lambda_i)) V^{-1}, fn applied per eigenvalue (a 1x1 A
-    directly); EigenbasisError if cond(V) is not finite or exceeds COND_CAP.
+    """fn(A) = V diag(fn(lambda_i)) V^{-1}, fn applied per eigenvalue of A's
+    spectral record (_Spectrum: A checked, a real A decomposed in real
+    arithmetic); EigenbasisError if cond(V) is not finite or exceeds COND_CAP.
     An fn that returns m values per eigenvalue gives the (m, d, d) stack."""
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
-    if A.shape[0] == 1:
-        return np.asarray(fn(A[0, 0]), dtype=complex)[..., None, None]
-    evals, V = np.linalg.eig(A)
+    spectrum = _Spectrum(A)
+    V = spectrum.vectors
     cond = np.linalg.cond(V)
     if not np.isfinite(cond) or cond > COND_CAP:
         raise EigenbasisError(f"eigenbasis condition number {cond:.3g} exceeds cap {COND_CAP:g}")
-    vals = np.array([fn(lam) for lam in evals])  # (d,) or (d, m)
+    vals = np.array([fn(lam) for lam in spectrum.values])  # (d,) or (d, m)
     return (V * vals.T[..., None, :]) @ np.linalg.inv(V)
+
+
+class _Spectrum:
+    """The spectral record of A that matrix_function, analysis.classify_problem
+    and solver._modes read: A checked by _check_matrix (kept real when it has
+    no imaginary part), the complex eigenvalues and the eigenvectors of one
+    eigendecomposition (in real arithmetic for a real A), and the sector
+    verdict of each eigenvalue (`sectors`).  An eigenvalue within the zero
+    floor 1e-9 max(1, ||A||_2) counts as zero: the dense eigensolver cannot
+    place an exact zero mode better than about 1e-12 ||A||, and for a
+    non-normal A its error scales with ||A||_2, not max |lambda|."""
+
+    def __init__(self, A):
+        A = _check_matrix(A)
+        self.A = A if np.any(A.imag) else A.real
+        values, self.vectors = np.linalg.eig(self.A)
+        self.values = values.astype(complex)
+
+    def sectors(self, alpha: float) -> list[SectorResult]:
+        """in_stable_sector of each eigenvalue at alpha, one within the zero
+        floor taken as 0: critical, not in the sector, margin nan."""
+        floor = 1e-9 * max(1.0, float(np.linalg.norm(self.A, 2)))
+        return [in_stable_sector(0.0 if abs(lam) <= floor else lam, alpha)
+                for lam in self.values.tolist()]
 
 
 class SectorResult(NamedTuple):
@@ -373,8 +412,7 @@ def in_stable_sector(lam, alpha: float) -> SectorResult:
     The boundary case |arg(lambda)| = alpha*pi/2 (within SECTOR_BOUNDARY_TOL)
     and lambda = 0 are flagged critical and reported as not in the sector.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    _check_alpha(alpha)
     lam = complex(lam)
     if lam == 0:
         return SectorResult(False, float("nan"), True)

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .special import _check_alpha, _check_alpha_diff
+
 __all__ = [
     "FBDF1",
     "FBDF2",
@@ -91,13 +93,6 @@ class SchemeWeights:
             omega = np.convolve(miller_power(p, -self.alpha, self.n_terms), q)[:self.n_terms]
         omega.setflags(write=False)
         return omega
-
-
-def _validate_alpha(alpha: float, allow_one: bool = True) -> None:
-    hi_ok = alpha <= 1.0 if allow_one else alpha < 1.0
-    if not (0.0 < alpha and hi_ok):
-        rng = "(0, 1]" if allow_one else "(0, 1)"
-        raise ValueError(f"alpha must lie in {rng}, got {alpha}")
 
 
 def miller_power(f, alpha: float, n_terms: int) -> np.ndarray:
@@ -183,7 +178,7 @@ def generating_pair(scheme_id: str, alpha: float) -> tuple[np.ndarray, np.ndarra
 
 def _flmm_weights(scheme_id: str, alpha: float, n_terms: int) -> SchemeWeights:
     """mu = p^alpha / q from the scheme's pair, in O(N)."""
-    _validate_alpha(alpha)
+    _check_alpha(alpha)
     p, q = generating_pair(scheme_id, alpha)
     mu = miller_power(p, alpha, n_terms) / q[0]  # then mu_n -= sum_k (q_k/q_0) mu_{n-k}
     mu = _recurrence(mu, np.broadcast_to(-q[1:, None] / q[0], (q.size - 1, n_terms)))
@@ -197,7 +192,7 @@ def l1_weights(alpha: float, n_terms: int) -> SchemeWeights:
     mu_j = ((j+1)^(1-alpha) - 2 j^(1-alpha) + (j-1)^(1-alpha)) / Gamma(2-alpha),
     sigma_n = (n^(1-alpha) - (n-1)^(1-alpha)) / Gamma(2-alpha).
     """
-    _validate_alpha(alpha)
+    _check_alpha(alpha)
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     g = math.gamma(2.0 - alpha)
@@ -235,7 +230,7 @@ def alpha_diff_weights(alpha: float, n_terms: int) -> SchemeWeights:
     how the initial value enters the step equation (see
     solver.solve_alpha_diff).  Its omega is None.
     """
-    _validate_alpha(alpha, allow_one=False)
+    _check_alpha_diff(alpha)
     p, _ = generating_pair(FBDF1, alpha)
     return SchemeWeights(ALPHA_DIFF, alpha, n_terms, miller_power(p, alpha, n_terms))
 
@@ -257,6 +252,7 @@ def leading_omega(scheme_id: str, alpha: float) -> float:
     Gamma(2-alpha) for L1; the alpha-difference scheme has the F-BDF1 value 1.
     """
     scheme_id = scheme_name(scheme_id)
+    _check_alpha(alpha)
     if scheme_id == L1:
         return math.gamma(2.0 - alpha)
     p, q = generating_pair(FBDF1 if scheme_id == ALPHA_DIFF else scheme_id, alpha)

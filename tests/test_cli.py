@@ -159,7 +159,7 @@ def test_trajectory_csv_matches_per_element_format():
     traj = Trajectory(0.01, states, "fbdf1", 0.5)
     with np.errstate(over="ignore", invalid="ignore"):
         want = per_element_csv(traj, "# meta\n")
-        got = cli._trajectory_csv(traj, "# meta\n")
+        got = cli._csv_bytes("# meta\n", cli._trajectory_columns(traj)).decode()
     assert got == want
     assert "-0,0," in got and "nan,-inf" in got
 
@@ -176,7 +176,7 @@ def test_csv_matches_per_element_format(columns):
         vals = iter(row)
         lines.append(",".join("" if c is None else f"{next(vals):.17g}"
                               for c in columns.values()))
-    assert cli._csv("# meta\n", columns) == "# meta\n" + "\n".join(lines) + "\n"
+    assert cli._csv_bytes("# meta\n", columns).decode() == "# meta\n" + "\n".join(lines) + "\n"
 
 
 class TestCsvNumbers:

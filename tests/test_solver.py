@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mlstab import problems, tables
 from mlstab import solver as slv
 from mlstab import weights as wt
+from mlstab.analysis import classify_problem
 from mlstab.resolvent import impulse_resolvent, poisson_resolvent
 from mlstab.solver import (
     _LEAF,
@@ -820,6 +821,17 @@ class TestModes:
         ref, stop = self._stepped(p, slv._scheme_run(wt.L1, 0.5, 200), 0.1, 200)
         assert stop is None
         _assert_close(solve(p, wt.L1, 0.1, 200).states / scale, ref / scale)
+
+    def test_eigenvalue_within_the_zero_floor(self):
+        # the spectral record's floor is 1e-9 max(1, ||A||_2) = 5e-9 here:
+        # the positive eigenvalue at half of it is critical, not unstable, for
+        # classify_problem, and its mode droppable for _modes; at four times
+        # the floor it is unstable, and its mode is kept
+        for lam, verdict, rows in ((2.5e-9, "critical", 1), (2e-8, "unstable", 2)):
+            A, Q = _normal_matrix([-1.0, -2.0, -3.0, -4.0, -5.0, lam])
+            y0 = Q[:, 0] + 5e-13 * Q[:, 5]
+            assert classify_problem(FOdeProblem(0.5, A, y0)).verdict == verdict
+            assert slv._modes(A, y0, 0.5)[1].shape == (rows, rows)
 
     def test_mode_that_blows_up_steps_again_as_it_is(self):
         A, Q = _normal_matrix([-1.0, -2.0, -3.0, -4.0, -5.0, 2.0])

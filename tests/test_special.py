@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlstab import special
+from mlstab import problems, resolvent, special
+from mlstab import weights as wt
+from mlstab.analysis import classify_problem
+from mlstab.solver import FOdeProblem, solve
 from mlstab.special import (
     AccuracyError,
     EigenbasisError,
@@ -466,3 +469,73 @@ class TestStableSector:
         b = in_stable_sector(scale * lam, alpha)
         assert a.in_sector == b.in_sector
         assert a.margin == pytest.approx(b.margin, abs=1e-9)
+
+
+_BAD_MATRICES = [
+    ([[1.0, np.nan], [0.0, 1.0]], "A must be finite"),
+    ([[1.0, 0.0], [np.inf, 1.0]], "A must be finite"),
+    ([[np.inf]], "A must be finite"),
+    ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], "A must be square"),
+    (np.ones((2, 2, 2)), "A must be square"),
+]
+
+
+@pytest.mark.parametrize("entry", [
+    lambda A: resolvent.poisson_resolvent(A, 0.5, 0.1, 5, 1.0),
+    lambda A: resolvent_matrix(A, 0.5, 1.0, 1.0),
+    lambda A: matrix_function(A, lambda lam: lam),
+    lambda A: resolvent.d0_closed_form(wt.FBDF1, A, 0.5, 0.1),
+], ids=["poisson_resolvent", "resolvent_matrix", "matrix_function", "d0_closed_form"])
+@pytest.mark.parametrize("A, message", _BAD_MATRICES,
+                         ids=["nan", "inf", "inf-1x1", "2x3", "2x2x2"])
+def test_bad_matrix_fails_early(entry, A, message):
+    # numpy raised LinAlgError, an ambiguous truth value or a RuntimeWarning
+    # here, or returned nans
+    with pytest.raises(ValueError, match=message):
+        entry(np.array(A))
+
+
+class TestSpectralRecord:
+    """special._Spectrum: the one eigendecomposition and zero floor of A that
+    classify_problem, the solver's mode reduction and matrix_function read."""
+
+    @staticmethod
+    def _count_eig(monkeypatch):
+        calls = []
+        eig = np.linalg.eig
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return eig(a)
+
+        def no_eigvals(a):
+            raise AssertionError("eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        return calls
+
+    def test_one_eigendecomposition_per_call(self, monkeypatch):
+        adv = problems.advection_diffusion(alpha=0.5)
+        lorenz = problems.lorenz_controlled(alpha=0.5).A
+        calls = self._count_eig(monkeypatch)
+        assert classify_problem(adv).verdict == "critical"
+        assert calls == [(64, 64)]
+        solve(adv, wt.FBDF1, 0.01, 200)
+        assert calls == [(64, 64)] * 2
+        resolvent.poisson_resolvent(lorenz, 0.5, 0.1, [1, 10], 1.0)
+        assert calls == [(64, 64)] * 2 + [(3, 3)]
+
+    def test_real_matrix_decomposed_in_real_arithmetic(self):
+        spectrum = special._Spectrum(problems.advection_diffusion(alpha=0.5).A)
+        assert spectrum.A.dtype == float and spectrum.values.dtype == complex
+        assert special._Spectrum([[1j]]).A.dtype == complex
+
+    def test_floor_scales_with_the_spectral_norm(self):
+        # non-normal: ||A||_2 ~ 1e6 puts the floor at 1e-3, so the eigenvalue
+        # 1e-5 is critical; the floor 1e-9 max(1, max |lambda|) = 1e-9 would
+        # leave it as it is, outside the sector: unstable
+        A = np.array([[1e-5, 1e6], [0.0, -1.0]])
+        assert classify_problem(FOdeProblem(0.5, A, [1.0, 0.0])).verdict == "critical"
+        unfloored = in_stable_sector(1e-5, 0.5)
+        assert not unfloored.in_sector and not unfloored.critical

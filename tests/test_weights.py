@@ -241,6 +241,12 @@ class TestSchemeTables:
             w = wt.scheme_weights(scheme, alpha, 4)
             assert w.omega[0] == pytest.approx(wt.leading_omega(scheme, alpha), rel=1e-13)
 
+    @pytest.mark.parametrize("scheme, alpha", [(wt.FBDF2, 1.7), (wt.L1, 3.0), (wt.FADAMS2, -0.5)])
+    def test_leading_omega_checks_alpha(self, scheme, alpha):
+        # without the check these gave a value, or "math domain error" for L1
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            wt.leading_omega(scheme, alpha)
+
     def test_weights_are_read_only(self):
         w = wt.scheme_weights(wt.FBDF1, 0.5, 8)
         with pytest.raises(ValueError):
