@@ -1,8 +1,9 @@
 """mlstab: numerical Mittag-Leffler stability for Caputo fractional ODEs.
 
-Solves D_t^alpha y = A y + f(t, y) with 0 < alpha < 1 on a uniform grid using
-five implicit schemes (the 1- and 2-step fractional BDF methods, the 2-step
-fractional Adams method, the L1 scheme and an alpha-difference scheme), and
+Solves D_t^alpha y = A y + f(t, y) with 0 < alpha <= 1 (alpha = 1 is the
+classical ODE) on a uniform grid using five implicit schemes (the 1- and
+2-step fractional BDF methods, the 2-step fractional Adams method, the L1
+scheme and an alpha-difference scheme, which needs alpha < 1), and
 provides the machinery to check that the numerical solutions inherit the
 polynomial long-time decay ||y_n|| = O(t_n^-alpha) of the continuous problem:
 Mittag-Leffler special functions, discrete fractional resolvents, stability

@@ -85,16 +85,9 @@ def _allocation(size: str, entries: int):
         raise error from None
 
 
-def _alpha_in_open_interval(value: str) -> float:
-    alpha = float(value)
-    if not (0.0 < alpha < 1.0):
-        raise argparse.ArgumentTypeError(f"alpha must be in (0,1), got {value}")
-    return alpha
-
-
 def _add_common(add, p: argparse.ArgumentParser, schemes=wt.SCHEMES) -> None:
     add(p, "--scheme", required=True, type=wt.scheme_name, choices=list(schemes))
-    add(p, "--alpha", required=True, type=_alpha_in_open_interval)
+    add(p, "--alpha", required=True, type=float)
     add(p, "--out", default=".", help="output directory (default: cwd)")
 
 

@@ -7,13 +7,17 @@ variation-of-constants form
 
 where (d_n, D_n) are matrix sequences playing the role of the continuous
 resolvents E_alpha(t^alpha A) and t^(alpha-1) E_{alpha,alpha}(t^alpha A).
-They are extracted here by impulse responses (one matrix-valued homogeneous
-run and one run forced by a unit impulse at step 1), which is equivalent to
-their contour-integral definition at the sequence level and numerically
-robust.  Both runs go through the solver's stepping core with (d, d) states,
-so a resolvent steps exactly like a trajectory, with the same step equation
-in the mu weights and the same factored-once step matrix; they share one mu
-table (no omega table is built) and carry no blow-up guard.
+They are extracted here by impulse responses, which is equivalent to their
+contour-integral definition at the sequence level and numerically robust.
+d_n is the matrix-valued homogeneous run from d_0 = I.  D_n is the run forced
+by a unit impulse at step 1, shifted by one step: a homogeneous run with a
+zero initial-value term started from D_0 = h^alpha M^{-1},
+M = mu_0 I - h^alpha A.  That equation is linear from the right, so
+D_n = Z_n D_0, with Z the same run started from I.  d and Z differ only in
+the initial-value term, so they step as one batch of the solver's core with
+(d, d) states: a resolvent steps exactly like a trajectory, with the same
+step equation in the mu weights and the same factored-once step matrix, from
+one mu table (no omega table is built) and without a blow-up guard.
 
 For the alpha-difference scheme the Poisson transform links the discrete and
 continuous resolvents directly:
@@ -102,10 +106,14 @@ def impulse_resolvent(scheme_id: str, A, alpha: float, h: float, n_max: int) -> 
 
     Column i of d_n is the homogeneous solve started from the basis vector
     e_i; column i of D_m is y_{m+1} of the solve with y_0 = 0 and forcing
-    f_k = delta_{k,1} e_i.  By construction d_0 = I.  Both runs step all
-    basis columns at once as matrix states through the solver's core and its
-    one step equation, which reads only the mu table.  A that is not square
-    or not finite raises ValueError, and a singular step matrix raises
+    f_k = delta_{k,1} e_i.  By construction d_0 = I.  That forced solve,
+    shifted by one step, is sum_{j=0}^{m} mu_j D_{m-j} = h^alpha A D_m for
+    m >= 1 from D_0 = h^alpha M^{-1}, M = mu_0 I - h^alpha A: the homogeneous
+    equation with a zero initial-value term, linear from the right, so
+    D_m = Z_m D_0 for its run Z from Z_0 = I.  d and Z step all basis columns at once as matrix states,
+    one batch of two runs through the solver's core and its one step
+    equation, which reads only the mu table.  A that is not square or not
+    finite raises ValueError, and a singular step matrix raises
     SingularStepError.
     """
     scheme_id = wt.scheme_name(scheme_id)
@@ -115,12 +123,13 @@ def impulse_resolvent(scheme_id: str, A, alpha: float, h: float, n_max: int) -> 
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     A = _check_matrix(A)
-    d = A.shape[0]
-    w = wt.scheme_weights(scheme_id, alpha, n_max + 2)
-    [(dn, _)] = _run([(w, alpha, None)], A, h, n_max, np.eye(d, dtype=complex))
-    [(forced, _)] = _run([(w, alpha, None)], A, h, n_max + 1, np.zeros((d, d), dtype=complex),
-                         impulse=True)
-    return ResolventSequence(scheme_id, alpha, h, n_max, dn, forced[1:])
+    eye = np.eye(A.shape[0], dtype=complex)
+    w = wt.scheme_weights(scheme_id, alpha, n_max + 1)
+    [(dn, _), (Z, _)] = _run([(w, alpha, None), (w, alpha, np.zeros(n_max + 1))],
+                             A, h, n_max, eye)
+    ha = h ** alpha
+    return ResolventSequence(scheme_id, alpha, h, n_max, dn,
+                             Z @ (ha * np.linalg.inv(w.mu[0] * eye - ha * A)))
 
 
 def d0_closed_form(scheme_id: str, A, alpha: float, h: float) -> np.ndarray:

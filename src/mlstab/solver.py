@@ -17,11 +17,11 @@ for its "poisson" variant (which also replaces y_0 inside the sum by z_0, see
 solve_alpha_diff).  Every step solves a linear system with the constant matrix
 M = mu_0 I - h^alpha A, whose inverse is formed once per run with
 np.linalg.inv (stacked over the runs of a batch).  A run is real when f is
-None and A and y0 are real (the impulse resolvents of a real A too): it steps
-d real rows.  Every other run steps each complex row of its states as a pair
-of real rows (Re, Im), and its complex matrices act through their real
-(2 d) x (2 d) forms, so every product and FFT of the core is real; the
-complex states are returned as before.  The nonlinear part is handled on
+None and A and y0 are real: it steps d real rows.  Every other run steps
+each complex row of its states as a pair of real rows (Re, Im), and its
+complex matrices act through their real (2 d) x (2 d) forms, so every
+product and FFT of the core is real; the complex states are returned as
+before.  The nonlinear part is handled on
 complex vectors by the chord (simplified Newton) iteration, for each run of
 a batch on its own: each step starts from the linear predictor
 M^{-1} (rhs + h^alpha f_last), f_last the f value of the run's own last
@@ -48,8 +48,9 @@ eigenbasis of A when its y0 excites at most 4 rows of modes there (_modes):
 the modes it drops carry coordinates at the rounding level and eigenvalues
 the schemes keep bounded, so the reduced run, mapped back, agrees with the
 stepped one to rounding (the 64-mode advection grids keep 2 rows).  The
-same core steps the (d, d) matrix states of the impulse resolvents
-(resolvent.impulse_resolvent).
+same core steps (d, d) matrix states too: resolvent.impulse_resolvent runs
+the homogeneous equation from I, with each of two initial-value terms, as
+one batch.
 
 All schemes are self-starting and no initial-layer correction terms are used;
 the focus is long-time behavior, not accuracy near t = 0.
@@ -383,20 +384,10 @@ def _complex_states(X: np.ndarray, real: bool) -> np.ndarray:
     return np.ascontiguousarray(X.reshape(n, d, 2, d).swapaxes(2, 3)).view(complex)[..., 0]
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a vector, complex or its float view: the square root
-    of a dot product, scaled (_row_norms) only when the squares overflow."""
-    vf = v.view(float)
-    nv = math.sqrt(vf @ vf)
-    if nv == math.inf:  # an inf entry, or squares that overflow
-        nv = _row_norms(vf[None])[0]
-    return nv
-
-
 def _norms(V: np.ndarray) -> list[float]:
-    """_norm of each row of the (B, k) float array V, the same value for the
-    same row: the square root of its dot product, scaled where the squares
-    overflow."""
+    """Euclidean norm of each row of the (B, k) float array V, the same value
+    for the same row: the square root of its dot product, scaled
+    (_row_norms) only where the squares overflow."""
     nv = np.sqrt(np.matmul(V[:, None], V[..., None]).ravel()).tolist()
     if math.inf in nv:
         nv = [_row_norms(V[b:b + 1])[0] if n == math.inf else n for b, n in enumerate(nv)]
@@ -484,15 +475,9 @@ def _stacked(d: int) -> bool:
     return _LEAF * d <= _LEAF_ROWS
 
 
-#: the batch's norm, less this relative margin for its rounding, bounds the
-#: norm of every run of the batch (_run).
-_BATCH_MARGIN = 1.0 - 1e-12
-
-
 def _run(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]], A: np.ndarray,
          h: float, N: int, Y0: np.ndarray, f: Callable | None = None, z0: bool = False,
-         impulse: bool = False, guard: float | None = None
-         ) -> list[tuple[np.ndarray, int | None]]:
+         guard: float | None = None) -> list[tuple[np.ndarray, int | None]]:
     """The stepping core shared by every scheme and by the impulse resolvents.
 
     Steps a batch of B runs (w_b, alpha_b, iv_b) that share A, Y0, f, h and
@@ -502,17 +487,17 @@ def _run(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]], A: n
     (k, d) stack of states, whose values it returns row by row.  Step n of
     run b solves sum_{j=0}^{n} mu_j H_{n-j} = iv_n Y0 + h^alpha (A Y_n + F_n) for
     states Y of shape (d,) or (d, d), i.e. M Y_n = iv_n Y0 - S_n +
-    h^alpha F_n with M = mu_0 I - h^alpha A and the history sum
-    S_n = sum_{m=0}^{n-1} mu_{n-m} H_m.  F_n = f(t_n, Y_n), or for impulse
-    runs (f None) the unit impulse F_1 = I and F_n = 0 after.  The history is
-    the states, H_m = Y_m, except H_0 = z_0 = M^{-1} (Y0 + h^alpha f(0, Y0))
-    when z0 is set (the alpha-difference "poisson" variant).  w_b holds at
-    least the N + 1 weights mu_0 .. mu_N.  Returns, per run, the complex
-    states and the step at which ||Y_n|| first exceeds guard (the states end
-    there), else None.  Every run is checked against the guard on its own: a
-    run that crosses it is frozen there (its rows are zeroed and it steps no
-    further) and the others run on.  A step that fails in any run raises, as
-    that run alone would.
+    h^alpha F_n with M = mu_0 I - h^alpha A, the history sum
+    S_n = sum_{m=0}^{n-1} mu_{n-m} H_m and F_n = f(t_n, Y_n), zero when f is
+    None.  The history is the states, H_m = Y_m, except
+    H_0 = z_0 = M^{-1} (Y0 + h^alpha f(0, Y0)) when z0 is set (the
+    alpha-difference "poisson" variant).  w_b holds at least the N + 1
+    weights mu_0 .. mu_N.  Returns, per run, the complex states and the step
+    at which ||Y_n|| first exceeds guard (the states end there), else None.
+    Every run is checked against the guard on its own: a run that crosses it
+    is frozen there (its rows are zeroed and it steps no further) and the
+    others run on.  A step that fails in any run raises, as that run alone
+    would.
 
     The runs are real when f is None and A and Y0 have no imaginary part:
     their states are r = d real rows.  Every other batch keeps each complex
@@ -521,7 +506,7 @@ def _run(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]], A: n
     view) and the step and leaf products are real products of (2 d)-row
     matrices.  The real states form one array, (N + 1, B, r, 1) (a vector
     state is one column) or (N + 1, B, r, d), whose row n, for every run,
-    accumulates the right-hand side iv_n Y0 - S_n (with the impulse) until
+    accumulates the right-hand side iv_n Y0 - S_n until
     step n overwrites it with Y_n, so the history needs no array of its own.
     The rows start at iv_n Y0 - mu_n H_0, and the steps follow _blocks: a
     finished half block's share of S reaches the next half through one real
@@ -570,14 +555,13 @@ def _run(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]], A: n
     Xv = X.reshape(N + 1, -1)  # all runs' rows as one vector
     np.multiply(ivs.T[1:, :, None], X0.ravel(), out=Xf[1:])
     Xf[1:] -= mus.T[1:, :, None] * H0.reshape(-1, Xf.shape[2])
-    if impulse:  # forced runs have N >= 1 steps; the real rows of I
-        X[1, :, ::r // d] += has[:, None, None] * eye
     Xr[0] = X0
     S = None if f is None else Xf.view(complex)  # the complex vector states Newton works on
     Minv_r = step.Minv_r
     live = list(range(B))  # the runs not yet ended
     out: list = [None] * B
-    bound = np.finfo(float).max if guard is None else _BATCH_MARGIN * guard
+    # the batch's norm bounds each run's; a relative margin covers its rounding
+    bound = np.finfo(float).max if guard is None else (1.0 - 1e-12) * guard
 
     def stop(b: int, n: int) -> None:
         """End run b at step n: raise if its state there is not finite."""
@@ -618,7 +602,8 @@ def _run(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]], A: n
                         X[m] = Minv_r @ X[m]
                     else:
                         S[m] = step.advance(S[m], m * h, m, live, S[0] if m == 1 else None)
-                    if not _norm(Xv[m]) <= bound:  # then test each run
+                    v = Xv[m]
+                    if not math.sqrt(v @ v) <= bound:  # or the squares overflow: test each run
                         xf, ny = Xf[m], _norms(Xf[m])
                         for b in [b for b in live if not (np.all(np.isfinite(xf[b])) and
                                                           (guard is None or ny[b] <= guard))]:

@@ -52,10 +52,13 @@ class TestWeightsCommand:
         assert float(rows[0][3]) == 0.0  # sigma_0 placeholder
 
     def test_alpha_out_of_range_rejected(self, tmp_path):
-        res = run_cli("weights", "--scheme", "fbdf2", "--alpha", "1.0",
-                      "--out", str(tmp_path))
-        assert res.returncode == 2
-        assert "alpha" in res.stderr
+        # the library's range checks: (0, 1], and (0, 1) for alpha_diff
+        for scheme, alpha in [("fbdf2", "1.5"), ("fbdf2", "0"), ("alpha_diff", "1")]:
+            res = run_cli("weights", "--scheme", scheme, "--alpha", alpha,
+                          "--out", str(tmp_path))
+            assert res.returncode == 2
+            assert "alpha" in res.stderr
+        assert not any(tmp_path.iterdir())
 
     def test_unknown_scheme_rejected(self, tmp_path):
         res = run_cli("weights", "--scheme", "bdf9", "--alpha", "0.5",
@@ -64,6 +67,13 @@ class TestWeightsCommand:
 
 
 class TestSolveCommand:
+    def test_alpha_one_accepted(self, tmp_path):
+        # alpha = 1, the classical ODE, is in range for L1 and the F-LMMs
+        res = run_cli("solve", "--scheme", "fbdf1", "--alpha", "1", "--h", "0.1",
+                      "--t-end", "10", "--out", str(tmp_path))
+        assert res.returncode == 0
+        assert (tmp_path / "solve_scalar_fbdf1_a1_summary.json").exists()
+
     def test_scalar_run_with_checkpoints(self, tmp_path):
         res = run_cli("solve", "--problem", "scalar", "--b", "10",
                       "--scheme", "fbdf1", "--alpha", "0.5", "--h", "0.1",
@@ -267,6 +277,12 @@ class TestRegionCommand:
         _, rows = read_csv(tmp_path / "region_l1_a0.7.csv")
         vals = np.array([[float(r[1]), float(r[2])] for r in rows])
         assert np.all(np.isfinite(vals))
+
+    def test_l1_alpha_one_accepted(self, tmp_path):
+        res = run_cli("region", "--scheme", "l1", "--alpha", "1", "--n-theta", "32",
+                      "--out", str(tmp_path))
+        assert res.returncode == 0
+        assert (tmp_path / "region_l1_a1.csv").exists()
 
     def test_alpha_diff_has_no_region(self, tmp_path):
         res = run_cli("region", "--scheme", "alpha_diff", "--alpha", "0.5",

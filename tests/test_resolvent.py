@@ -97,6 +97,35 @@ class TestImpulseExtraction:
         assert r.d.shape == r.D.shape == (1, 1, 1)
         assert r.d[0, 0, 0] == 1.0
 
+    @pytest.mark.parametrize("n_max", [0, 1, 300])
+    def test_pair_is_one_core_call(self, n_max, monkeypatch):
+        # d_n and Z_n, with D_n = Z_n D_0, step as one batch of two runs
+        from mlstab import resolvent
+
+        batches = []
+        run = resolvent._run
+        monkeypatch.setattr(resolvent, "_run",
+                            lambda runs, *a, **k: batches.append(len(runs)) or run(runs, *a, **k))
+        r = impulse_resolvent(wt.FBDF2, problems.lorenz_controlled().A, 0.5, 0.1, n_max)
+        assert batches == [2]
+        assert r.d.shape == r.D.shape == (n_max + 1, 3, 3)
+
+    @pytest.mark.parametrize("scheme", [wt.FBDF2, wt.L1])
+    def test_decayed_tail_per_step(self, scheme):
+        # D_n decays like n^(-1-alpha), by about 1e-6 over the run: each D_n
+        # against the direct recurrence sum_{j=0}^{n} mu_j D_{n-j} = h^alpha lam D_n
+        # from D_0 = h^alpha / (mu_0 - h^alpha lam), summed in longdouble
+        lam, alpha, h, n_max = -2.0, 0.5, 0.1, 5000
+        r = impulse_resolvent(scheme, [[lam]], alpha, h, n_max)
+        mu = wt.scheme_weights(scheme, alpha, n_max + 1).mu.astype(np.longdouble)
+        ha = np.longdouble(h) ** np.longdouble(alpha)
+        ref = np.empty(n_max + 1, dtype=np.longdouble)
+        ref[0] = ha / (mu[0] - ha * lam)
+        for n in range(1, n_max + 1):
+            ref[n] = -np.dot(mu[n:0:-1], ref[:n]) / (mu[0] - ha * lam)
+        err = np.abs(r.D[:, 0, 0] - ref) / np.abs(ref)
+        assert np.max(err) <= 1e-10
+
 
 class TestOverflow:
     # the unstable uncontrolled Lorenz mode +11.83: at alpha = 0.5, h = 0.01 the

@@ -558,8 +558,10 @@ class TestLeafProducts:
             assert traj.states.dtype == complex
             if rows == 1:
                 assert not traj.states.imag.any()
-        # a single run is a batch of one: its inverses stack to (1, r, r)
-        assert steps and all(s.Minv_r.shape == (1, rows * d, rows * d) for s in steps)
+        # a single run is a batch of one: its inverses stack to (1, r, r); the
+        # impulse resolvents step (d_n, Z_n) as one batch of two
+        B = 2 if case == "impulse" else 1
+        assert steps and all(s.Minv_r.shape == (B, rows * d, rows * d) for s in steps)
         assert all(s.Minv_r.dtype == float for s in steps)
 
     @settings(max_examples=80, deadline=None)
