@@ -73,11 +73,13 @@ def _summary(out_dir: str, name: str, summary: dict) -> int:
 
 
 @contextlib.contextmanager
-def _allocation(size: str, entries: int):
+def _allocation(size: str, n: int):
     """Report a run too large to allocate as a usage error naming `size`, the
-    count and its flags; `entries` counts the complex values of its largest array."""
+    count n of its steps or terms, and its flags.  Every command builds its
+    table of about n weights before any state array: that raises the
+    MemoryError caught here, unless numpy cannot even index n + 1 values."""
     error = ValueError(f"{size} is too large to allocate")
-    if 16 * entries > sys.maxsize:  # numpy refuses it without naming the count
+    if 16 * (n + 1) > sys.maxsize:  # numpy refuses it without naming the count
         raise error
     try:
         yield
@@ -168,12 +170,8 @@ def cmd_solve(args) -> int:
             analysis._checkpoint_index(t, args.h, N, args.m)
         except ValueError as exc:
             raise ValueError(f"--checkpoints: {exc}") from None
-    try:
-        with _allocation(f"N = {N} steps (from {flags})", (N + 1) * prob.dim):
-            traj = slv.solve(prob, args.scheme, args.h, N)
-    except slv.SolverError as exc:
-        print(f"solver failure: {exc} (step {exc.step})", file=sys.stderr)
-        return _EXIT_SOLVER
+    with _allocation(f"N = {N} steps (from {flags})", N):
+        traj = slv.solve(prob, args.scheme, args.h, N)
     # every output is built before the first write: a usage error leaves --out untouched
     report = analysis.p_index(traj, m=args.m)
     summary = {
@@ -199,8 +197,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    N, entries = tables._run_size(args.table, args.m)
-    with _allocation(f"--m {args.m} ({N} steps)", entries):
+    N = tables._steps(tables._SPECS[args.table.upper()], args.m)
+    with _allocation(f"--m {args.m} ({N} steps)", N):
         cells = tables.reproduce(args.table, m=args.m, tolerance=args.tolerance)
     meta = _meta_line(cmd="reproduce", table=args.table.upper(), m=args.m)
     path = _write(args.out, f"reproduce_{args.table.upper()}.csv",
@@ -269,7 +267,7 @@ def cmd_resolvent(args) -> int:
     summary: dict = {"scheme": args.scheme, "alpha": args.alpha, "h": args.h,
                      "n_max": args.n_max}
     stem = f"resolvent_{args.scheme}_a{args.alpha:g}"
-    allocation = _allocation(f"--n-max {args.n_max}", (args.n_max + 1) * prob.dim ** 2)
+    allocation = _allocation(f"--n-max {args.n_max}", args.n_max)
     if args.scheme == wt.ALPHA_DIFF:
         # the quadrature identity concerns the linear part: run homogeneously
         hom = slv.FOdeProblem(prob.alpha, prob.A, prob.y0)

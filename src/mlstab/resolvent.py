@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import weights as wt
-from .solver import _check_grid, _run
+from .solver import _check_grid, _run, _scheme_run
 from .special import AccuracyError, _check_matrix, matrix_function, mittag_leffler
 
 __all__ = [
@@ -124,12 +124,11 @@ def impulse_resolvent(scheme_id: str, A, alpha: float, h: float, n_max: int) -> 
         raise ValueError("n_max must be >= 0")
     A = _check_matrix(A)
     eye = np.eye(A.shape[0], dtype=complex)
-    w = wt.scheme_weights(scheme_id, alpha, n_max + 1)
-    [(dn, _), (Z, _)] = _run([(w, alpha, None), (w, alpha, np.zeros(n_max + 1))],
-                             A, h, n_max, eye)
+    run = _scheme_run(scheme_id, alpha, n_max)  # d's; Z's has a zero iv
+    [(dn, _), (Z, _)] = _run([run, run._replace(iv=np.zeros(n_max + 1))], A, h, n_max, eye)
     ha = h ** alpha
     return ResolventSequence(scheme_id, alpha, h, n_max, dn,
-                             Z @ (ha * np.linalg.inv(w.mu[0] * eye - ha * A)))
+                             Z @ (ha * np.linalg.inv(run.weights.mu[0] * eye - ha * A)))
 
 
 def d0_closed_form(scheme_id: str, A, alpha: float, h: float) -> np.ndarray:

@@ -13,8 +13,10 @@ equation
 
 where only the initial-value term iv differs: cumsum(mu) for L1 and the
 F-LMMs, zero for the alpha-difference "difference" variant and k^(1-alpha)
-for its "poisson" variant (which also replaces y_0 inside the sum by z_0, see
-solve_alpha_diff).  Every step solves a linear system with the constant matrix
+for its "poisson" variant, whose history also starts at z_0 in place of y_0
+(see solve_alpha_diff).  A run is the record (weights, iv, z0) of
+_scheme_run, with h^alpha from weights.alpha, so each run of a batch has its
+own.  Every step solves a linear system with the constant matrix
 M = mu_0 I - h^alpha A, whose inverse is formed once per run with
 np.linalg.inv (stacked over the runs of a batch).  A run is real when f is
 None and A and y0 are real: it steps d real rows.  Every other run steps
@@ -62,7 +64,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -475,14 +477,24 @@ def _stacked(d: int) -> bool:
     return _LEAF * d <= _LEAF_ROWS
 
 
-def _run(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]], A: np.ndarray,
-         h: float, N: int, Y0: np.ndarray, f: Callable | None = None, z0: bool = False,
-         guard: float | None = None) -> list[tuple[np.ndarray, int | None]]:
+class _Run(NamedTuple):
+    """One run of the core: its weights, whose alpha gives h^alpha, its
+    initial-value term iv_0 .. iv_N (at least N + 1 values) and whether its
+    history starts at z_0 (z0, the alpha-difference "poisson" variant)."""
+
+    weights: wt.SchemeWeights
+    iv: np.ndarray
+    z0: bool = False
+
+
+def _run(runs: Sequence[_Run], A: np.ndarray, h: float, N: int, Y0: np.ndarray,
+         f: Callable | None = None, guard: float | None = None
+         ) -> list[tuple[np.ndarray, int | None]]:
     """The stepping core shared by every scheme and by the impulse resolvents.
 
-    Steps a batch of B runs (w_b, alpha_b, iv_b) that share A, Y0, f, h and
-    N; each has its own weights mu_b, initial-value term iv_b (None for
-    cumsum(mu_b), that of L1 and the F-LMMs) and h^alpha_b.  f receives what
+    Steps a batch of B runs (w_b, iv_b, z0_b) (_Run) that share A, Y0, f, h
+    and N; each has its own weights mu_b, h^alpha_b from w_b.alpha,
+    initial-value term iv_b and history start.  f receives what
     _ImplicitStep.advance hands it: one (d,) vector when B = 1, else a
     (k, d) stack of states, whose values it returns row by row.  Step n of
     run b solves sum_{j=0}^{n} mu_j H_{n-j} = iv_n Y0 + h^alpha (A Y_n + F_n) for
@@ -490,8 +502,8 @@ def _run(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]], A: n
     h^alpha F_n with M = mu_0 I - h^alpha A, the history sum
     S_n = sum_{m=0}^{n-1} mu_{n-m} H_m and F_n = f(t_n, Y_n), zero when f is
     None.  The history is the states, H_m = Y_m, except
-    H_0 = z_0 = M^{-1} (Y0 + h^alpha f(0, Y0)) when z0 is set (the
-    alpha-difference "poisson" variant).  w_b holds at least the N + 1
+    H_0 = z_0 = M^{-1} (Y0 + h^alpha f(0, Y0)) in a run with z0 set, each
+    with its own M and h^alpha.  w_b holds at least the N + 1
     weights mu_0 .. mu_N.  Returns, per run, the complex states and the step
     at which ||Y_n|| first exceeds guard (the states end there), else None.
     Every run is checked against the guard on its own: a run that crosses it
@@ -526,10 +538,9 @@ def _run(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]], A: n
     same product for each run as for that run alone.
     """
     B = len(runs)
-    mus = np.stack([w.mu[:N + 1] for w, _, _ in runs])
-    ivs = np.stack([np.cumsum(mu) if iv is None else iv[:N + 1]
-                    for mu, (_, _, iv) in zip(mus, runs)])
-    has = np.array([h ** alpha for _, alpha, _ in runs])
+    mus = np.stack([run.weights.mu[:N + 1] for run in runs])
+    ivs = np.stack([run.iv[:N + 1] for run in runs])
+    has = np.array([h ** run.weights.alpha for run in runs])
     d = A.shape[0]
     real = f is None and not np.any(A.imag) and not np.any(Y0.imag)
     eye = np.eye(d)
@@ -542,11 +553,12 @@ def _run(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]], A: n
     revs = np.ascontiguousarray(mus[:, None, :0:-1])  # mu_N .. mu_1 of each run, (B, 1, N)
     mu_hat = {}  # rfft of each run's mu per FFT length
 
-    X0 = H0 = _real_rows(Y0, real)
+    X0 = _real_rows(Y0, real)
     r = X0.shape[0]
-    if z0:
+    if any(run.z0 for run in runs):
         F0 = 0.0 if f is None else np.asarray(f(0.0, Y0))
-        H0 = np.stack([Minv @ _real_rows(Y0 + ha * F0, real) for Minv, ha in zip(step.Minv_r, has)])
+    H0 = np.stack([Minv @ _real_rows(Y0 + ha * F0, real) if run.z0 else X0
+                   for run, Minv, ha in zip(runs, step.Minv_r, has)])
     X = np.empty((N + 1, B, r, Y0.size // d))  # a vector state is one column
     Xr = X[..., 0] if Y0.ndim == 1 else X  # the states in their own shape
     Xf = X.reshape(N + 1, B, -1)  # one real row per state
@@ -554,7 +566,7 @@ def _run(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]], A: n
     Xm = X.reshape(N + 1, B, 1, -1)  # each run's row as a 1-row matrix
     Xv = X.reshape(N + 1, -1)  # all runs' rows as one vector
     np.multiply(ivs.T[1:, :, None], X0.ravel(), out=Xf[1:])
-    Xf[1:] -= mus.T[1:, :, None] * H0.reshape(-1, Xf.shape[2])
+    Xf[1:] -= mus.T[1:, :, None] * H0.reshape(B, Xf.shape[2])
     Xr[0] = X0
     S = None if f is None else Xf.view(complex)  # the complex vector states Newton works on
     Minv_r = step.Minv_r
@@ -704,8 +716,7 @@ def _modes(A: np.ndarray, y0: np.ndarray, alpha: float
     return W[:, keep], L, np.ldexp(x[keep], e)
 
 
-def _states(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]],
-            problem: FOdeProblem, h: float, N: int, z0: bool, guard: float):
+def _states(runs: Sequence[_Run], problem: FOdeProblem, h: float, N: int, guard: float):
     """Yields (run, (states, stop)) for each run of `problem` in run order,
     as _run gives them; _trajectories drops each before the next is formed.
 
@@ -719,14 +730,14 @@ def _states(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]],
     A, y0, f, d = problem.A, problem.y0, problem.f, problem.dim
     modes = None
     if f is None and not _stacked(d) and not (np.any(A.imag) or np.any(y0.imag)):
-        modes = _modes(A.real, y0.real, max(alpha for _, alpha, _ in runs))
+        modes = _modes(A.real, y0.real, max(run.weights.alpha for run in runs))
     if modes is None:
         for batch in [runs] if _stacked(d) else [[run] for run in runs]:
-            yield from zip(batch, _run(batch, A, h, N, y0, f, z0=z0, guard=guard))
+            yield from zip(batch, _run(batch, A, h, N, y0, f, guard=guard))
         return
     W, L, x0 = modes
     C = np.linalg.cholesky(W.T @ W)  # ||W x|| = ||C^T x||
-    for run, (X, stop) in zip(runs, _run(runs, L, h, N, x0, z0=z0, guard=guard)):
+    for run, (X, stop) in zip(runs, _run(runs, L, h, N, x0, guard=guard)):
         if stop is None and np.all(_row_norms(X.real @ C) <= guard):
             states = np.zeros((N + 1, d), dtype=complex)
             np.matmul(X.real, W.T, out=states.real)  # no real copy beside the states
@@ -734,34 +745,35 @@ def _states(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]],
             yield run, (states, None)
             del states  # before the next run's states are formed
         else:
-            yield from zip([run], _run([run], A, h, N, y0, z0=z0, guard=guard))
+            yield from zip([run], _run([run], A, h, N, y0, guard=guard))
 
 
-def _trajectories(runs: Sequence[tuple[wt.SchemeWeights, float, np.ndarray | None]],
-                  problem: FOdeProblem, h: float, N: int, z0: bool = False,
+def _trajectories(runs: Sequence[_Run], problem: FOdeProblem, h: float, N: int,
                   reduce: Callable[[Trajectory], Any] | None = None) -> list:
     """Guarded runs of `problem` (_states), each truncated (with a warning) at
     blow-up, in run order: the trajectories, or reduce(trajectory) of each
     when reduce is given, made before the next run's states are formed."""
     guard = BLOWUP_FACTOR * max(_row_norms(problem.y0[None])[0], 1.0)
     out = []
-    for (w, alpha, _), (states, stop) in _states(runs, problem, h, N, z0, guard):
+    for (w, _, _), (states, stop) in _states(runs, problem, h, N, guard):
         if stop is not None:
             warnings.warn(f"blow-up guard triggered at step {stop}; trajectory truncated",
                           stacklevel=3)
-        traj = Trajectory(h, states, w.scheme_id, alpha, truncated_at=stop)
+        traj = Trajectory(h, states, w.scheme_id, w.alpha, truncated_at=stop)
         out.append(traj if reduce is None else reduce(traj))
         del states, traj
     return out
 
 
-def _scheme_run(scheme_id: str, alpha: float, N: int
-                ) -> tuple[wt.SchemeWeights, float, np.ndarray | None]:
-    """The (weights, alpha, iv) run of any scheme by id; the alpha-difference
-    scheme runs its "difference" variant."""
-    if scheme_id == wt.ALPHA_DIFF:
-        return wt.alpha_diff_weights(alpha, N + 1), alpha, np.zeros(N + 1)
-    return wt.scheme_weights(scheme_id, alpha, N + 1), alpha, None
+def _scheme_run(scheme_id: str, alpha: float, N: int, variant: str = "difference") -> _Run:
+    """The _Run of any scheme by id over N steps, with iv = cumsum(mu) for L1
+    and the F-LMMs; the alpha-difference scheme runs `variant`."""
+    w = wt.scheme_weights(scheme_id, alpha, N + 1)
+    if scheme_id != wt.ALPHA_DIFF:
+        return _Run(w, np.cumsum(w.mu))
+    if variant == "poisson":
+        return _Run(w, wt.alpha_diff_kernel(1.0 - alpha, N + 1), z0=True)
+    return _Run(w, np.zeros(N + 1))
 
 
 def solve_alpha_diff(problem: FOdeProblem, h: float, N: int,
@@ -787,11 +799,8 @@ def solve_alpha_diff(problem: FOdeProblem, h: float, N: int,
     if variant not in ("difference", "poisson"):
         raise ValueError(f"unknown alpha-difference variant {variant!r}")
     _check_grid(h, N)
-    if variant == "poisson":
-        run = (wt.alpha_diff_weights(problem.alpha, N + 1), problem.alpha,
-               wt.alpha_diff_kernel(1.0 - problem.alpha, N + 1))
-        return _trajectories([run], problem, h, N, z0=True)[0]
-    return _trajectories([_scheme_run(wt.ALPHA_DIFF, problem.alpha, N)], problem, h, N)[0]
+    return _trajectories([_scheme_run(wt.ALPHA_DIFF, problem.alpha, N, variant)],
+                         problem, h, N)[0]
 
 
 def solve(problem: FOdeProblem, scheme_id: str, h: float, N: int) -> Trajectory:

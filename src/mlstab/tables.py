@@ -29,7 +29,7 @@ from typing import Callable
 
 from . import problems
 from .analysis import p_at_checkpoints
-from .solver import FOdeProblem, Trajectory, _stacked, solve, solve_cells
+from .solver import FOdeProblem, Trajectory, solve, solve_cells
 
 __all__ = ["TABLE_IDS", "CellResult", "reproduce", "results_to_csv"]
 
@@ -163,19 +163,6 @@ class CellResult:
 def _steps(spec: _TableSpec, m: int) -> int:
     """The steps of each run: up to the last checkpoint, plus the index offset m."""
     return int(round(max(spec.checkpoints) / spec.h)) + m
-
-
-def _run_size(table_id: str, m: int) -> tuple[int, int]:
-    """The steps of a reproduction's runs and an upper bound of the complex
-    entries of the largest state array it allocates: the stacked states of
-    all cells when solve_cells steps them together, else those of one run.
-    The cells of a larger linear problem that step in its eigenbasis
-    (solver._modes) stack at most 4 real rows each, fewer entries than one
-    run's states for every table here (8 cells, 64 modes)."""
-    spec = _SPECS[table_id.upper()]
-    N, d = _steps(spec, m), spec.problem().dim
-    cells = len(spec.schemes) * len(spec.alphas) if _stacked(d) else 1
-    return N, (N + 1) * cells * d
 
 
 def _cells(spec: _TableSpec, m: int, traj: Trajectory) -> list[CellResult]:

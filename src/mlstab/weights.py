@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -125,8 +125,10 @@ def miller_power(f, alpha: float, n_terms: int) -> np.ndarray:
 
 def _recurrence(y: np.ndarray, a: np.ndarray) -> np.ndarray:
     """y_n += sum_k a[k-1, n] y_{n-k}, n >= 1 in order; Python scalars beat numpy 7x here."""
+    if not len(a):  # no terms (q = q_0): y as it is, without the list round trip
+        return y
     ys, cols = y.tolist(), a.tolist()
-    for n in range(1, len(ys) if cols else 0):
+    for n in range(1, len(ys)):
         s = ys[n]
         for k in range(min(n, len(cols))):
             s += cols[k][n] * ys[n - 1 - k]
@@ -226,13 +228,12 @@ def alpha_diff_weights(alpha: float, n_terms: int) -> SchemeWeights:
 
     The operator is the first difference of the fractional sum with kernel
     k^(1-alpha), so its convolution weights mu_j = k_j^(1-alpha) - k_{j-1}^(1-alpha)
-    are the (1-z)^alpha binomials: the F-BDF1 mu.  The schemes differ only in
-    how the initial value enters the step equation (see
-    solver.solve_alpha_diff).  Its omega is None.
+    are the (1-z)^alpha binomials: the F-BDF1 mu, built by the F-BDF1
+    builder.  The schemes differ only in how the initial value enters the
+    step equation (see solver.solve_alpha_diff).  Its omega is None.
     """
     _check_alpha_diff(alpha)
-    p, _ = generating_pair(FBDF1, alpha)
-    return SchemeWeights(ALPHA_DIFF, alpha, n_terms, miller_power(p, alpha, n_terms))
+    return replace(_flmm_weights(FBDF1, alpha, n_terms), scheme_id=ALPHA_DIFF)
 
 
 def scheme_weights(scheme_id: str, alpha: float, n_terms: int) -> SchemeWeights:

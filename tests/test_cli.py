@@ -144,6 +144,23 @@ class TestSolveCommand:
                          "--out", str(tmp_path)])
         assert code == 3
 
+    @pytest.mark.parametrize("argv, message", [
+        # b = -1 gives lambda = 1; at h = 1 the F-BDF1 step matrix 1 - lambda is zero
+        (("--problem", "scalar", "--b", "-1", "--h", "1", "--t-end", "20"),
+         "singular implicit step matrix"),
+        # uncontrolled Lorenz at h = 0.012: the chord iteration fails at step 1
+        (("--problem", "lorenz", "--no-control", "--h", "0.012", "--t-end", "1"),
+         "implicit solve did not converge at step 1"),
+    ], ids=["singular", "no-convergence"])
+    def test_solver_failure_is_one_line(self, tmp_path, argv, message):
+        # a real process: the one message of main's handler, and nothing else
+        res = subprocess.run([sys.executable, "-m", "mlstab.cli", "solve", "--scheme", "fbdf1",
+                              "--alpha", "0.5", *argv, "--out", str(tmp_path / "out")],
+                             capture_output=True, text=True)
+        assert res.returncode == 3
+        assert res.stderr == f"solver failure: {message}\n" and res.stdout == ""
+        assert not (tmp_path / "out").exists()
+
 
 def per_element_csv(traj, meta):
     """The trajectory CSV formatted one number at a time, as a reference."""

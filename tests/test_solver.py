@@ -736,6 +736,21 @@ class TestCells:
     def test_no_cells(self):
         assert solve_cells(problems.lorenz_controlled(), [], 0.1, 10) == []
 
+    @pytest.mark.parametrize("problem", [
+        problems.scalar_test(10.0), FOdeProblem(0.5, np.array([[-2.0]]), np.array([1.0])),
+        problems.lorenz_controlled()], ids=["complex scalar", "real scalar", "lorenz"])
+    def test_runs_of_a_batch_start_their_own_histories(self, problem):
+        # a "poisson" run, whose history starts at z_0, in one batch with two
+        # runs whose history starts at y_0: each is its solo run bit for bit
+        N = 700
+        runs = [slv._scheme_run(wt.ALPHA_DIFF, 0.5, N, "poisson"),
+                slv._scheme_run(wt.ALPHA_DIFF, 0.7, N), slv._scheme_run(wt.FBDF1, 0.3, N)]
+        guard = BLOWUP_FACTOR * max(np.linalg.norm(problem.y0), 1.0)
+        args = problem.A, 0.1, N, problem.y0, problem.f, guard
+        for run, (states, stop) in zip(runs, slv._run(runs, *args)):
+            solo, solo_stop = slv._run([run], *args)[0]
+            assert stop == solo_stop and np.array_equal(states, solo)
+
 
 def _normal_matrix(eigenvalues, seed=0):
     """A real symmetric matrix Q diag(eigenvalues) Q^T and its orthogonal Q."""
@@ -749,10 +764,10 @@ class TestModes:
     # the orthonormal eigenbasis of A (slv._modes), else the problem as it is
 
     @staticmethod
-    def _stepped(problem, run, h, N, z0=False):
+    def _stepped(problem, run, h, N):
         """The states and stop of one run of the core on the problem as it is."""
         guard = BLOWUP_FACTOR * max(slv._row_norms(problem.y0[None])[0], 1.0)
-        return slv._run([run], problem.A, h, N, problem.y0, z0=z0, guard=guard)[0]
+        return slv._run([run], problem.A, h, N, problem.y0, guard=guard)[0]
 
     @pytest.mark.parametrize("table", ["T4", "T5"])
     def test_table_cells_agree_with_the_stepped_core(self, table):
@@ -774,8 +789,7 @@ class TestModes:
         _assert_close(solve(p, wt.FBDF1, h, N).states, ref)
         ref, _ = self._stepped(p, slv._scheme_run(wt.ALPHA_DIFF, 0.7, N), h, N)
         _assert_close(solve_alpha_diff(p, h, N, "difference").states, ref)
-        poisson = (wt.alpha_diff_weights(0.7, N + 1), 0.7, wt.alpha_diff_kernel(0.3, N + 1))
-        ref, _ = self._stepped(p, poisson, h, N, z0=True)
+        ref, _ = self._stepped(p, slv._scheme_run(wt.ALPHA_DIFF, 0.7, N, "poisson"), h, N)
         _assert_close(solve_alpha_diff(p, h, N, "poisson").states, ref)
 
     def test_problems_it_cannot_reduce_step_as_they_are(self):
