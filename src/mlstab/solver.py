@@ -36,11 +36,13 @@ k = B (d + 1) for an iterate with its Jacobian's shifted states, and f
 returns their values row by row; a single run hands it one (d,) vector at a
 time.  The history sums follow the divide-and-conquer schedule
 of Hairer, Lubich & Schlichte (1985, SIAM J. Sci. Stat. Comput. 6:532):
-direct sums inside blocks of at most 64 steps, one real FFT product per pair
-of neighbouring half blocks (one FFT for a whole batch, multiplied by each
-run's mu spectrum), O(N log^2 N) in total and exact up to rounding.  The
-products go through numpy.fft (the same pocketfft as scipy.fft) at 5-smooth
-lengths (_fast_len), so stepping loads no scipy.  A linear run (f None) of
+direct sums inside blocks of at most 64 steps, and one product per pair of
+neighbouring half blocks, O(N log^2 N) in total and exact up to rounding.  A
+pair spanning at most 256 steps (_DIRECT_MERGE) is one stacked product with
+each run's Toeplitz matrix of mu; a larger one is a real FFT product (one FFT
+for a whole batch, multiplied by each run's mu spectrum) through numpy.fft
+(the same pocketfft as scipy.fft) at 5-smooth lengths (_fast_len), so
+stepping loads no scipy.  A linear run (f None) of
 small dimension (_stacked: _LEAF d <= _LEAF_ROWS, i.e. d <= 4) solves each
 leaf at once, with one product of the block Toeplitz matrix of its own
 discrete resolvent, the coefficients of (M + sum_{j>=1} mu_j z^j)^{-1};
@@ -121,6 +123,14 @@ _LEAF = 64
 #: faster than stepping the leaf at d = 1, 2x faster at d = 4 and 2x slower
 #: at d = 16.
 _LEAF_ROWS = 256
+#: a merge (lo, mid, hi) with hi - lo <= _DIRECT_MERGE is one direct Toeplitz
+#: product, a larger one an FFT product.  Five scalar solves of 20005 steps
+#: (2-CPU Xeon, in-process, best of 9) took 108-110 ms with FFT merges only,
+#: 92-95 ms at a cutoff of 128, 86-87 at 256, 82-84 at 512 and 89-93 at 1024;
+#: a batch of B runs reads B Toeplitz matrices a merge, and at 256 the
+#: batched T4 and T6 grids (8 and 16 runs) measured up to 5% slower than
+#: with FFT merges only, about the spread of the machine.
+_DIRECT_MERGE = 256
 #: the smallest norm whose square is a normal float.
 _TINY_NORM = math.sqrt(np.finfo(float).tiny)
 
@@ -521,18 +531,28 @@ def _run(runs: Sequence[_Run], A: np.ndarray, h: float, N: int, Y0: np.ndarray,
     accumulates the right-hand side iv_n Y0 - S_n until
     step n overwrites it with Y_n, so the history needs no array of its own.
     The rows start at iv_n Y0 - mu_n H_0, and the steps follow _blocks: a
-    finished half block's share of S reaches the next half through one real
-    FFT of the half block's rows, multiplied by the table of the runs' mu
-    spectra (mu is real).  The sums are exact up to rounding and cost
-    O(N log^2 N).
+    finished half block's share of S reaches the next half by one of two
+    products, each exact up to rounding.  A merge (lo, mid, hi) with
+    hi - lo <= _DIRECT_MERGE is direct: rows mid..hi-1 of each run b lose
+    T_b times its rows lo..mid-1, T_b[i, j] = mu_b[mid - lo + i - j], one
+    stacked matmul whose C-ordered T (kept per (mid - lo, hi - mid) within
+    the run) makes each run's product the BLAS product it makes alone.  A
+    larger merge goes through one real FFT of the half block's rows,
+    multiplied by the table of the runs' mu spectra (mu is real).  The sums
+    cost O(N log^2 N); a run of 20005 steps makes 384 of its 511 merges
+    direct.
 
     When a leaf [lo, hi) starts, its rows R_n hold every history term from
     steps before lo.  A linear batch with _stacked(d) then solves the leaf at
     once, Y_{lo+i} = sum_{k<=i} G_k R_{lo+i-k} with each run's discrete
     resolvent G (_leaf_resolvents): one product of the resolvent matrix's
-    top-left corner with the leaf's states stacked into L r rows.  A run's
-    first row with a non-finite entry, or with a norm above guard, ends it
-    as the same step would have.  Other batches, and a linear batch in which
+    top-left corner with the leaf's states stacked into L r rows.  The
+    solved leaf is tested whole first, as a step tests its state: the norm
+    of all its rows, one dot product, within the guard's bound passes every
+    row.  Only a leaf that fails it is tested row by row: a run's first row
+    with a non-finite entry, or with a norm above guard, ends it as the same
+    step would have, and a finite row whose squares overflow is scaled
+    (_row_norms).  Other batches, and a linear batch in which
     a run's resolvent overflows, step the leaf, adding the in-leaf history
     directly.  The products of the batch are stacked matrix products, the
     same product for each run as for that run alone.
@@ -552,6 +572,7 @@ def _run(runs: Sequence[_Run], A: np.ndarray, h: float, N: int, Y0: np.ndarray,
             G = _leaf_resolvents(step.Minv_r, mus, min(_LEAF, N))
     revs = np.ascontiguousarray(mus[:, None, :0:-1])  # mu_N .. mu_1 of each run, (B, 1, N)
     mu_hat = {}  # rfft of each run's mu per FFT length
+    toeplitz = {}  # the direct merges' matrices per (mid - lo, hi - mid)
 
     X0 = _real_rows(Y0, real)
     r = X0.shape[0]
@@ -586,17 +607,28 @@ def _run(runs: Sequence[_Run], A: np.ndarray, h: float, N: int, Y0: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):  # the non-finite test names the step
         for lo, mid, hi in _blocks(1, N + 1):
             if mid is not None:
+                if hi - lo <= _DIRECT_MERGE:
+                    T = toeplitz.get((mid - lo, hi - mid))
+                    if T is None:  # T[b, i, j] = mu_b[mid - lo + i - j], C-ordered
+                        T = toeplitz[mid - lo, hi - mid] = np.ascontiguousarray(mus[
+                            :, mid - lo + np.arange(hi - mid)[:, None] - np.arange(mid - lo)])
+                    Xs[:, mid:hi] -= T @ Xs[:, lo:mid]
+                    continue
                 P = _fast_len(hi - lo)  # no wrap-around reaches rows mid..hi
                 if P not in mu_hat:
                     mu_hat[P] = np.fft.rfft(mus[:, :P], P).T[:, :, None]
                 spec = np.fft.rfft(Xf[lo:mid], P, axis=0)
                 spec *= mu_hat[P]
                 Xf[mid:hi] -= np.fft.irfft(spec, P, axis=0)[mid - lo:hi - lo]
+                del spec  # not held through the steps and merges that follow
                 continue
             if G is not None:
                 L = hi - lo
                 leaf = Xs[:, lo:hi].reshape(B, L * r, X.shape[3])
                 Xs[:, lo:hi] = (G[:, :L * r, :L * r] @ leaf).reshape(B, L, Xf.shape[2])
+                v = Xv[lo:hi].ravel()
+                if math.sqrt(v @ v) <= bound:  # the leaf's norm bounds each row's, as in a step
+                    continue
                 rows = Xf[lo:hi].reshape(L * B, Xf.shape[2])
                 if guard is None:
                     ends = ~np.isfinite(rows).all(axis=1)

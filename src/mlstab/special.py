@@ -47,7 +47,8 @@ axis such as E_{0.6,0.5}(-3.0107), and huge values at alpha <= 0.15 (90 of
 outside the decay sector exp(z^(1/alpha)) exceeds the double range, which
 raises AccuracyError too.
 
-All functions here are pure and the module holds no mutable state.  Blocks of
+All functions here are pure; the module's only state is a cache of the
+expansion's 1/Gamma rows per (alpha, beta), read-only arrays.  Blocks of
 expansion terms or contour nodes hold at most _BLOCK entries, so a long array
 of z is evaluated a block of rows at a time.  Gamma values come from
 math.gamma (reciprocal_gamma); like the rest of mlstab, the module runs on
@@ -57,6 +58,7 @@ numpy and the standard library alone.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import NamedTuple
 
@@ -151,6 +153,15 @@ def _exponential_term(z: complex, alpha: float, beta: float) -> complex:
     return power * cmath.exp(w) / alpha
 
 
+@functools.lru_cache(maxsize=256)
+def _expansion_coefs(alpha: float, beta: float, n_max: int) -> np.ndarray:
+    """1/Gamma(beta - k alpha), k = 1..n_max, 0 at the poles: the large-|z|
+    expansion's coefficients, read-only and kept per (alpha, beta, n_max)."""
+    coef = np.array(list(map(reciprocal_gamma, (beta - alpha * np.arange(1, n_max + 1)).tolist())))
+    coef.setflags(write=False)
+    return coef
+
+
 def _asymptotic(z: np.ndarray, alpha: float, beta: float, rtol: float, n_max: int = 160):
     """Large-|z| expansion on a 1-D array of z (nonzero), each truncated at
     its smallest term, from the terms z^{-k}/Gamma(beta - k alpha),
@@ -159,7 +170,7 @@ def _asymptotic(z: np.ndarray, alpha: float, beta: float, rtol: float, n_max: in
     zl = z.tolist()
     k = np.arange(1, n_max + 1)
     j = np.arange(n_max)
-    coef = np.array(list(map(reciprocal_gamma, (beta - alpha * k).tolist())))  # 0 at the poles
+    coef = _expansion_coefs(float(alpha), float(beta), n_max)
     for rows in _blocks(np.arange(z.size), n_max):
         logz = np.array([cmath.log(zl[i]) for i in rows])
         terms = np.exp(-k * logz[:, None]) * coef

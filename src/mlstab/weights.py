@@ -15,10 +15,15 @@ A fractional linear multistep method (F-LMM) is the polynomial pair (p, q) of
     F-BDF2    p = 3/2 - 2z + z^2/2   q = 1
     F-Adams2  p = 1 - z              q = (1 - alpha/2) + (alpha/2) z
 
-Its tables come from the pair in O(N): the Miller recursion expands the powers
-of p, forward substitution divides by q.  L1 has mu_j = second differences of
-j^(1-alpha) / Gamma(2-alpha) and omega its O(N^2) convolution inverse.  The
-alpha-difference scheme has the F-BDF1 mu and no omega.
+Its tables come from first-order factors in O(N), with no Python loop over
+the terms.  (1 - z)^(+-alpha) is one cumulative product (the Miller
+recursion of miller_power at degree 1).  F-BDF2's p = (3/2)(1 - z)(1 - z/3)
+adds a convolution with the first 64 terms of (3/2)^alpha (1 - z/3)^alpha,
+which fall like 3^-k.  F-Adams2's division by q = q_0 (1 + (q_1/q_0) z) is
+the recurrence y_n = x_n - (q_1/q_0) y_{n-1}, run as log2 N doubling passes.
+L1 has mu_j = second differences of j^(1-alpha) / Gamma(2-alpha) and omega its
+O(N^2) convolution inverse.  The alpha-difference scheme has the F-BDF1 mu
+and no omega.
 """
 
 from __future__ import annotations
@@ -82,15 +87,17 @@ class SchemeWeights:
     @functools.cached_property
     def omega(self) -> np.ndarray | None:
         """The first n_terms weights of F_omega = 1/F_mu, built on first read:
-        from the generating pair for an F-LMM (O(N)), by conv_inverse for L1
-        (O(N^2)); None for the alpha-difference scheme."""
+        p^(-alpha) q from the first-order factors of the pair for an F-LMM
+        (O(N)), by conv_inverse for L1 (O(N^2)); None for the alpha-difference
+        scheme."""
         if self.scheme_id == ALPHA_DIFF:
             return None
         if self.scheme_id == L1:
             omega = conv_inverse(self.mu, self.n_terms)
         else:
-            p, q = generating_pair(self.scheme_id, self.alpha)
-            omega = np.convolve(miller_power(p, -self.alpha, self.n_terms), q)[:self.n_terms]
+            _, q = generating_pair(self.scheme_id, self.alpha)
+            omega = np.convolve(_p_power(self.scheme_id, -self.alpha, self.n_terms),
+                                q)[:self.n_terms]
         omega.setflags(write=False)
         return omega
 
@@ -101,7 +108,8 @@ def miller_power(f, alpha: float, n_terms: int) -> np.ndarray:
     Miller recursion: g_0 = f_0^alpha and
         g_n = (1/(n f_0)) sum_{k=1}^{n} (k (1+alpha) - n) f_k g_{n-k}.
     Requires f_0 != 0.  alpha may be any real (negative powers give the
-    series of the reciprocal root).  O(n_terms * deg f).
+    series of the reciprocal root).  O(n_terms * deg f): one cumulative
+    product for deg f = 1, a Python loop for higher degrees.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
@@ -112,21 +120,23 @@ def miller_power(f, alpha: float, n_terms: int) -> np.ndarray:
         raise ValueError("leading coefficient f[0] must be nonzero")
     dtype = np.result_type(f.dtype, np.float64)
     f = f.astype(dtype)
+    g = np.zeros(n_terms, dtype=dtype)
+    g[0] = f[0] ** alpha
+    if f.size == 1:
+        return g
     n = np.arange(1.0, n_terms)
     a = np.zeros((f.size - 1, n_terms), dtype=dtype)  # a[k-1, n] g_{n-k}: the terms
     np.subtract(np.arange(1, f.size)[:, None] * (1.0 + alpha), n, out=a[:, 1:])
     a[:, 1:] *= f[1:, None] / f[0]  # in place: temporaries would double the time
     a[:, 1:] /= n
-    g = np.zeros(n_terms, dtype=dtype)
-    g[0] = a[:, 0] = f[0] ** alpha
+    a[:, 0] = g[0]
     # first order, g_n = a_n g_{n-1}, is a cumulative product
     return np.cumprod(a[0], out=a[0]) if f.size == 2 else _recurrence(g, a)
 
 
 def _recurrence(y: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """y_n += sum_k a[k-1, n] y_{n-k}, n >= 1 in order; Python scalars beat numpy 7x here."""
-    if not len(a):  # no terms (q = q_0): y as it is, without the list round trip
-        return y
+    """y_n += sum_k a[k-1, n] y_{n-k}, n >= 1 in order: miller_power at degree
+    >= 2, which no scheme table uses; Python scalars beat numpy 7x here."""
     ys, cols = y.tolist(), a.tolist()
     for n in range(1, len(ys)):
         s = ys[n]
@@ -134,6 +144,34 @@ def _recurrence(y: np.ndarray, a: np.ndarray) -> np.ndarray:
             s += cols[k][n] * ys[n - 1 - k]
         ys[n] = s
     return np.array(ys, dtype=y.dtype)
+
+
+#: terms of F-BDF2's (1 - z/3)^alpha factor (_p_power): the k-th is at most
+#: 3^-k in size for |alpha| <= 1, and 3^-64 < 3e-31.
+_THIRD_TERMS = 64
+
+
+def _p_power(scheme_id: str, alpha: float, n_terms: int) -> np.ndarray:
+    """The first n_terms coefficients of p^alpha, p of an F-LMM's pair, from
+    its first-order factors, each the cumulative product of miller_power:
+    (1 - z)^alpha, and for F-BDF2, p = (3/2)(1 - z)(1 - z/3), its convolution
+    with the first _THIRD_TERMS coefficients of (3/2)^alpha (1 - z/3)^alpha."""
+    g = miller_power(np.array([1.0, -1.0]), alpha, n_terms)
+    if scheme_id != FBDF2:
+        return g
+    third = miller_power(np.array([1.0, -1.0 / 3.0]), alpha, min(n_terms, _THIRD_TERMS))
+    return np.convolve(g, 1.5 ** alpha * third)[:n_terms]
+
+
+def _divide_first_order(x: np.ndarray, c: float) -> np.ndarray:
+    """The series x / (1 + c z): y_n = x_n - c y_{n-1}, by doubling.  After the
+    pass of shift s, y_n = sum_{k<2s} (-c)^k x_{n-k}; log2 N passes of one
+    shifted multiply-add each."""
+    y, a, s = x.copy(), -c, 1
+    while s < y.size:
+        y[s:] = y[s:] + a * y[:-s]  # the right side is formed first: the old y
+        a, s = a * a, 2 * s
+    return y
 
 
 def conv_inverse(u, n_terms: int) -> np.ndarray:
@@ -179,11 +217,12 @@ def generating_pair(scheme_id: str, alpha: float) -> tuple[np.ndarray, np.ndarra
 
 
 def _flmm_weights(scheme_id: str, alpha: float, n_terms: int) -> SchemeWeights:
-    """mu = p^alpha / q from the scheme's pair, in O(N)."""
+    """mu = p^alpha / q from the first-order factors of the scheme's pair, in O(N)."""
     _check_alpha(alpha)
-    p, q = generating_pair(scheme_id, alpha)
-    mu = miller_power(p, alpha, n_terms) / q[0]  # then mu_n -= sum_k (q_k/q_0) mu_{n-k}
-    mu = _recurrence(mu, np.broadcast_to(-q[1:, None] / q[0], (q.size - 1, n_terms)))
+    mu = _p_power(scheme_id, alpha, n_terms)
+    _, q = generating_pair(scheme_id, alpha)
+    if q.size > 1:  # F-Adams2: q = q_0 (1 + (q_1/q_0) z)
+        mu = _divide_first_order(mu / q[0], q[1] / q[0])
     return SchemeWeights(scheme_id, alpha, n_terms, mu)
 
 

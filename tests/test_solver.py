@@ -465,6 +465,63 @@ class TestBlockHistory:
         _assert_close(traj.states, ref)
 
 
+class TestMerges:
+    # merges of at most _DIRECT_MERGE steps are direct Toeplitz products,
+    # larger ones FFT products; conftest's mu_form_run sums every history
+    # term directly
+
+    @pytest.mark.parametrize("shape", ["vector", "matrix"])
+    def test_batched_runs_are_exact(self, shape):
+        # three runs of different schemes and alpha, one starting its history
+        # at z_0, as one batch: a real vector state, or complex (2, 2) states
+        N = 1100
+        merges = {hi - lo for lo, mid, hi in _blocks(1, N + 1) if mid is not None}
+        assert len([m for m in merges if m <= slv._DIRECT_MERGE]) >= 2
+        assert len([m for m in merges if m > slv._DIRECT_MERGE]) >= 2
+        A = np.array([[-1.0, 2.0], [-2.0, -1.0]], dtype=complex)  # eigenvalues -1 +- 2i
+        if shape == "vector":
+            Y0 = np.array([1.0, -0.5], dtype=complex)
+        else:
+            A = A + 0.5j * np.eye(2)
+            Y0 = np.eye(2, dtype=complex)
+        runs = [slv._scheme_run(wt.FBDF2, 0.4, N), slv._scheme_run(wt.FADAMS2, 0.7, N),
+                slv._scheme_run(wt.ALPHA_DIFF, 0.55, N, "poisson")]
+        for run, (states, stop) in zip(runs, slv._run(runs, A, 0.05, N, Y0)):
+            ref, _ = _mu_form_run(run.weights.mu, A, run.weights.alpha, 0.05, N, Y0,
+                                  iv=run.iv, z0=run.z0)
+            assert stop is None
+            _assert_close(states, ref)
+
+    def test_leaf_pretest_fails_through_one_run(self):
+        # lambda = 1 + i grows for alpha > 1/2 and decays for alpha < 1/2: the
+        # growing cell fails the whole-leaf norm test, and only it stops, at
+        # the step where it stops alone and where the direct sums do
+        p = FOdeProblem(0.5, np.array([[1 + 1j]]), np.array([1.0]))
+        cells = [(wt.FBDF1, 0.3), (wt.FBDF1, 0.7)]
+        with pytest.warns(UserWarning, match="blow-up"):
+            batch = solve_cells(p, cells, 0.1, 600)
+            solo = solve(dataclasses.replace(p, alpha=0.7), wt.FBDF1, 0.1, 600)
+        ref, stop = _mu_form_run(wt.scheme_weights(wt.FBDF1, 0.7, 601).mu, p.A, 0.7, 0.1, 600,
+                                 p.y0, guard=BLOWUP_FACTOR)
+        assert batch[0].truncated_at is None and batch[0].n_steps == 600
+        assert batch[1].truncated_at == solo.truncated_at == stop is not None
+        assert any(lo < stop < hi for lo, mid, hi in _blocks(1, 601) if mid is None)
+        _assert_close(batch[1].states, ref)
+        assert np.array_equal(batch[0].states,
+                              solve(dataclasses.replace(p, alpha=0.3), wt.FBDF1, 0.1, 600).states)
+
+    def test_overflowing_squares_do_not_end_an_unguarded_run(self):
+        # states near 2^530, whose squares overflow, fail the whole-leaf test;
+        # without a guard only a non-finite state ends a run, and scaling by a
+        # power of 2 is exact, so the states are those from y0 = 1 scaled
+        A = np.array([[-1.0 + 2.0j]])
+        run = slv._scheme_run(wt.FBDF1, 0.5, 300)
+        big, stop = slv._run([run], A, 0.1, 300, np.array([2.0 ** 530 + 0j]))[0]
+        unit, _ = slv._run([run], A, 0.1, 300, np.array([1.0 + 0j]))[0]
+        assert stop is None and np.all(np.isfinite(big))
+        assert np.array_equal(big, unit * 2.0 ** 530)
+
+
 class TestLeafProducts:
     # linear runs of dimension d <= 4 solve each leaf with one product of the
     # run's discrete resolvent; the direct per-step sums of conftest's
