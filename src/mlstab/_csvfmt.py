@@ -9,18 +9,29 @@ from byte strings, so the layout does not depend on the byte order:
     words 3-4    the fraction digits
     word 5 ...   "e-XX" exponent, then the column's separator (from byte 4)
 
-A value x = 0 or 1e-11 <= |x| < 1e17 takes its 17 significant digits from
-one scaling `y = |x| 10^(16-E)` in `np.longdouble`, E its decimal exponent.
-Each `10^k`, k <= 27, is exact there (5^k < 2^64), so `y < 2^57` carries one
-rounding, at most half an ulp.  Where longdouble is an IEEE binary format
-(x87's 64-bit significand, quad's 113) that ulp divides 1/2, so y and D =
-rint(y) are multiples of it: `|y - D| < 1/2` leaves y at least an ulp from
-the tie, and D is the correctly rounded 17-digit integer.  Double-double
-has no fixed ulp and asks `|y - D| < 1/2 - 1/64`, against an error of at
-most 2^-8.  Every other value (nan, inf, subnormals, values outside that
-range or at a rounding tie, and every value where longdouble has fewer than
-64 significand bits) is formatted by `"%.17g" % x` itself into its own row.
-A fast path that knows when it is unsure, backed by an exact fallback, is
+A nonzero x with 1e-11 <= |x| < 1e17 takes its 17 significant digits from
+the scaling y = |x| 10^k, k = 16 - E and E its decimal exponent, done
+exactly in float64.  Each 10^k, k <= 27, splits exactly as PH[k] + PL[k]:
+PH is 10^k rounded to a double and PL the rest, at most 10 bits, since
+5^k < 2^63.  Dekker's product (Numer. Math. 18:224, 1971), a Veltkamp
+split of |x| against PH's pre-split halves, gives |x| PH = h + e1 exactly;
+numpy rounds each ufunc on its own, with no fused multiply-add, as the
+product needs.  Then y = h + e1 + |x| PL, where h, above 2^53, is an even
+integer and r = e1 + |x| PL is below 16 in size.  For k <= 22, 10^k is a
+double (PL = 0) and r = e1 is exact, so D = h + rint(r) is the correctly
+rounded 17-digit integer, ties to even as in `%`.  For larger k, r is
+rounded twice, by less than 2^-48 (3.6e-15) in all, and D is taken unless
+r's fraction lies within 2^-40 of 1/2: those values, below 1e-6 and at or
+next to a decimal rounding tie, take the exact fallback.  Where log10 puts
+E one off, h and the sign of r compare the unrounded y with 10^16, and the
+scaling is redone with the next E.  The arithmetic is the same on every
+platform, whatever its long double.
+
+`rows_text` gives each +0.0 the constant words of `0` without scaling it;
+-0.0 takes the fast path, which writes its sign.  Every other value (nan,
+inf, subnormals, values outside that range, and values within the margin
+of a tie) is formatted by `"%.17g" % x` itself into its own row.  A fast
+path that knows when it is unsure, backed by an exact fallback, is
 Grisu3's design (Loitsch, PLDI 2010).
 """
 
@@ -28,16 +39,20 @@ from __future__ import annotations
 
 import numpy as np
 
-#: the scaling needs a longdouble with 64 or more significand bits (x87's
-#: 80-bit format, IEEE quad); where longdouble is double every value takes `%`.
-_FAST = np.finfo(np.longdouble).nmant >= 63
-
 _E_MIN, _E_MAX = -11, 16
 _LO, _HI = 10 ** 16, 10 ** 17  # the 17-digit integers
-_POW10 = np.array([np.ldexp(np.longdouble(np.uint64(5 ** k)), k)
-                   for k in range(_E_MAX - _E_MIN + 1)])
-#: |y - D| below this decides D: exact for the IEEE formats, a margin for double-double
-_MARGIN = 0.5 if np.finfo(np.longdouble).nmant in (63, 112) else 0.5 - 1 / 64
+#: 10^k = _PH[k] + _PL[k] exactly for k <= 27: 5^k < 2^63 leaves _PL at most 10 bits
+_PH = np.array([float(10 ** k) for k in range(_E_MAX - _E_MIN + 1)])
+_PL = np.array([float(10 ** k - int(p)) for k, p in enumerate(_PH)])
+assert all(int(p) + int(q) == 10 ** k for k, (p, q) in enumerate(zip(_PH, _PL)))
+_SPLIT = 2.0 ** 27 + 1  # Veltkamp's split of a double into two 26-bit halves
+_PHH = _PH * _SPLIT - (_PH * _SPLIT - _PH)
+#: by k: 10^k's high part, its two halves, its low part
+_P10 = np.array([_PH, _PHH, _PH - _PHH, _PL])
+#: 10^(16-E) is a double (5^22 < 2^53) for E from this on: there r is exact
+_E_EXACT = 16 - int(np.flatnonzero(_PL == 0)[-1])
+#: elsewhere |r - rint(r)| below this decides D: r's rounding error is below 2^-48
+_TIE = 0.5 - 2.0 ** -40
 _WORDS = 5  # before the tail
 _PERCENT = b"%%-%d.17g" % (8 * _WORDS)  # "%.17g", padded with spaces to the five words
 
@@ -64,6 +79,7 @@ _FRAC0, _FRAC1 = ~_INT0, ~_INT1
 _POINT_AFTER = np.where(_FIXED_NEG, 16, _INT)
 _DOT = _words([b"\0" * 15 + b"."], 2)[0, 1]
 _SIGN = _words([b"-"], 1)[0, 0]
+_ZERO = _words([b"0"], _WORDS + 1).T  # words 0-5 of +0.0
 # four-digit groups as bytes 0-3 (A) or 4-7 (B) of a word, and their trailing zeros
 _G4 = np.zeros((2, 10000, 8), np.uint8)
 _DIGITS = np.arange(48, 58, dtype=np.uint8)
@@ -79,6 +95,22 @@ def tails(seps: list[str]) -> np.ndarray:
     return _words([b"\0" * 4 + s.encode() for s in seps], width)
 
 
+def _scaled(a: np.ndarray, k: np.ndarray):
+    """`a 10^k` as `h + r`: h = fl(a PH), r = (a PH - h) + a PL, the first
+    term exact by Dekker's product."""
+    ph, phh, phl, pl = np.take(_P10, k, axis=1)
+    c = a * _SPLIT
+    ah = c - (c - a)
+    al = a - ah
+    h = a * ph
+    r = ah * phh - h
+    r += ah * phl
+    r += al * phh
+    r += al * phl
+    r += a * pl
+    return h, r
+
+
 def _fast(v: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Write words 0-5 of each value of `v` the fast path decides; return
     where it did."""
@@ -88,18 +120,20 @@ def _fast(v: np.ndarray, words: np.ndarray) -> np.ndarray:
     E = np.floor(np.log10(a)).astype(np.int64)
     np.maximum(E, _E_MIN, out=E)
     np.minimum(E, _E_MAX, out=E)
-    a = a.astype(np.longdouble)
-    y = a * _POW10[16 - E]
-    D = np.rint(y)
-    # log10 can be one off near a power of ten: the test is on the unrounded y
-    fix = np.flatnonzero((y < _LO) | (D >= _HI))
+    h, r = _scaled(a, 16 - E)
+    rr = np.rint(r)
+    D = h.astype(np.int64)
+    D += rr.astype(np.int64)
+    # log10 can be one off near a power of ten: the test is on the unrounded h + r
+    low = (h < _LO) | ((h == _LO) & (r < 0))
+    fix = np.flatnonzero(low | (D >= _HI))
     if len(fix):
-        E[fix] = np.clip(E[fix] + np.where(y[fix] < _LO, -1, 1), _E_MIN, _E_MAX)
-        y[fix] = a[fix] * _POW10[16 - E[fix]]
-        D[fix] = np.rint(y[fix])
-    y -= D
-    D = D.astype(np.int64)
-    ok &= (np.abs(y.astype(np.float64)) < _MARGIN) & (D >= _LO) & (D < _HI)
+        E[fix] = np.clip(E[fix] + np.where(low[fix], -1, 1), _E_MIN, _E_MAX)
+        h[fix], r[fix] = _scaled(a[fix], 16 - E[fix])
+        rr[fix] = np.rint(r[fix])
+        D[fix] = h[fix].astype(np.int64) + rr[fix].astype(np.int64)
+    r -= rr
+    ok &= ((np.abs(r) < _TIE) | (E >= _E_EXACT)) & (D >= _LO) & (D < _HI)
     D[~ok] = 0
     zero = v == 0
     E[zero] = 0
@@ -143,8 +177,15 @@ def rows_text(block: np.ndarray, tail: np.ndarray) -> bytes:
     v = block.ravel()
     words = np.empty((_WORDS + tail.shape[1], len(v)), np.uint64)
     words[_WORDS + 1:] = 0
-    ok = _fast(v, words) if _FAST else np.zeros(len(v), bool)
-    slow = np.flatnonzero(~ok)
+    zero = v.view(np.uint64) == 0  # +0.0 only: -0.0 takes _fast, which keeps its sign
+    if zero.any():
+        words[:_WORDS + 1] = _ZERO
+        rest = np.flatnonzero(~zero)
+        head = np.empty((_WORDS + 1, len(rest)), np.uint64)
+        slow = rest[~_fast(v[rest], head)]
+        words[:_WORDS + 1, rest] = head
+    else:
+        slow = np.flatnonzero(~_fast(v, words))
     if len(slow):  # one % call; the space padding goes with the NULs
         text = (_PERCENT * len(slow)) % tuple(v[slow].tolist())
         words[:_WORDS, slow] = np.frombuffer(text, np.uint64).reshape(-1, _WORDS).T

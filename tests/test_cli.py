@@ -1,9 +1,12 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -208,11 +211,12 @@ def test_csv_matches_per_element_format(columns):
 
 class TestCsvNumbers:
     """`cli._csv_bytes` against `%.17g` one value at a time, with the numpy
-    fast path on (where longdouble allows it) and switched off."""
+    fast path on and switched off."""
 
     @pytest.fixture(params=["fast", "percent"], autouse=True)
     def path(self, request, monkeypatch):
-        monkeypatch.setattr(_csvfmt, "_FAST", _csvfmt._FAST and request.param == "fast")
+        if request.param == "percent":  # _fast decides no value
+            monkeypatch.setattr(_csvfmt, "_fast", lambda v, words: np.zeros(len(v), bool))
 
     @staticmethod
     def check(columns):
@@ -274,6 +278,50 @@ class TestCsvNumbers:
 
     def test_zero_rows(self):
         self.check({"t": np.empty(0), "w": None, "p": np.empty(0)})
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_all_zero_blocks(self, zero):
+        vals = np.full(cli._CSV_BLOCK + 1, zero)
+        self.check({"a": vals, "w": None, "b": vals})
+
+    def test_zeros_among_other_values(self):
+        vals = np.random.default_rng(7).standard_normal(600)
+        vals[::3] = 0.0
+        vals[1::5] = -0.0
+        vals[2::50] = np.nan
+        self.check({"x": vals, "y": vals[::-1], "z": -vals})
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_advection_layout_at_block_boundaries(self, extra):
+        # t, 64 real and 64 imaginary columns, the imaginary ones +0.0, and a norm
+        n_rows = 2 * (cli._CSV_BLOCK // 130) + extra
+        rng = np.random.default_rng(extra + 2)
+        columns = {"t": np.arange(n_rows) * 0.01}
+        columns |= {f"re{j}": rng.standard_normal(n_rows) * 10.0 ** -j for j in range(64)}
+        columns |= {f"im{j}": np.zeros(n_rows) for j in range(64)}
+        columns["im3"][::4] = -0.0
+        columns["norm"] = rng.random(n_rows)
+        self.check(columns)
+
+
+def test_fast_path_decides_all_but_near_ties():
+    """`_csvfmt._fast` leaves to `%` only a value whose scaling by 10^k is
+    inexact (k > 22) and whose exact fraction lies within its margin of 1/2."""
+    rng = np.random.default_rng(2021)
+    v = 10 ** rng.uniform(-11, 17, 10 ** 5) * rng.choice([-1.0, 1.0], 10 ** 5)
+    v = v[(np.abs(v) >= 1e-11) & (np.abs(v) < 1e17)]
+    n_sample = len(v)
+    # binary fractions with an exact decimal tie at the 18th digit
+    for e in range(2, 26):
+        odd = rng.integers(-(-10 ** 17 // 5 ** e), min(10 ** 18 // 5 ** e, 2 ** 53), 20) | 1
+        v = np.concatenate([v, odd * 2.0 ** -e])
+    ok = _csvfmt._fast(v, np.empty((6, len(v)), np.uint64))
+    for x in v[~ok]:
+        E = Decimal(abs(float(x))).adjusted()
+        y = Fraction(abs(float(x))) * Fraction(10) ** (16 - E)
+        assert 16 - E > 22 and abs(y - math.floor(y) - Fraction(1, 2)) <= Fraction(1, 2 ** 40), x
+    assert ok[:n_sample].all()  # no value of the log-uniform sample lies that close
+    TestCsvNumbers.check({"v": v})
 
 
 class TestRegionCommand:
