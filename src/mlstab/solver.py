@@ -23,18 +23,19 @@ None and A and y0 are real: it steps d real rows.  Every other run steps
 each complex row of its states as a pair of real rows (Re, Im), and its
 complex matrices act through their real (2 d) x (2 d) forms, so every
 product and FFT of the core is real; the complex states are returned as
-before.  The nonlinear part is handled on
+before.  A nonlinear step is solved on
 complex vectors by the chord (simplified Newton) iteration, for each run of
 a batch on its own: each step starts from the linear predictor
 M^{-1} (rhs + h^alpha f_last), f_last the f value of the run's own last
-iterate of the step before (y_0 at the first step), with one
+iterate of the step or leaf before (y_0 at the first step), with one
 finite-difference Jacobian per step, formed again only after an iterate that
 contracts by less than half or moves by more than a tenth of the state; a
 step the iteration cannot solve raises NonConvergenceError.  A batch of B > 1
-runs hands f the (k, d) stack of states it needs, k = B for an iterate and
-k = B (d + 1) for an iterate with its Jacobian's shifted states, and f
-returns their values row by row; a single run hands it one (d,) vector at a
-time.  The history sums follow the divide-and-conquer schedule
+runs hands f the (k, d) stack of states it needs, k = B for an iterate or
+for one step of a leaf sweep (below) and k = B (d + 1) for an iterate with
+its Jacobian's shifted states, and f returns their values row by row; a
+single run hands it one (d,) vector at a time.  The history sums follow the
+divide-and-conquer schedule
 of Hairer, Lubich & Schlichte (1985, SIAM J. Sci. Stat. Comput. 6:532):
 direct sums inside blocks of at most 64 steps, and one product per pair of
 neighbouring half blocks, O(N log^2 N) in total and exact up to rounding.  A
@@ -45,8 +46,14 @@ for a whole batch, multiplied by each run's mu spectrum) through numpy.fft
 stepping loads no scipy.  A linear run (f None) of
 small dimension (_stacked: _LEAF d <= _LEAF_ROWS, i.e. d <= 4) solves each
 leaf at once, with one product of the block Toeplitz matrix of its own
-discrete resolvent, the coefficients of (M + sum_{j>=1} mu_j z^j)^{-1};
-larger and nonlinear runs step the leaf one step at a time.  Before any run,
+discrete resolvent G, the coefficients of (M + sum_{j>=1} mu_j z^j)^{-1};
+larger linear runs step the leaf one step at a time.  A nonlinear run of a
+real A with d <= 4 solves each leaf after its first whole as well, by
+fixed-point sweeps Y = G (R + h^alpha F(Y)) through its resolvent, R the
+history the leaf holds and F f at every step of the leaf (the paper's
+y_n = d_n y_0 + sum_k D_{n-k} f_k, restricted to a leaf); a run whose sweeps
+stop contracting steps that leaf by the chord iteration, which also steps
+every first leaf and every leaf of a complex A or of d > 4.  Before any run,
 a real linear problem with d > 4 is stepped in the orthonormal real
 eigenbasis of A when its y0 excites at most 4 rows of modes there (_modes):
 the modes it drops carry coordinates at the rounding level and eigenvalues
@@ -131,6 +138,12 @@ _LEAF_ROWS = 256
 #: batched T4 and T6 grids (8 and 16 runs) measured up to 5% slower than
 #: with FFT merges only, about the spread of the machine.
 _DIRECT_MERGE = 256
+#: a nonlinear run's leaf sweeps (_ImplicitStep.sweep) stop after this many,
+#: and the run steps the leaf.  The T6 and T7 runs take 2 to 7; 16 cost
+#: about what stepping the leaf does, at 3-9 us a step and sweep (a solo
+#: Lorenz run to a batch of 16, 2-CPU Xeon) against 60-95 us a step for the
+#: chord iteration.
+_SWEEP_MAXIT = 16
 #: the smallest norm whose square is a normal float.
 _TINY_NORM = math.sqrt(np.finfo(float).tiny)
 
@@ -142,10 +155,13 @@ class FOdeProblem:
     f is None for homogeneous (linear) problems, else a callable
     (t, y) -> vector.  solve hands f one complex state vector y of shape
     (d,); solve_cells, when it steps the cells of a problem with d <= 4 as
-    one batch, hands f a (k, d) stack of states (the cells' iterates, and
-    for a Jacobian their shifted states too) and expects the (k, d) stack of
-    their values, row by row, so an f used there must act along the last
-    axis.  A and y0 are stored complex and trajectories are complex; A may
+    one batch, hands f a (k, d) stack of states (the cells' iterates, or
+    their states at one step of a leaf sweep, and for a Jacobian their
+    shifted states too) and expects the (k, d) stack of their values, row by
+    row, so an f used there must act along the last axis.  f must be a pure
+    function of (t, y): the solver calls it at iterates it discards, and a
+    leaf sweep (_ImplicitStep.sweep) calls it once per step of the leaf and
+    sweep.  A and y0 are stored complex and trajectories are complex; A may
     carry complex entries (the scalar test problem uses a complex
     eigenvalue directly).  The solver steps a linear problem with real A
     and y0 in real arithmetic, and f on complex vectors.
@@ -281,11 +297,11 @@ class _ImplicitStep:
     def advance(self, rhs: np.ndarray, t: float, step: int, live: list[int],
                 start: np.ndarray | None = None) -> np.ndarray:
         """The states of step `step` of a nonlinear batch from rhs; only the
-        runs listed in `live` iterate, the others (whose rhs is zero) stay
-        zero.  The iteration starts from `start` when given (y_0 at the first
-        step), else from the linear predictor M^{-1} (rhs + cf f_last), with
-        f_last the f value of each run's own final iteration of the step
-        before."""
+        runs listed in `live` iterate, and only their rows of the result are
+        states (the caller stores those).  The iteration starts from `start`
+        when given (y_0 at the first step), else from the linear predictor
+        M^{-1} (rhs + cf f_last), with f_last the f value of each run's own
+        final iteration of the step or leaf before."""
         f, M, cf = self.f, self.M, self.cf
         y, delta = self._work
         B = len(y)
@@ -296,8 +312,6 @@ class _ImplicitStep:
         if start is not None:
             y[..., 0] = start
         else:
-            if frozen:  # ended runs: a zero rhs, and a zero start
-                self._f_last[frozen] = 0.0
             np.matmul(self.Minv, rhs + cf * self._f_last[..., None], out=y)
         fresh = runs  # the runs whose Jacobian is formed at this iterate
         Jinv = None
@@ -342,6 +356,78 @@ class _ImplicitStep:
             if not runs:
                 return y[..., 0]  # a view of the work array: the caller stores it
         raise _no_convergence(step)
+
+    def sweep(self, S: np.ndarray, lo: int, h: float, runs: list[int],
+              spectra: tuple[np.ndarray, list[bool]]) -> list[int]:
+        """Solve the leaf of steps lo .. lo + L - 1 of a nonlinear batch whole,
+        for the runs listed, by fixed-point sweeps through each run's leaf
+        resolvent; returns the runs left to step, whose rows are untouched.
+
+        S, (L, B, d), are the leaf's complex rows: they hold R, every history
+        term from the steps before lo.  A sweep forms Y = G (R + cf F) with
+        the run's resolvent G (spectra, from _leaf_spectra) through the rfft
+        at length 2 _LEAF, and F = f(t_n, Y_n) of the sweep before at every
+        step n of the leaf; the first sweep starts from F = f_last.  f sees
+        what advance hands it, one call per step and sweep.  A run stops
+        once every step's change passes the chord test
+        ||Y_n - Y_n^prev|| <= 1e-12 + 1e-12 ||Y_n||: its rows take Y and its
+        f_last the F of its last step.  A run whose resolvent is not finite,
+        whose largest change is not finite or above _CHORD_RATE times that of
+        the sweep before, or that has not stopped after _SWEEP_MAXIT sweeps,
+        is left to step.  Each run's sweeps read only that run's rows, so a
+        run of a batch sweeps as it would alone."""
+        G_hat, finite = spectra
+        f, cf = self.f, self.cf[..., None]
+        L, B, d = S.shape
+        one = B == 1
+        # R and the products run along the last axis, (B, d, 2, L): the
+        # elementwise products over the spectra then have long inner loops
+        R = np.ascontiguousarray(S.view(float).reshape(L, B, d, 2).transpose(1, 2, 3, 0))
+        F = np.empty((L, B, d), dtype=complex)
+        F[:] = self._f_last
+        Fr = F.view(float).reshape(L, B, d, 2).transpose(1, 2, 3, 0)
+
+        def solved() -> np.ndarray:
+            """G (R + cf F) for every run, as (L, B, d, 2) rows."""
+            spec = np.fft.rfft(R + cf * Fr, 2 * _LEAF, axis=-1)
+            prod = G_hat[:, :, 0, None] * spec[:, None, 0]
+            for j in range(1, d):
+                prod += G_hat[:, :, j, None] * spec[:, None, j]
+            return np.fft.irfft(prod, 2 * _LEAF, axis=-1)[..., :L].transpose(3, 0, 1, 2).copy()
+
+        going = [b for b in runs if finite[b]]
+        left = [b for b in runs if not finite[b]]
+        prev = [math.inf] * B  # each run's largest change in its last sweep
+        Y = solved()
+        for _ in range(_SWEEP_MAXIT - 1):  # the sweeps after the first
+            if not going:
+                break
+            Yc = Y.view(complex)[..., 0]
+            for i in range(L):
+                if one:
+                    F[i, 0] = f((lo + i) * h, Yc[i, 0])
+                else:
+                    F[i] = f((lo + i) * h, Yc[i])
+            Y_new = solved()
+            delta = (Y_new - Y).reshape(L, B, 2 * d)
+            rows = Y_new.reshape(L, B, 2 * d)
+            nd = np.sqrt(np.einsum("nbk,nbk->nb", delta, delta))
+            ny = np.sqrt(np.einsum("nbk,nbk->nb", rows, rows))
+            done = (nd <= _NEWTON_ATOL + _NEWTON_RTOL * ny).all(axis=0).tolist()
+            change = nd.max(axis=0).tolist()  # nan where a change is nan
+            still = []
+            for b in going:
+                if done[b]:
+                    S[:, b] = Y_new[:, b].view(complex)[..., 0]
+                    self._f_last[b] = F[-1, b]
+                elif math.isfinite(change[b]) and change[b] <= _CHORD_RATE * prev[b]:
+                    prev[b] = change[b]
+                    still.append(b)
+                else:
+                    left.append(b)
+                    Y_new[:, b] = 0.0  # f sees no non-finite state
+            going, Y = still, Y_new
+        return sorted(left + going)
 
     def _fd_jacobian(self, t: float, y: np.ndarray, one: bool) -> tuple[np.ndarray, np.ndarray]:
         """f at the (B, d) states y, (B, d), and df/dy there, (B, d, d), by
@@ -410,16 +496,12 @@ def _no_convergence(step: int) -> NonConvergenceError:
     return NonConvergenceError(f"implicit solve did not converge at step {step}", step)
 
 
-def _leaf_resolvents(Minv: np.ndarray, mus: np.ndarray, L: int) -> np.ndarray | None:
-    """The block lower-triangular Toeplitz matrices of G_0 .. G_{L-1}, each
-    run's discrete resolvent: the coefficients of (M + sum_{j>=1} mu_j z^j)^{-1},
-    G_0 = M^{-1} and G_k = -M^{-1} sum_{j=1}^{k} mu_j G_{k-j}.  Minv, (B, r, r),
-    stacks the real forms of the runs' M^{-1} (_ImplicitStep.Minv_r) and mus,
-    (B, >= L), their weights, so every G_k is the real form of its complex
-    coefficient, and block (i, j) of run b's real (L r) x (L r) matrix is its
-    G_{i-j}, zero above the diagonal: (B, L r, L r) in all.  None when a G_k
-    of any run overflows: the batch then steps its leaves, and fails where it
-    would without them.
+def _resolvent_blocks(Minv: np.ndarray, mus: np.ndarray, L: int) -> np.ndarray:
+    """G_0 .. G_{L-1}, (B, L, r, r), each run's discrete resolvent: the
+    coefficients of (M + sum_{j>=1} mu_j z^j)^{-1}, G_0 = M^{-1} and
+    G_k = -M^{-1} sum_{j=1}^{k} mu_j G_{k-j}, from the runs' (B, r, r) real
+    M^{-1} and their weights mus, (B, >= L).  A G_k that overflows is not
+    finite.
 
     The recurrence runs once for the batch, over (B, r, r) stacks, with one
     matmul over the lags per k; a stack's matmul is that of each run alone.
@@ -436,13 +518,37 @@ def _leaf_resolvents(Minv: np.ndarray, mus: np.ndarray, L: int) -> np.ndarray | 
     mux = mus[:, None, :L].astype(np.longdouble)  # (B, 1, L)
     for k in range(1, L):
         G[:, k] = -G[:, 0] @ np.matmul(mux[..., k:0:-1], lags[:, :k]).reshape(B, r, r)
-    G = G.astype(float)
+    return G.astype(float)
+
+
+def _leaf_resolvents(Minv: np.ndarray, mus: np.ndarray, L: int) -> np.ndarray | None:
+    """The block lower-triangular Toeplitz matrices of each run's G_0 .. G_{L-1}
+    (_resolvent_blocks).  Minv, (B, r, r), stacks the real forms of the runs'
+    M^{-1} (_ImplicitStep.Minv_r), so every G_k is the real form of its
+    complex coefficient, and block (i, j) of run b's real (L r) x (L r)
+    matrix is its G_{i-j}, zero above the diagonal: (B, L r, L r) in all.
+    None when a G_k of any run overflows: the batch then steps its leaves,
+    and fails where it would without them."""
+    B, r = Minv.shape[:2]
+    G = _resolvent_blocks(Minv, mus, L)
     if not np.all(np.isfinite(G)):
         return None
     T = np.zeros((B, L, r, L, r))  # T[:, i, :, j] = G_{i-j}
     for i in range(L):
         T[:, i, :, :i + 1] = G[:, i::-1].swapaxes(1, 2)
     return T.reshape(B, L * r, L * r)
+
+
+def _leaf_spectra(Minv: np.ndarray, mus: np.ndarray) -> tuple[np.ndarray, list[bool]]:
+    """The leaf resolvents of nonlinear runs with a real A, for their sweeps
+    (_ImplicitStep.sweep): the rfft at length 2 _LEAF of each run's
+    G_0 .. G_{_LEAF - 1} (_resolvent_blocks), (B, d, d, _LEAF + 1), from its
+    real (B, d, d) M^{-1}, and whether each run's G_k are finite (a run
+    whose are not steps every leaf, and its spectrum is zero)."""
+    G = _resolvent_blocks(Minv, mus, _LEAF)
+    finite = np.isfinite(G).all(axis=(1, 2, 3))
+    G[~finite] = 0.0
+    return np.fft.rfft(G.transpose(0, 2, 3, 1), 2 * _LEAF), finite.tolist()
 
 
 @functools.lru_cache(maxsize=1024)  # a run merges blocks of about 2 log2 N sizes
@@ -552,10 +658,17 @@ def _run(runs: Sequence[_Run], A: np.ndarray, h: float, N: int, Y0: np.ndarray,
     row.  Only a leaf that fails it is tested row by row: a run's first row
     with a non-finite entry, or with a norm above guard, ends it as the same
     step would have, and a finite row whose squares overflow is scaled
-    (_row_norms).  Other batches, and a linear batch in which
-    a run's resolvent overflows, step the leaf, adding the in-leaf history
-    directly.  The products of the batch are stacked matrix products, the
-    same product for each run as for that run alone.
+    (_row_norms).  A nonlinear batch of a real A with _stacked(d) solves
+    each leaf after its first by sweeps instead (_ImplicitStep.sweep, each
+    run's G from _leaf_spectra), Y = G (R + h^alpha F(Y)) until every step
+    of the leaf passes the chord test, and tests the solved leaf in the same
+    way.  A run whose sweeps stop contracting keeps its rows R and steps the
+    leaf, alone or with the others that do, while the solved runs keep
+    theirs.  Other batches, and a linear batch in which a run's resolvent
+    overflows, step the leaf, adding the in-leaf history directly.  The
+    products of the batch are stacked matrix products, and the sweeps' FFTs
+    and spectral products act on each run's rows alone, the same arithmetic
+    for each run as for that run alone.
     """
     B = len(runs)
     mus = np.stack([run.weights.mu[:N + 1] for run in runs])
@@ -570,6 +683,10 @@ def _run(runs: Sequence[_Run], A: np.ndarray, h: float, N: int, Y0: np.ndarray,
     if f is None and _stacked(d):
         with np.errstate(over="ignore", invalid="ignore"):  # None if a G overflows
             G = _leaf_resolvents(step.Minv_r, mus, min(_LEAF, N))
+    spectra = None  # the leaf resolvents of a nonlinear batch's sweeps
+    if f is not None and _stacked(d) and N > _LEAF and not np.any(A.imag):
+        with np.errstate(over="ignore", invalid="ignore"):  # a run whose G overflows steps
+            spectra = _leaf_spectra(step.Minv.real, mus)
     revs = np.ascontiguousarray(mus[:, None, :0:-1])  # mu_N .. mu_1 of each run, (B, 1, N)
     mu_hat = {}  # rfft of each run's mu per FFT length
     toeplitz = {}  # the direct merges' matrices per (mid - lo, hi - mid)
@@ -604,6 +721,23 @@ def _run(runs: Sequence[_Run], A: np.ndarray, h: float, N: int, Y0: np.ndarray,
         X[:, b] = 0.0
         live.remove(b)
 
+    def check(lo: int, hi: int) -> None:
+        """Test the solved leaf [lo, hi) against the guard: the norm of all its
+        rows first, as a step tests its state; only a leaf that fails it is
+        tested row by row, and each run's first row that ends it stops it."""
+        v = Xv[lo:hi].ravel()
+        if math.sqrt(v @ v) <= bound:  # the leaf's norm bounds each row's, as in a step
+            return
+        rows = Xf[lo:hi].reshape((hi - lo) * B, Xf.shape[2])
+        if guard is None:
+            ends = ~np.isfinite(rows).all(axis=1)
+        else:  # a norm that is nan, or inf, or above guard
+            ends = ~(_row_norms(rows) <= guard)
+        for i in np.flatnonzero(ends):  # in step order
+            n, b = divmod(int(i), B)
+            if b in live:
+                stop(b, lo + n)
+
     with np.errstate(over="ignore", invalid="ignore"):  # the non-finite test names the step
         for lo, mid, hi in _blocks(1, N + 1):
             if mid is not None:
@@ -626,34 +760,36 @@ def _run(runs: Sequence[_Run], A: np.ndarray, h: float, N: int, Y0: np.ndarray,
                 L = hi - lo
                 leaf = Xs[:, lo:hi].reshape(B, L * r, X.shape[3])
                 Xs[:, lo:hi] = (G[:, :L * r, :L * r] @ leaf).reshape(B, L, Xf.shape[2])
-                v = Xv[lo:hi].ravel()
-                if math.sqrt(v @ v) <= bound:  # the leaf's norm bounds each row's, as in a step
-                    continue
-                rows = Xf[lo:hi].reshape(L * B, Xf.shape[2])
-                if guard is None:
-                    ends = ~np.isfinite(rows).all(axis=1)
-                else:  # a norm that is nan, or inf, or above guard
-                    ends = ~(_row_norms(rows) <= guard)
-                if ends.any():  # the first row of each run that ends, in step order
-                    for i in np.flatnonzero(ends):
-                        n, b = divmod(int(i), B)
-                        if b in live:
-                            stop(b, lo + n)
+                check(lo, hi)
             else:
-                for m in range(lo, hi):
-                    Xm[m] -= revs[..., N - m + lo:] @ Xs[:, lo:m]
+                swept = spectra is not None and lo > 1
+                # the runs that step the leaf: every live run, or those its sweeps leave
+                steps = step.sweep(S[lo:hi], lo, h, live, spectra) if swept else live
+                for m in range(lo, hi) if steps else ():
+                    if swept:  # the solved runs keep their rows
+                        Xm[m, steps] -= revs[steps, :, N - m + lo:] @ Xs[steps, lo:m]
+                    else:  # ended runs' rows are zero and stay zero
+                        Xm[m] -= revs[..., N - m + lo:] @ Xs[:, lo:m]
                     if f is None:
                         X[m] = Minv_r @ X[m]
                     else:
-                        S[m] = step.advance(S[m], m * h, m, live, S[0] if m == 1 else None)
+                        y = step.advance(S[m], m * h, m, steps, S[0] if m == 1 else None)
+                        if len(steps) == B:
+                            S[m] = y
+                        else:
+                            S[m, steps] = y[steps]
                     v = Xv[m]
                     if not math.sqrt(v @ v) <= bound:  # or the squares overflow: test each run
                         xf, ny = Xf[m], _norms(Xf[m])
-                        for b in [b for b in live if not (np.all(np.isfinite(xf[b])) and
-                                                          (guard is None or ny[b] <= guard))]:
+                        for b in [b for b in steps if not (np.all(np.isfinite(xf[b])) and
+                                                           (guard is None or ny[b] <= guard))]:
                             stop(b, m)
-                        if not live:
+                            if swept:  # else steps is live, which stop updates
+                                steps.remove(b)
+                        if not steps:
                             break
+                if swept:
+                    check(lo, hi)
             if not live:
                 return out
     return [(_complex_states(np.ascontiguousarray(Xr[:, b]), real), None) if o is None else o

@@ -529,16 +529,25 @@ class TestLeafProducts:
 
     @pytest.mark.parametrize("d, batched", [(1, True), (4, True), (5, False), (64, False)])
     def test_path_rule(self, d, batched, monkeypatch):
-        built = []
-        leaf_resolvent = slv._leaf_resolvents
+        built, spectra = [], []
+        leaf_resolvent, leaf_spectra = slv._leaf_resolvents, slv._leaf_spectra
         monkeypatch.setattr(slv, "_leaf_resolvents", lambda *a: built.append(a) or
                             leaf_resolvent(*a))
+        monkeypatch.setattr(slv, "_leaf_spectra", lambda *a: spectra.append(a) or
+                            leaf_spectra(*a))
         solve(FOdeProblem(0.5, -np.eye(d), np.ones(d)), wt.FBDF1, 0.1, 100)
         assert _LEAF * 4 <= _LEAF_ROWS < _LEAF * 5
-        assert bool(built) == batched
+        assert bool(built) == batched and not spectra
         built.clear()
-        solve(problems.lorenz_controlled(alpha=0.5), wt.FBDF1, 0.1, 10)
-        assert not built  # nonlinear runs step every leaf
+        # nonlinear runs of a real A with d <= 4 sweep their leaves after the
+        # first; those of a complex A, of d > 4 or of a single leaf step them
+        f = lambda t, y: -y ** 3  # noqa: E731
+        solve(FOdeProblem(0.5, -np.eye(d), np.ones(d), f=f), wt.FBDF1, 0.1, 100)
+        assert not built and bool(spectra) == batched
+        spectra.clear()
+        solve(FOdeProblem(0.5, (-1 + 1j) * np.eye(d), np.ones(d), f=f), wt.FBDF1, 0.1, 100)
+        solve(problems.lorenz_controlled(alpha=0.5), wt.FBDF1, 0.1, _LEAF)
+        assert not built and not spectra
 
     def test_overflowing_resolvent_steps_the_leaves(self):
         # h^alpha lambda = 1 - 1e-8 makes M nearly singular: G_k ~ 1e8^k
@@ -769,15 +778,39 @@ class TestCells:
             assert np.array_equal(got.states, ref.states)
 
     def test_batch_calls_f_once_per_jacobian(self):
-        # the 16 T6 cells as one batch: one f call per iterate, the FD
-        # Jacobian's included; the batch made 6153 calls with d + 1 per
-        # Jacobian and each step started from the state before
+        # the 16 T6 cells as one batch over one leaf, which the chord
+        # iteration steps: one f call per iterate, on the (16, 3) stack of
+        # iterates or, with the FD Jacobian, on the (64, 3) stack of iterates
+        # and shifted states (130 calls here)
         spec = tables._SPECS["T6"]
-        p = spec.problem()
-        calls = _count_f_calls(p)
-        solve_cells(p, [(s, a) for s in spec.schemes for a in spec.alphas], spec.h,
-                    tables._steps(spec, 5))
-        assert calls[0] <= 2500
+        p, shapes = spec.problem(), []
+        f = p.f
+        p.f = lambda t, y: shapes.append(y.shape) or f(t, y)
+        solve_cells(p, [(s, a) for s in spec.schemes for a in spec.alphas], spec.h, _LEAF)
+        assert len(shapes) <= 160 and set(shapes) == {(16, 3), (64, 3)}
+
+    def test_batch_calls_f_once_per_step_and_sweep(self, monkeypatch):
+        # every T6 leaf after the first is swept whole: one f call on the
+        # (16, 3) stack per step of the leaf and sweep; 4715 calls in all
+        spec = tables._SPECS["T6"]
+        p, shapes, sweeps = spec.problem(), [], []
+        f, sweep = p.f, slv._ImplicitStep.sweep
+        p.f = lambda t, y: shapes.append(y.shape) or f(t, y)
+
+        def counted(self, S, *args):
+            n = len(shapes)
+            left = sweep(self, S, *args)
+            sweeps.append((len(S), len(shapes) - n, left))
+            return left
+
+        monkeypatch.setattr(slv._ImplicitStep, "sweep", counted)
+        N = tables._steps(spec, 5)
+        solve_cells(p, [(s, a) for s in spec.schemes for a in spec.alphas], spec.h, N)
+        assert len(sweeps) == len([leaf for leaf in _blocks(1, N + 1) if leaf[1] is None]) - 1
+        for L, calls, left in sweeps:
+            assert not left and calls % L == 0 and L <= calls <= (slv._SWEEP_MAXIT - 1) * L
+        assert set(shapes[-sum(calls for _, calls, _ in sweeps):]) == {(16, 3)}
+        assert len(shapes) <= 5000
 
     @pytest.mark.parametrize("cell, message", [
         ((wt.FBDF1, 1.5), "alpha must lie in"), ((wt.ALPHA_DIFF, 1.0), "requires alpha in"),
@@ -814,6 +847,122 @@ def _normal_matrix(eigenvalues, seed=0):
     d = len(eigenvalues)
     Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
     return Q @ np.diag(eigenvalues) @ Q.T, Q
+
+
+class TestLeafSweeps:
+    # a nonlinear run of a real A with d <= 4 solves each leaf after its
+    # first by fixed-point sweeps through its leaf resolvent; a run whose
+    # sweeps stop contracting steps that leaf with the chord iteration, the
+    # path every leaf takes with _leaf_spectra switched off
+
+    @staticmethod
+    def _record(monkeypatch) -> list:
+        """(runs, runs left to step) of every sweep call from now on."""
+        calls, sweep = [], slv._ImplicitStep.sweep
+
+        def recorded(self, S, lo, h, runs, spectra):
+            left = sweep(self, S, lo, h, runs, spectra)
+            calls.append((list(runs), left))
+            return left
+
+        monkeypatch.setattr(slv._ImplicitStep, "sweep", recorded)
+        return calls
+
+    @staticmethod
+    def _step_every_leaf(monkeypatch) -> None:
+        monkeypatch.setattr(slv, "_leaf_spectra", lambda *args: None)
+
+    @pytest.mark.parametrize("table", ["T6", "T7"])
+    def test_table_cells_are_the_stepped_runs(self, table, monkeypatch):
+        # every leaf after the first contracts in each of the 20 T6 and T7
+        # cells, and the swept runs agree with the stepped ones to rounding
+        spec = tables._SPECS[table]
+        cells = [(s, a) for s in spec.schemes for a in spec.alphas]
+        N = tables._steps(spec, 5)
+        calls = self._record(monkeypatch)
+        swept = solve_cells(spec.problem(), cells, spec.h, N)
+        assert calls and all(not left for _, left in calls)
+        self._step_every_leaf(monkeypatch)
+        for got, ref in zip(swept, solve_cells(spec.problem(), cells, spec.h, N)):
+            assert got.truncated_at is ref.truncated_at is None
+            assert np.max(np.abs(got.states - ref.states)) <= 1e-13 * np.max(ref.norms())
+
+    def test_chaotic_run_falls_back_to_stepping(self, monkeypatch):
+        # the uncontrolled Lorenz run at h = 0.01 stays on the attractor,
+        # where the sweeps do not contract: each leaf is stepped, as it is
+        # with the sweeps switched off
+        p = problems.lorenz_controlled(False, alpha=0.5)
+        calls = self._record(monkeypatch)
+        swept = solve(p, wt.FBDF1, 0.01, 3005)
+        assert calls and all(left == [0] for _, left in calls)
+        self._step_every_leaf(monkeypatch)
+        stepped = solve(p, wt.FBDF1, 0.01, 3005)
+        assert swept.truncated_at is stepped.truncated_at is None
+        assert np.array_equal(swept.states, stepped.states)
+
+    def test_runs_past_the_sweep_cap_step_the_leaf(self, monkeypatch):
+        # the T6 runs take 4 to 7 sweeps a leaf: capped at 3, every leaf is
+        # stepped, as with the sweeps switched off
+        p = problems.lorenz_controlled(alpha=0.5)
+        monkeypatch.setattr(slv, "_SWEEP_MAXIT", 3)
+        calls = self._record(monkeypatch)
+        capped = solve_cells(p, [(wt.FBDF1, 0.5), (wt.L1, 0.3)], 0.1, 300)
+        assert calls and all(left == [0, 1] for _, left in calls)
+        self._step_every_leaf(monkeypatch)
+        for got, ref in zip(capped, solve_cells(p, [(wt.FBDF1, 0.5), (wt.L1, 0.3)], 0.1, 300)):
+            assert np.array_equal(got.states, ref.states)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_f_turning_nan_fails_at_the_stepped_step(self, batched, monkeypatch):
+        # f is nan for t > 10, from step 101 on, inside a swept leaf:
+        # its sweeps turn non-finite, and the chord iteration fails at the
+        # step where the stepped run fails
+        p = problems.lorenz_controlled(alpha=0.5)
+        f = p.f
+        p.f = lambda t, y: f(t, y) * (np.nan if t > 10 else 1.0)
+
+        def failing_step() -> int:
+            with pytest.raises(NonConvergenceError) as info:
+                if batched:
+                    solve_cells(p, [(wt.FBDF2, 0.5), (wt.L1, 0.7)], 0.1, 300)
+                else:
+                    solve(p, wt.FBDF2, 0.1, 300)
+            return info.value.step
+
+        calls = self._record(monkeypatch)
+        swept = failing_step()
+        assert any(left for _, left in calls)
+        self._step_every_leaf(monkeypatch)
+        assert swept == failing_step() == 101
+
+    def test_growing_run_truncates_at_the_stepped_step(self, monkeypatch):
+        # lambda = 1 lies outside the sector: the run grows like exp(t) and
+        # crosses the guard inside a swept leaf
+        p = FOdeProblem(0.5, np.array([[1.0]]), np.array([1.0]), f=lambda t, y: 0.1 * np.sin(y))
+        calls = self._record(monkeypatch)
+        with pytest.warns(UserWarning, match="blow-up"):
+            swept = solve(p, wt.FBDF1, 0.1, 600)
+        assert calls and not any(left for _, left in calls)
+        self._step_every_leaf(monkeypatch)
+        with pytest.warns(UserWarning, match="blow-up"):
+            stepped = solve(p, wt.FBDF1, 0.1, 600)
+        assert swept.truncated_at == stepped.truncated_at == 256
+        _assert_close(swept.states, stepped.states)
+
+    def test_cells_taking_different_paths_are_their_solo_solves(self, monkeypatch):
+        # -y^3 from y0 = (2, 2): while the states are large, the sweeps of the
+        # small-alpha cells stop contracting and step their leaves, those of
+        # the others solve them; each cell is its solo solve bit for bit
+        p = FOdeProblem(0.5, np.array([[-1.0, 0.5], [-0.5, -1.0]]), np.array([2.0, 2.0]),
+                        f=lambda t, y: -y ** 3)
+        cells = [(wt.FBDF1, 0.3), (wt.FBDF1, 0.9), (wt.L1, 0.6), (wt.FBDF2, 0.5)]
+        calls = self._record(monkeypatch)
+        batch = solve_cells(p, cells, 0.1, 600)
+        assert any(0 < len(left) < len(runs) for runs, left in calls)
+        for got, (scheme, alpha) in zip(batch, cells):
+            ref = solve(dataclasses.replace(p, alpha=alpha), scheme, 0.1, 600)
+            assert got.truncated_at is ref.truncated_at is None
+            assert np.array_equal(got.states, ref.states)
 
 
 class TestModes:
