@@ -50,14 +50,25 @@ _CSV_BLOCK = 4096
 
 def _csv_bytes(meta: str, columns: dict) -> bytes:
     """meta, the column names, then the rows in %.17g (which round-trips a
-    double); a None column after the first leaves its field empty."""
-    filled = [c for c in columns.values() if c is not None]
+    double); a None column after the first leaves its field empty.  A column
+    after the first whose values are all +0.0 (every bit 0) is the constant
+    text `0` in the separator before it, so no value of it is formatted."""
+    filled, seps = [], []  # the formatted columns, the text after each
+    for j, c in enumerate(columns.values()):
+        if j:
+            seps[-1] += ","
+            if c is None:
+                continue
+            c = np.asarray(c, dtype=float)
+            if not c.view(np.uint64).any():
+                seps[-1] += "0"
+                continue
+        filled.append(c)
+        seps.append("")
+    seps[-1] += "\n"
     table = np.empty((len(filled[0]), len(filled)))
     for j, c in enumerate(filled):
         table[:, j] = c
-    # the separators after each filled column
-    seps = ",".join("" if c is None else "%" for c in columns.values()).split("%")[1:]
-    seps[-1] += "\n"
     tail = _csvfmt.tails(seps)
     step = max(1, _CSV_BLOCK // len(filled))
     return b"".join([(meta + ",".join(columns) + "\n").encode(),

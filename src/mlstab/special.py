@@ -22,7 +22,10 @@ among any other z, and a scalar is the one-element case.
    truncated at its smallest term, where the exponential term
    (1/alpha) z^{(1-beta)/alpha} exp(z^{1/alpha}) is present for
    |arg z| <= alpha*pi and absent in the decay sector |arg z| > alpha*pi.
-   The estimate is the first omitted term.
+   The estimate is the first omitted term.  A real z (imaginary part 0)
+   takes real arithmetic, |z|^-k = exp(-k ln|z|) with the sign
+   sign(z)^k sign(1/Gamma(beta - k alpha)), and the real part of the
+   exponential term.
 
 2. Contour integral in double precision, any z: the
    inverse Laplace transform of s^(alpha-beta) / (s^alpha - z) at t = 1 by
@@ -33,7 +36,12 @@ among any other z, and a scalar is the one-element case.
    grows like e^mu / |E| (mu the parabola's vertex).  The rule is tried with
    at most 64 nodes per half, and the z it fails again with at most 256,
    which admits smaller vertices mu and so a lower floor.  Each z takes the
-   node count its own step needs.
+   node count its own step needs.  The node factors exp(s) s^(alpha-beta),
+   s^alpha, ds and 1 + |s| are formed once per (mu, h, n) and shared by the
+   z that pick them: every z with no pole right of the parabola has the same
+   h, so the decay-sector z of a call share one table.
+
+Of a real z, both branches give a real value (imaginary part exactly 0).
 
 When beta is 0 or a negative integer, 1/Gamma(beta) = 0 and E is about
 z/Gamma(alpha+beta) near 0, too small for the contour's rounding floor; for
@@ -162,32 +170,48 @@ def _expansion_coefs(alpha: float, beta: float, n_max: int) -> np.ndarray:
     return coef
 
 
+def _smallest_term_sum(terms: np.ndarray, mags: np.ndarray):
+    """Per row of expansion terms (and their magnitudes), minus the sum up to
+    the smallest nonzero term, and the first nonzero term after it (or the
+    last nonzero one) as the estimate; 0 and 0 for a row with no nonzero term."""
+    j = np.arange(terms.shape[1])
+    nonzero = mags != 0.0
+    j_star = np.where(nonzero, mags, np.inf).argmin(axis=1)[:, None]
+    later = nonzero & (j > j_star)
+    last = j.size - 1 - nonzero[:, ::-1].argmax(axis=1)
+    at = np.where(later.any(axis=1), later.argmax(axis=1), last)
+    some = nonzero.any(axis=1)
+    return (np.where(some, -np.where(j <= j_star, terms, 0.0).sum(axis=1), 0.0),
+            np.where(some, mags[np.arange(len(terms)), at], 0.0))
+
+
 def _asymptotic(z: np.ndarray, alpha: float, beta: float, rtol: float, n_max: int = 160):
     """Large-|z| expansion on a 1-D array of z (nonzero), each truncated at
     its smallest term, from the terms z^{-k}/Gamma(beta - k alpha),
-    k = 1..n_max.  Returns (values, ok)."""
+    k = 1..n_max.  A real z (imaginary part 0) takes real arithmetic:
+    |z|^-k = exp(-k ln|z|), the sign sign(z)^k, and the real part of the
+    exponential term, so its value is real.  Returns (values, ok)."""
     val, est = np.zeros(z.size, dtype=complex), np.zeros(z.size)
-    zl = z.tolist()
     k = np.arange(1, n_max + 1)
-    j = np.arange(n_max)
     coef = _expansion_coefs(float(alpha), float(beta), n_max)
-    for rows in _blocks(np.arange(z.size), n_max):
-        logz = np.array([cmath.log(zl[i]) for i in rows])
+    real = z.imag == 0.0
+    # a real z: exp(-k ln|z|) times sign(z)^k coef_k
+    for side, signed in ((z.real > 0.0, coef), (z.real < 0.0, np.where(k % 2 == 1, -coef, coef))):
+        for rows in _blocks(np.flatnonzero(real & side), n_max):
+            terms = np.exp(-k * np.log(np.abs(z.real[rows]))[:, None]) * signed
+            val[rows], est[rows] = _smallest_term_sum(terms, np.abs(terms))
+    off_real = np.flatnonzero(~real)
+    for rows in _blocks(off_real, n_max):
+        logz = np.array(list(map(cmath.log, z[rows].tolist())))
         terms = np.exp(-k * logz[:, None]) * coef
-        mags = np.abs(terms)
-        nonzero = mags != 0.0
-        # the smallest nonzero term, and the first nonzero one after it (or
-        # the last nonzero one) as the estimate
-        j_star = np.where(nonzero, mags, np.inf).argmin(axis=1)[:, None]
-        later = nonzero & (j > j_star)
-        last = n_max - 1 - nonzero[:, ::-1].argmax(axis=1)
-        at = np.where(later.any(axis=1), later.argmax(axis=1), last)
-        some = nonzero.any(axis=1)
-        val[rows] = np.where(some, -np.where(j <= j_star, terms, 0.0).sum(axis=1), 0.0)
-        est[rows] = np.where(some, mags[np.arange(rows.size), at], 0.0)
-    for i, zi in enumerate(zl):
+        val[rows], est[rows] = _smallest_term_sum(terms, np.abs(terms))
+    # the exponential term, present for |arg z| <= alpha pi: on the real axis
+    # (arg z = 0 or pi) its real part
+    for i, zi in zip(off_real.tolist(), z[off_real].tolist()):
         if abs(math.atan2(zi.imag, zi.real)) <= alpha * math.pi + 1e-15:
             val[i] += _exponential_term(zi, alpha, beta)
+    for i in np.flatnonzero(real & ((z.real > 0.0) | (math.pi <= alpha * math.pi + 1e-15))).tolist():
+        val[i] += _exponential_term(complex(z[i]), alpha, beta).real
     return val, est <= rtol * np.maximum(np.abs(val), 1e-290)
 
 
@@ -215,6 +239,18 @@ def _contour(z: np.ndarray, alpha: float, beta: float, rtol: float):
         if todo.any():
             val[todo], ok[todo] = _contour_rule(z[todo], alpha, beta, rtol, n_max)
     return val, ok
+
+
+def _node_table(mu: np.ndarray, h: np.ndarray, n: int, alpha: float, beta: float):
+    """The factors of the contour rule at the 4n + 1 nodes s = mu w^2,
+    w = 1 + i u h/2, u = -2n..2n, of one (mu, h) (one-element arrays), each
+    shaped to broadcast against a column of z: exp(s) s^(alpha-beta),
+    s^alpha, mu w, the weight h/(2 pi) and 1 + |s|."""
+    u = np.arange(-2 * n, 2 * n + 1)
+    w = 1.0 + 1j * (0.5 * h)[:, None] * u
+    s = mu[:, None] * w * w
+    return (np.exp(s) * s ** (alpha - beta), s ** alpha, mu[:, None] * w,
+            (0.5 * h / math.pi)[:, None], 1.0 + np.abs(s))
 
 
 def _contour_rule(z: np.ndarray, alpha: float, beta: float, rtol: float, n_max: int):
@@ -264,16 +300,20 @@ def _contour_rule(z: np.ndarray, alpha: float, beta: float, rtol: float, n_max: 
         n_row = np.where(found, n_nodes[rows, pick], 1.0).astype(int)
         fine, coarse = np.empty(z.size, dtype=complex), np.empty(z.size, dtype=complex)
         spread = np.empty(z.size)
-        for n in np.unique(n_row).tolist():
-            u = np.arange(-2 * n, 2 * n + 1)
-            for sel in _blocks(np.flatnonzero(n_row == n), u.size):
-                w = 1.0 + 1j * (0.5 * h[sel])[:, None] * u
-                s = mu[sel, None] * w * w
-                terms = (np.exp(s) * s ** (alpha - beta) / (s ** alpha - z[sel, None])
-                         * (mu[sel, None] * w) * (0.5 * h[sel] / math.pi)[:, None])  # ds/(2 pi i)
+        # the rows sharing (mu, h, n) share their nodes: every z without a
+        # pole right of the parabola has the same h
+        keys = np.stack([n_row, pick, h.view(np.int64)])
+        order = np.lexsort(keys[::-1])
+        cuts = np.flatnonzero((np.diff(keys[:, order], axis=1) != 0).any(axis=0)) + 1
+        for group in np.split(order, cuts):
+            first = group[:1]
+            factor, power, dsdu, weight, size = _node_table(mu[first], h[first], int(n_row[first[0]]),
+                                                            alpha, beta)
+            for sel in _blocks(group, factor.size):
+                terms = factor / (power - z[sel, None]) * dsdu * weight  # ds/(2 pi i)
                 fine[sel] = terms.sum(axis=1)
                 coarse[sel] = 2.0 * terms[:, ::2].sum(axis=1)
-                spread[sel] = (np.abs(terms) * (1.0 + np.abs(s))).sum(axis=1)
+                spread[sel] = (np.abs(terms) * size).sum(axis=1)
         residue = np.where(right, s0 ** (1.0 - beta) * np.exp(s0) / alpha, 0.0)
         val = fine + residue
         # every term carries a relative error of about eps |s| through exp(s)

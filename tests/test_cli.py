@@ -284,6 +284,21 @@ class TestCsvNumbers:
         vals = np.full(cli._CSV_BLOCK + 1, zero)
         self.check({"a": vals, "w": None, "b": vals})
 
+    def test_all_zero_columns_fold_into_the_separators(self, monkeypatch):
+        # an all-+0.0 column after the first is the text `0` in the separator
+        # before it, the last one before the newline; an all-zero first column,
+        # an all--0.0 column and one zero but in one row are formatted
+        n = cli._CSV_BLOCK // 3 + 5  # two blocks of rows
+        zero, one_row = np.zeros(n), np.zeros(n)
+        one_row[n - 3] = 2.5
+        widths = []
+        rows_text = _csvfmt.rows_text
+        monkeypatch.setattr(_csvfmt, "rows_text",
+                            lambda block, tail: widths.append(block.shape[1]) or rows_text(block, tail))
+        self.check({"first": zero, "mid": zero, "x": np.linspace(-1.0, 3.0, n), "also": zero,
+                    "none": None, "neg": -zero, "one": one_row, "last": zero})
+        assert set(widths) == {4}
+
     def test_zeros_among_other_values(self):
         vals = np.random.default_rng(7).standard_normal(600)
         vals[::3] = 0.0

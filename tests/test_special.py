@@ -253,16 +253,21 @@ class TestArrayArgument:
     def test_rows_equal_their_one_element_calls(self):
         rng = np.random.default_rng(7)
         base = [self.SMALL, self.ASYMPTOTIC, self.CONTOUR, 0.0]
+        # real z of both signs after the complex ones: the expansion's real
+        # path, with its exponential term for z > 0, and the contour's
+        real = [5.0, -7.5, 12.0, -40.0, 33.0, 2.5, -1.5]
         zs = np.array(base + [r * cmath.exp(1j * t) for r, t in
-                              zip(rng.uniform(0.01, 60.0, 60), rng.uniform(-math.pi, math.pi, 60))])
+                              zip(rng.uniform(0.01, 60.0, 60), rng.uniform(-math.pi, math.pi, 60))]
+                      + real)
         for rtol in (1e-13, 3e-9):
             one = np.array([mittag_leffler(z, self.ALPHA, self.BETA, rtol) for z in zs])
             assert one[3] == reciprocal_gamma(self.BETA)
+            assert np.all(one[-len(real):].imag == 0.0)
             for perm in (np.arange(zs.size), rng.permutation(zs.size), np.arange(zs.size)[::-1]):
                 got = mittag_leffler(zs[perm], self.ALPHA, self.BETA, rtol)
                 assert got.dtype == complex and np.array_equal(got, one[perm])
-            grid = mittag_leffler(zs[4:].reshape(6, 10), self.ALPHA, self.BETA, rtol)
-            assert grid.shape == (6, 10) and np.array_equal(grid.ravel(), one[4:])
+            grid = mittag_leffler(zs[4:64].reshape(6, 10), self.ALPHA, self.BETA, rtol)
+            assert grid.shape == (6, 10) and np.array_equal(grid.ravel(), one[4:64])
 
     def test_scalar_is_complex(self):
         assert type(mittag_leffler(self.SMALL, self.ALPHA, self.BETA)) is complex
@@ -302,6 +307,58 @@ assert "mpmath" not in sys.modules, "mpmath was imported"
     assert res.returncode == 0, res.stderr
 
 
+def expansion_by_complex_terms(z, alpha, beta, rtol, n_max=160):
+    """The large-z expansion at one z from complex terms, as evaluated off
+    the real axis: z^{-k}/Gamma(beta - k alpha) through cmath.log and a
+    complex exp, minus their sum up to the smallest nonzero term, plus the
+    exponential term inside |arg z| <= alpha pi.  Returns the real part of
+    the value and whether the first omitted term meets rtol relative to it."""
+    k = np.arange(1, n_max + 1)
+    coef = np.array([reciprocal_gamma(beta - alpha * j) for j in k.tolist()])
+    terms = np.exp(-k * cmath.log(z)) * coef
+    mags = np.abs(terms)
+    nonzero = np.flatnonzero(mags)
+    value, est = 0.0, 0.0  # no nonzero term: 1/Gamma(beta - k) = 0 at alpha = beta = 1
+    if nonzero.size:
+        j_star = nonzero[np.argmin(mags[nonzero])]
+        later = nonzero[nonzero > j_star]
+        est = mags[later[0] if later.size else nonzero[-1]]
+        value = -terms[:j_star + 1].sum()
+    if abs(cmath.phase(z)) <= alpha * math.pi + 1e-15:
+        w = cmath.exp(cmath.log(z) / alpha)
+        value += cmath.exp(cmath.log(z) * (1.0 - beta) / alpha) * cmath.exp(w) / alpha
+    value = value.real
+    return value, est <= rtol * max(abs(value), 1e-290)
+
+
+class TestRealAxisExpansion:
+    # real z of both signs past ASYMPTOTIC_MIN; z > 0 only while
+    # exp(z^(1/alpha)) stays inside the double range
+    RADII = (3.5, 5.0, 8.0, 12.0, 20.0, 35.0, 60.0)
+
+    @staticmethod
+    def points(alpha):
+        return np.array([-r for r in TestRealAxisExpansion.RADII]
+                        + [r for r in TestRealAxisExpansion.RADII if r ** (1.0 / alpha) < 600.0])
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("beta", ["one", "alpha", "half"])
+    def test_real_values_in_real_arithmetic(self, alpha, beta):
+        beta = {"one": 1.0, "alpha": alpha, "half": 0.5}[beta]
+        x = self.points(alpha)
+        assert np.all(np.abs(x) >= special.ASYMPTOTIC_MIN)
+        val, ok = special._asymptotic(x.astype(complex), alpha, beta, 1e-13)
+        assert ok.any() and np.all(val.imag == 0.0)
+        want = [expansion_by_complex_terms(complex(xi), alpha, beta, 1e-13) for xi in x.tolist()]
+        want_val = np.array([v for v, _ in want])
+        assert np.array_equal(ok, [served for _, served in want])
+        assert np.all(np.abs(val.real - want_val)[ok] <= 4 * np.spacing(np.abs(want_val[ok])))
+        for xi, v in zip(x[ok].tolist(), val[ok].tolist()):
+            if abs(xi) ** (1.0 / alpha) <= 150.0:  # where the series oracle stays affordable
+                ref = ml_series_oracle(xi, alpha, beta)
+                assert abs(v - ref) <= 1e-13 * abs(ref)
+
+
 class TestContourBranch:
     # the mid-range band 9 < |z| < 40, at radii where the series oracle stays
     # affordable; on the ray arg z = 2 pi/3 at alpha = 0.8 the pole z^(1/alpha)
@@ -327,6 +384,31 @@ class TestContourBranch:
     def test_real_argument_gives_real_value(self):
         val, ok = special._contour(np.array([-20.0]), 0.7, 1.0, 1e-13)
         assert ok[0] and val[0].imag == 0.0
+
+    def test_groups_equal_their_one_element_calls(self):
+        # rows sharing (mu, h, n) share their nodes: decay-sector real z,
+        # complex z whose pole lies right of the parabola, and a z only the
+        # 256-node cap serves, in one array, under both caps
+        alpha, beta = 0.8833, 0.8833
+        zs = np.array([-9.5, -12.0, -25.0, -39.0, -10.607 + 10.607j]
+                      + [r * cmath.exp(2j * math.pi / 3) for r in (20.0, 25.0, 30.0, 39.0)]
+                      + [-15.0, 9.5 * cmath.exp(2.8j)])
+        assert not special._contour_rule(zs[4:5], alpha, beta, 1e-13, 64)[1][0]
+        assert special._contour_rule(zs[4:5], alpha, beta, 1e-13, 256)[1][0]
+        for n_max in special._CONTOUR_N_MAX:
+            val, ok = special._contour_rule(zs, alpha, beta, 1e-13, n_max)
+            one = [special._contour_rule(zs[i:i + 1], alpha, beta, 1e-13, n_max) for i in range(zs.size)]
+            assert np.array_equal(val, np.concatenate([v for v, _ in one]), equal_nan=True)
+            assert np.array_equal(ok, np.concatenate([o for _, o in one]))
+
+    def test_decay_sector_rows_share_one_node_table(self, monkeypatch):
+        # with no pole right of the parabola, h does not depend on z
+        calls = []
+        table = special._node_table
+        monkeypatch.setattr(special, "_node_table", lambda *a: calls.append(a) or table(*a))
+        zs = -np.linspace(4.0, 30.0, 300)
+        val, ok = special._contour_rule(zs, 0.7, 0.9, 1e-13, 64)
+        assert ok.all() and np.all(val.imag == 0.0) and len(calls) == 1
 
     def test_second_cap_only_for_points_the_first_misses(self):
         # a point the 64-node rule serves keeps exactly its value: the
