@@ -27,11 +27,10 @@ E one off, h and the sign of r compare the unrounded y with 10^16, and the
 scaling is redone with the next E.  The arithmetic is the same on every
 platform, whatever its long double.
 
-`rows_text` gives each +0.0 the constant words of `0` without scaling it;
--0.0 takes the fast path, which writes its sign.  Every other value (nan,
-inf, subnormals, values outside that range, and values within the margin
-of a tie) is formatted by `"%.17g" % x` itself into its own row.  A fast
-path that knows when it is unsure, backed by an exact fallback, is
+The fast path also writes a zero, as `0` or, for -0.0, `-0`.  Every other
+value (nan, inf, subnormals, values outside that range, and values within
+the margin of a tie) is formatted by `"%.17g" % x` itself into its own row.
+A fast path that knows when it is unsure, backed by an exact fallback, is
 Grisu3's design (Loitsch, PLDI 2010).
 """
 
@@ -79,7 +78,6 @@ _FRAC0, _FRAC1 = ~_INT0, ~_INT1
 _POINT_AFTER = np.where(_FIXED_NEG, 16, _INT)
 _DOT = _words([b"\0" * 15 + b"."], 2)[0, 1]
 _SIGN = _words([b"-"], 1)[0, 0]
-_ZERO = _words([b"0"], _WORDS + 1).T  # words 0-5 of +0.0
 # four-digit groups as bytes 0-3 (A) or 4-7 (B) of a word, and their trailing zeros
 _G4 = np.zeros((2, 10000, 8), np.uint8)
 _DIGITS = np.arange(48, 58, dtype=np.uint8)
@@ -177,15 +175,7 @@ def rows_text(block: np.ndarray, tail: np.ndarray) -> bytes:
     v = block.ravel()
     words = np.empty((_WORDS + tail.shape[1], len(v)), np.uint64)
     words[_WORDS + 1:] = 0
-    zero = v.view(np.uint64) == 0  # +0.0 only: -0.0 takes _fast, which keeps its sign
-    if zero.any():
-        words[:_WORDS + 1] = _ZERO
-        rest = np.flatnonzero(~zero)
-        head = np.empty((_WORDS + 1, len(rest)), np.uint64)
-        slow = rest[~_fast(v[rest], head)]
-        words[:_WORDS + 1, rest] = head
-    else:
-        slow = np.flatnonzero(~_fast(v, words))
+    slow = np.flatnonzero(~_fast(v, words))
     if len(slow):  # one % call; the space padding goes with the NULs
         text = (_PERCENT * len(slow)) % tuple(v[slow].tolist())
         words[:_WORDS, slow] = np.frombuffer(text, np.uint64).reshape(-1, _WORDS).T

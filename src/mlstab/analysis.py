@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import weights as wt
-from .resolvent import ResolventSequence, fit_final_decade, operator_norms, power_law_tail
+from .resolvent import ResolventSequence, fit_final_decade, power_law_tail
 from .solver import FOdeProblem, Trajectory, _check_grid, _row_norms
 from .special import SectorResult, _check_alpha, _Spectrum
 
@@ -329,7 +329,7 @@ def perturbation_check(problem: FOdeProblem, r: ResolventSequence,
         const = float(problem.lipschitz_bound)
         L = lambda t: const  # noqa: E731
     t = r.times
-    nD = operator_norms(r.D)
+    nD = r.norm_D
     Lvals = np.array([float(L(tk)) for tk in t])
     if not np.all(Lvals >= 0.0):  # nan fails this too
         raise ValueError("L(t) must be nonnegative")

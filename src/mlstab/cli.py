@@ -3,8 +3,8 @@
 Subcommands: weights, solve, reproduce, region, resolvent.  Every command
 honors --out DIR and writes only inside it; outputs are deterministic
 (identical config gives byte-identical files).  Exit codes: 0 success,
-2 usage error, 3 solver failure (or a Mittag-Leffler value no double
-branch can serve), 4 tolerance failure in reproduce.
+2 usage error, 3 solver failure (or a Mittag-Leffler or Poisson value no
+double-precision rule can serve), 4 tolerance failure in reproduce.
 """
 
 from __future__ import annotations
@@ -266,41 +266,31 @@ def cmd_region(args) -> int:
 
 
 def cmd_resolvent(args) -> int:
+    """The impulse resolvent pair of any scheme: its norms as CSV, and a
+    summary with the D_0 check and the decay fit.  For alpha_diff the summary
+    also holds the largest |(Q_1^n - d_n) y0| over the strided n, computed
+    before anything is written."""
     if args.q_check < 0:
         raise ValueError(f"--q-check must be at least 0, got {args.q_check}")
     if args.q_stride < 1:
         raise ValueError(f"--q-stride must be at least 1, got {args.q_stride}")
-    # an impulse run of n_max = 0 gives d_0 = I alone; the alpha-difference solve takes a step
-    least = 1 if args.scheme == wt.ALPHA_DIFF else 0
-    if args.n_max < least:
-        raise ValueError(f"--n-max must be at least {least} for --scheme {args.scheme}, "
-                         f"got {args.n_max}")
+    if args.n_max < 0:
+        raise ValueError(f"--n-max must be at least 0, got {args.n_max}")
     prob = _problem_from_args(args)
+    with _allocation(f"--n-max {args.n_max}", args.n_max):
+        r = rsv.impulse_resolvent(args.scheme, prob.A, args.alpha, args.h, args.n_max)
     summary: dict = {"scheme": args.scheme, "alpha": args.alpha, "h": args.h,
                      "n_max": args.n_max}
-    stem = f"resolvent_{args.scheme}_a{args.alpha:g}"
-    allocation = _allocation(f"--n-max {args.n_max}", args.n_max)
-    if args.scheme == wt.ALPHA_DIFF:
-        # the quadrature identity concerns the linear part: run homogeneously
-        hom = slv.FOdeProblem(prob.alpha, prob.A, prob.y0)
-        with allocation:
-            traj = slv.solve_alpha_diff(hom, args.h, args.n_max, variant="poisson")
-        # a run truncated by the blow-up guard is compared up to its last step
-        last = min(traj.n_steps, args.q_check)
-        ns = list(range(args.q_stride, last + 1, args.q_stride))
-        q = rsv.poisson_resolvent(prob.A, args.alpha, args.h, ns, 1.0) @ prob.y0
-        summary["truncated_at"] = traj.truncated_at
+    if args.scheme == wt.ALPHA_DIFF:  # d_n = Q_1^n for n >= 1, checked before any write
+        ns = list(range(args.q_stride, min(args.n_max, args.q_check) + 1, args.q_stride))
+        q = rsv.poisson_resolvent(prob.A, args.alpha, args.h, ns, 1.0)
         summary["poisson_vs_impulse_max_dev"] = (
-            float(np.max(np.abs(q - traj.states[ns]))) if ns else None)
-        return _summary(args.out, stem + "_summary.json", summary)
-
-    with allocation:
-        r = rsv.impulse_resolvent(args.scheme, prob.A, args.alpha, args.h, args.n_max)
+            float(np.max(np.abs((q - r.d[ns]) @ prob.y0))) if ns else None)
     meta = _meta_line(cmd="resolvent", scheme=args.scheme, alpha=args.alpha, h=args.h)
+    stem = f"resolvent_{args.scheme}_a{args.alpha:g}"
     _write(args.out, stem + ".csv",
            _csv_bytes(meta, {"n": np.arange(len(r.times)), "t": r.times,
-                             "norm_d": rsv.operator_norms(r.d),
-                             "norm_D": rsv.operator_norms(r.D)}))
+                             "norm_d": r.norm_d, "norm_D": r.norm_D}))
 
     d0_dev = float(np.max(np.abs(r.D[0] - rsv.d0_closed_form(args.scheme, prob.A,
                                                              args.alpha, args.h))))

@@ -7,12 +7,12 @@ variation-of-constants form
 
 where (d_n, D_n) are matrix sequences playing the role of the continuous
 resolvents E_alpha(t^alpha A) and t^(alpha-1) E_{alpha,alpha}(t^alpha A).
-They are extracted here by impulse responses, which is equivalent to their
-contour-integral definition at the sequence level and numerically robust.
-d_n is the matrix-valued homogeneous run from d_0 = I.  D_n is the run forced
-by a unit impulse at step 1, shifted by one step: a homogeneous run with a
-zero initial-value term started from D_0 = h^alpha M^{-1},
-M = mu_0 I - h^alpha A.  That equation is linear from the right, so
+They are extracted here by impulse responses, for all five schemes, which
+is equivalent to their contour-integral definition at the sequence level and
+numerically robust.  d_n is the matrix-valued homogeneous run from d_0 = I.
+D_n is the run forced by a unit impulse at step 1, shifted by one step: a
+homogeneous run with a zero initial-value term started from
+D_0 = h^alpha M^{-1}, M = mu_0 I - h^alpha A.  That equation is linear from the right, so
 D_n = Z_n D_0, with Z the same run started from I.  d and Z differ only in
 the initial-value term, so they step as one batch of the solver's core with
 (d, d) states: a resolvent steps exactly like a trajectory, with the same
@@ -39,9 +39,10 @@ it integrates the density's mass.  Only the Poisson weight depends on n, so
 one adaptive Gauss-Kronrod (G10/K21) quadrature serves a whole sweep of n:
 its panels cover the union of their windows, each new panel's E values come
 from one array mittag_leffler call, and each n keeps its own error test.  A
-value that cannot meet its test raises AccuracyError.  The homogeneous
-impulse of the "poisson" solver variant equals Q_1^n, and the forced impulse
-of either variant equals h Q_alpha^n.
+value that cannot meet its test raises AccuracyError.  impulse_resolvent
+returns the "poisson" solver variant's pair for this scheme: d_n = Q_1^n
+for n >= 1 (d_0 = I), and D_n = h Q_alpha^n, which either variant's forced
+impulse equals.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,9 +102,19 @@ class ResolventSequence:
     def times(self) -> np.ndarray:
         return self.h * np.arange(self.n_max + 1)
 
+    @cached_property
+    def norm_d(self) -> np.ndarray:
+        """||d_n|| for n = 0..n_max (operator_norms), computed on first read."""
+        return operator_norms(self.d)
+
+    @cached_property
+    def norm_D(self) -> np.ndarray:
+        """||D_n|| for n = 0..n_max (operator_norms), computed on first read."""
+        return operator_norms(self.D)
+
 
 def impulse_resolvent(scheme_id: str, A, alpha: float, h: float, n_max: int) -> ResolventSequence:
-    """Extract (d_n, D_n) for an F-LMM or L1 scheme by impulse responses.
+    """Extract (d_n, D_n) for any of the five schemes by impulse responses.
 
     Column i of d_n is the homogeneous solve started from the basis vector
     e_i; column i of D_m is y_{m+1} of the solve with y_0 = 0 and forcing
@@ -110,22 +122,25 @@ def impulse_resolvent(scheme_id: str, A, alpha: float, h: float, n_max: int) -> 
     shifted by one step, is sum_{j=0}^{m} mu_j D_{m-j} = h^alpha A D_m for
     m >= 1 from D_0 = h^alpha M^{-1}, M = mu_0 I - h^alpha A: the homogeneous
     equation with a zero initial-value term, linear from the right, so
-    D_m = Z_m D_0 for its run Z from Z_0 = I.  d and Z step all basis columns at once as matrix states,
-    one batch of two runs through the solver's core and its one step
-    equation, which reads only the mu table.  A that is not square or not
-    finite raises ValueError, and a singular step matrix raises
-    SingularStepError.
+    D_m = Z_m D_0 for its run Z from Z_0 = I.  d and Z step all basis
+    columns at once as matrix states, one batch of two runs through the
+    solver's core and its one step equation, which reads only the mu table.
+    The alpha-difference scheme runs its "poisson" variant: d_n = Q_1^n for
+    n >= 1, while Q_1^0 = (I - h^alpha A)^{-1} is only the start z_0 of its
+    history, and Z, with a zero initial-value term and a history from Z_0,
+    is F-BDF1's, so D_n = h Q_alpha^n.  No blow-up guard applies.  A that is
+    not square or not finite raises ValueError, and a singular step matrix
+    raises SingularStepError.
     """
     scheme_id = wt.scheme_name(scheme_id)
-    if scheme_id == wt.ALPHA_DIFF:
-        raise ValueError(f"impulse_resolvent supports the F-LMM/L1 schemes, not {scheme_id!r}")
     _check_grid(h)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     A = _check_matrix(A)
     eye = np.eye(A.shape[0], dtype=complex)
-    run = _scheme_run(scheme_id, alpha, n_max)  # d's; Z's has a zero iv
-    [(dn, _), (Z, _)] = _run([run, run._replace(iv=np.zeros(n_max + 1))], A, h, n_max, eye)
+    run = _scheme_run(scheme_id, alpha, n_max, "poisson")  # d's; Z's has a zero iv
+    [(dn, _), (Z, _)] = _run([run, run._replace(iv=np.zeros(n_max + 1), z0=False)],
+                             A, h, n_max, eye)
     ha = h ** alpha
     return ResolventSequence(scheme_id, alpha, h, n_max, dn,
                              Z @ (ha * np.linalg.inv(run.weights.mu[0] * eye - ha * A)))
@@ -367,8 +382,7 @@ def verify_resolvent_decay(r: ResolventSequence) -> ResolventDecayReport:
     if t[-1] < 100.0:
         raise InsufficientRangeError(
             f"t_max = {t[-1]:g} < 100: need two decades past t = 1 for the fit")
-    nd = operator_norms(r.d)
-    nD = operator_norms(r.D)
+    nd, nD = r.norm_d, r.norm_D
     sel, slope_d, _ = fit_final_decade(t, nd, where=nD > 0)
     _, slope_D, log_c = fit_final_decade(t, nD, where=nd > 0)
     flat = np.ptp(nd[sel]) <= 1e-12 * np.max(nd[sel])

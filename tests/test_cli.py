@@ -444,18 +444,36 @@ class TestResolventCommand:
             (tmp_path / "resolvent_alpha_diff_a0.5_summary.json").read_text())
         assert summary["poisson_vs_impulse_max_dev"] is None
 
-    def test_alpha_diff_truncated_run_compared_in_range(self, tmp_path):
-        # the homogeneous run of lambda = 0.5 truncates at step 373, before
-        # the first compared n = 500
-        with pytest.warns(UserWarning, match="blow-up guard triggered at step 373"):
-            res = run_cli("resolvent", "--scheme", "alpha_diff", "--problem", "scalar",
-                          "--b", "-0.5", "--alpha", "0.5", "--h", "0.1", "--n-max", "1000",
-                          "--q-check", "1000", "--q-stride", "500", "--out", str(tmp_path))
+    def test_alpha_diff_growing_run_compared_in_range(self, tmp_path):
+        # the homogeneous run of lambda = 1 + 0.5i grows to |Q_1^1000 y0| = 2.3e32
+        # with no blow-up guard; at n = 500 and 1000 it is within 1.3e-11 of that
+        res = run_cli("resolvent", "--scheme", "alpha_diff", "--problem", "scalar",
+                      "--b", "-0.5", "--alpha", "0.5", "--h", "0.1", "--n-max", "1000",
+                      "--q-check", "1000", "--q-stride", "500", "--out", str(tmp_path))
         assert res.returncode == 0, res.stderr
         summary = json.loads(
             (tmp_path / "resolvent_alpha_diff_a0.5_summary.json").read_text())
-        assert summary["truncated_at"] == 373
-        assert summary["poisson_vs_impulse_max_dev"] is None
+        assert "truncated_at" not in summary
+        A = cli.problems.scalar_test(-0.5).A
+        q = abs(cli.rsv.poisson_resolvent(A, 0.5, 0.1, 1000, 1.0)[0, 0] * 5.0)
+        assert 1e32 < q and summary["poisson_vs_impulse_max_dev"] <= 1e-10 * q
+
+    def test_alpha_diff_writes_the_impulse_outputs(self, tmp_path):
+        # the same CSV, D_0 check and decay fit as the other schemes: d_n
+        # decays like t^-alpha and D_n like t^-(1+alpha)
+        res = run_cli("resolvent", "--scheme", "alpha_diff", "--alpha", "0.5",
+                      "--h", "0.1", "--problem", "scalar", "--b", "10",
+                      "--n-max", "1200", "--out", str(tmp_path))
+        assert res.returncode == 0
+        summary = json.loads(
+            (tmp_path / "resolvent_alpha_diff_a0.5_summary.json").read_text())
+        assert summary["D0_closed_form_dev"] < 1e-12
+        assert abs(summary["slope_d"] + 0.5) < 0.03
+        assert abs(summary["slope_D"] + 1.5) < 0.06
+        assert summary["poisson_vs_impulse_max_dev"] < 1e-6
+        header, rows = read_csv(tmp_path / "resolvent_alpha_diff_a0.5.csv")
+        assert header == ["n", "t", "norm_d", "norm_D"]
+        assert len(rows) == 1201 and rows[0][2] == "1"
 
     def test_alpha_diff_accuracy_failure_exit_code(self, tmp_path):
         # exp(z^(1/alpha)) in the Poisson integrand of Q_1^1000 overflows a double
@@ -504,7 +522,7 @@ class TestUsageErrors:
         ("solve", "--scheme", "fbdf1", "--h", "0.1", "--t-end", "5", "--checkpoints", "inf"),
         ("solve", "--scheme", "fbdf1", "--h", "0.1", "--t-end", "5", "--checkpoints", "2,nan"),
         ("solve", "--scheme", "fbdf1", "--h", "0.1", "--t-end", "5", "--checkpoints", "1,,2"),
-        ("resolvent", "--scheme", "alpha_diff", "--h", "0.1", "--n-max", "0"),
+        ("resolvent", "--scheme", "alpha_diff", "--h", "0.1", "--n-max", "-1"),
         ("region", "--scheme", "l1", "--n-theta", "9", "--svg"),
         ("solve", "--problem", "advection", "--a", "inf", "--scheme", "fbdf1", "--h", "0.1",
          "--n-steps", "20"),
@@ -626,15 +644,16 @@ class TestUsageErrors:
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["steps"] == 7
 
-    def test_alpha_diff_needs_a_step(self, tmp_path, capsys):
-        # the impulse schemes accept --n-max 0 (d_0 = I alone); alpha_diff
-        # steps at least once
-        argv = ["resolvent", "--alpha", "0.5", "--h", "0.1", "--n-max", "0"]
-        assert cli.main([*argv, "--scheme", "alpha_diff", "--out", str(tmp_path / "ad")]) == 2
-        assert capsys.readouterr().err == \
-            "error: --n-max must be at least 1 for --scheme alpha_diff, got 0\n"
-        assert not (tmp_path / "ad").exists()
-        assert cli.main([*argv, "--scheme", "fbdf1", "--out", str(tmp_path / "fbdf1")]) == 0
+    @pytest.mark.parametrize("scheme", ["fbdf1", "alpha_diff"])
+    def test_n_max_floor_is_zero(self, tmp_path, capsys, scheme):
+        # every scheme accepts --n-max 0 (d_0 = I alone) and refuses -1
+        argv = ["resolvent", "--scheme", scheme, "--alpha", "0.5", "--h", "0.1"]
+        assert cli.main([*argv, "--n-max", "-1", "--out", str(tmp_path / "neg")]) == 2
+        assert capsys.readouterr().err == "error: --n-max must be at least 0, got -1\n"
+        assert not (tmp_path / "neg").exists()
+        assert cli.main([*argv, "--n-max", "0", "--out", str(tmp_path / "zero")]) == 0
+        _, rows = read_csv(tmp_path / "zero" / f"resolvent_{scheme}_a0.5.csv")
+        assert rows == [["0", "0", "1", rows[0][3]]]
 
     def test_nan_t_end_named(self, tmp_path, capsys):
         # not numpy's "cannot convert float NaN to integer"

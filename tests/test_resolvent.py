@@ -24,19 +24,19 @@ LAM = np.array([[1 + 11j]])
 
 
 class TestImpulseExtraction:
-    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("scheme", wt.SCHEMES)
     def test_d0_is_identity(self, scheme):
         r = impulse_resolvent(scheme, LAM, 0.5, 0.1, 10)
         assert np.array_equal(r.d[0], np.eye(1))
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("scheme", wt.SCHEMES)
     @pytest.mark.parametrize("alpha", [0.4, 0.8])
     def test_D0_matches_closed_form_scalar(self, scheme, alpha):
         r = impulse_resolvent(scheme, LAM, alpha, 0.1, 4)
         ref = d0_closed_form(scheme, LAM, alpha, 0.1)
         assert np.max(np.abs(r.D[0] - ref)) < 1e-12 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("scheme", wt.SCHEMES)
     def test_D0_matches_closed_form_matrix(self, scheme):
         A = problems.lorenz_controlled().A
         r = impulse_resolvent(scheme, A, 0.5, 0.1, 4)
@@ -71,10 +71,6 @@ class TestImpulseExtraction:
         # checked up front: the inverse of the step matrix [[inf]] is [[0]]
         with pytest.raises(ValueError, match=message):
             impulse_resolvent(wt.FBDF1, np.array(A), 0.5, 0.1, 5)
-
-    def test_alpha_diff_not_supported(self):
-        with pytest.raises(ValueError):
-            impulse_resolvent(wt.ALPHA_DIFF, LAM, 0.5, 0.1, 4)
 
     @pytest.mark.parametrize("n_max", [-1, -2])
     def test_negative_range_rejected(self, n_max):
@@ -125,6 +121,38 @@ class TestImpulseExtraction:
             ref[n] = -np.dot(mu[n:0:-1], ref[:n]) / (mu[0] - ha * lam)
         err = np.abs(r.D[:, 0, 0] - ref) / np.abs(ref)
         assert np.max(err) <= 1e-10
+
+
+class TestAlphaDiffPair:
+    # the "poisson" variant's pair: d_n = Q_1^n for n >= 1 and F-BDF1's D
+    A_BOTH = (np.array([[-2.5]]), problems.lorenz_controlled(alpha=0.5).A)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("which", [0, 1], ids=["scalar", "lorenz"])
+    def test_D_is_fbdf1s_bit_for_bit(self, alpha, which):
+        A = self.A_BOTH[which]
+        r = impulse_resolvent(wt.ALPHA_DIFF, A, alpha, 0.1, 2000)
+        assert np.array_equal(r.D, impulse_resolvent(wt.FBDF1, A, alpha, 0.1, 2000).D)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("which", [0, 1], ids=["scalar", "lorenz"])
+    def test_d_is_fbdf1s_shifted(self, alpha, which):
+        # Q_1^n is F-BDF1's d_{n+1} (test_fbdf1_shift_identity): the two runs
+        # agree within 7.5e-15 max|d| over n_max = 2000
+        A = self.A_BOTH[which]
+        r = impulse_resolvent(wt.ALPHA_DIFF, A, alpha, 0.1, 2000)
+        f = impulse_resolvent(wt.FBDF1, A, alpha, 0.1, 2001)
+        assert np.max(np.abs(r.d[1:] - f.d[2:])) <= 1e-14 * np.max(np.abs(r.d))
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["scalar", "lorenz"])
+    def test_pair_is_the_poisson_transform(self, which):
+        A, alpha, h = self.A_BOTH[which], 0.5, 0.1
+        r = impulse_resolvent(wt.ALPHA_DIFF, A, alpha, h, 200)
+        ns = list(range(0, 201, 20))
+        q1 = poisson_resolvent(A, alpha, h, ns[1:], 1.0)
+        assert np.max(np.abs(q1 - r.d[ns[1:]])) < 1e-6
+        q_alpha = poisson_resolvent(A, alpha, h, ns, alpha)
+        assert np.max(np.abs(h * q_alpha - r.D[ns])) < 1e-6
 
 
 class TestOverflow:
