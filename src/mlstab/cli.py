@@ -268,8 +268,9 @@ def cmd_region(args) -> int:
 def cmd_resolvent(args) -> int:
     """The impulse resolvent pair of any scheme: its norms as CSV, and a
     summary with the D_0 check and the decay fit.  For alpha_diff the summary
-    also holds the largest |(Q_1^n - d_n) y0| over the strided n, computed
-    before anything is written."""
+    also holds the largest |(Q_1^n - d_n) y0| over the strided n, and that
+    divided by the largest |Q_1^n y0| there, computed before anything is
+    written."""
     if args.q_check < 0:
         raise ValueError(f"--q-check must be at least 0, got {args.q_check}")
     if args.q_stride < 1:
@@ -284,8 +285,12 @@ def cmd_resolvent(args) -> int:
     if args.scheme == wt.ALPHA_DIFF:  # d_n = Q_1^n for n >= 1, checked before any write
         ns = list(range(args.q_stride, min(args.n_max, args.q_check) + 1, args.q_stride))
         q = rsv.poisson_resolvent(prob.A, args.alpha, args.h, ns, 1.0)
-        summary["poisson_vs_impulse_max_dev"] = (
-            float(np.max(np.abs((q - r.d[ns]) @ prob.y0))) if ns else None)
+        dev = scale = None
+        if ns:
+            dev = float(np.max(np.abs((q - r.d[ns]) @ prob.y0)))
+            scale = float(np.max(np.abs(q @ prob.y0)))
+        summary["poisson_vs_impulse_max_dev"] = dev
+        summary["poisson_vs_impulse_max_rel_dev"] = dev / scale if scale else None
     meta = _meta_line(cmd="resolvent", scheme=args.scheme, alpha=args.alpha, h=args.h)
     stem = f"resolvent_{args.scheme}_a{args.alpha:g}"
     _write(args.out, stem + ".csv",

@@ -19,11 +19,11 @@ _scheme_run, with h^alpha from weights.alpha, so each run of a batch has its
 own.  Every step solves a linear system with the constant matrix
 M = mu_0 I - h^alpha A, whose inverse is formed once per run with
 np.linalg.inv (stacked over the runs of a batch).  A run is real when f is
-None and A and y0 are real: it steps d real rows.  Every other run steps
-each complex row of its states as a pair of real rows (Re, Im), and its
-complex matrices act through their real (2 d) x (2 d) forms, so every
-product and FFT of the core is real; the complex states are returned as
-before.  A nonlinear step is solved on
+None and A and y0 are real: its states, M^{-1} and leaf resolvents are
+float.  Every other run steps complex states with complex matrices.  The
+history sums, whose weights mu are real, read every state as the float
+view of its entries, so each of their products and FFTs is real; the
+states are returned complex.  A nonlinear step is solved on
 complex vectors by the chord (simplified Newton) iteration, for each run of
 a batch on its own: each step starts from the linear predictor
 M^{-1} (rhs + h^alpha f_last), f_last the f value of the run's own last
@@ -251,11 +251,9 @@ class _ImplicitStep:
     The inverses are formed once by np.linalg.inv, as in the chord iteration
     (scipy's LU wakes the second thread of scipy's own BLAS, which then spins
     through the run); a singular or non-finite M_b raises SingularStepError.
-    A linear step (f None) is one real product with Minv_r, which _run applies
-    itself: Minv_r stacks the real forms of M_b^{-1}, M_b^{-1} itself when M
-    is real, else its (2 d) x (2 d) form acting on (re, im) row pairs
-    (_real_matrix), and the states sit in the same real rows, (B, r, 1) or
-    (B, r, d).  f is handled on the complex
+    A linear step (f None) is one product with Minv, the (B, d, d) stack of
+    the M_b^{-1} in M's own dtype, which _run applies itself to the states,
+    (B, d, 1) or (B, d, d), of the same dtype.  f is handled on the complex
     (B, d) states by the chord (simplified Newton) iteration, each run on its
     own.  It starts from the linear predictor M_b^{-1} (rhs_b + cf_b f_b),
     f_b the f value of run b's own final iteration of the step before, kept
@@ -286,9 +284,8 @@ class _ImplicitStep:
             raise singular from None
         if not (np.all(np.isfinite(M)) and np.all(np.isfinite(Minv))):
             raise singular
-        self.Minv_r = Minv if M.dtype == float else _real_matrix(Minv)
+        self.Minv = Minv
         if f is not None:
-            self.Minv = Minv  # the predictor's
             # the iterate and its step, as (B, d, 1) columns, for advance
             self._work = np.empty((2,) + M.shape[:-1] + (1,), dtype=complex)
             self._work_rows = self._work.view(float).reshape(2 * len(M), -1)
@@ -449,39 +446,6 @@ class _ImplicitStep:
         return fy, (F[:, 1:] - fy[:, None]).swapaxes(1, 2) / dy[:, None, :]
 
 
-def _real_matrix(P: np.ndarray) -> np.ndarray:
-    """The real (2 d) x (2 d) form of a complex d x d matrix P, or of each of a
-    stack (..., d, d): it maps the (re, im) row pairs of Z to those of P Z,
-    entry (i, j) becoming the block [[Re P_ij, -Im P_ij], [Im P_ij, Re P_ij]]."""
-    lead, d = P.shape[:-2], P.shape[-1]
-    R = np.empty(lead + (d, 2, d, 2))
-    R[..., :, 0, :, 0] = R[..., :, 1, :, 1] = P.real
-    R[..., :, 0, :, 1] = -P.imag
-    R[..., :, 1, :, 0] = P.imag
-    return R.reshape(lead + (2 * d, 2 * d))
-
-
-def _real_rows(Z: np.ndarray, real: bool) -> np.ndarray:
-    """A complex state Z, (d,) or (d, d), in the real rows of a run: Z.real
-    for a real run, else each row of Z as the pair of rows (Re, Im)."""
-    if real:
-        return Z.real
-    R = np.empty((Z.shape[0], 2) + Z.shape[1:])
-    R[:, 0], R[:, 1] = Z.real, Z.imag
-    return R.reshape((-1,) + Z.shape[1:])
-
-
-def _complex_states(X: np.ndarray, real: bool) -> np.ndarray:
-    """The complex states of the real rows X, (n, r) or (n, r, d), of a run:
-    a view for complex vectors, else one copy."""
-    if real:
-        return X.astype(complex)
-    if X.ndim == 2:
-        return X.view(complex)
-    n, r, d = X.shape
-    return np.ascontiguousarray(X.reshape(n, d, 2, d).swapaxes(2, 3)).view(complex)[..., 0]
-
-
 def _norms(V: np.ndarray) -> list[float]:
     """Euclidean norm of each row of the (B, k) float array V, the same value
     for the same row: the square root of its dot product, scaled
@@ -497,46 +461,47 @@ def _no_convergence(step: int) -> NonConvergenceError:
 
 
 def _resolvent_blocks(Minv: np.ndarray, mus: np.ndarray, L: int) -> np.ndarray:
-    """G_0 .. G_{L-1}, (B, L, r, r), each run's discrete resolvent: the
+    """G_0 .. G_{L-1}, (B, L, d, d), each run's discrete resolvent: the
     coefficients of (M + sum_{j>=1} mu_j z^j)^{-1}, G_0 = M^{-1} and
-    G_k = -M^{-1} sum_{j=1}^{k} mu_j G_{k-j}, from the runs' (B, r, r) real
-    M^{-1} and their weights mus, (B, >= L).  A G_k that overflows is not
-    finite.
+    G_k = -M^{-1} sum_{j=1}^{k} mu_j G_{k-j}, from the runs' (B, d, d)
+    M^{-1}, real or complex, and their weights mus, (B, >= L); the G_k have
+    M^{-1}'s dtype.  A G_k that overflows is not finite.
 
-    The recurrence runs once for the batch, over (B, r, r) stacks, with one
+    The recurrence runs once for the batch, over (B, d, d) stacks, with one
     matmul over the lags per k; a stack's matmul is that of each run alone.
-    It runs in np.longdouble (80-bit on x86; plain double where the platform
-    has no wider type): its sums cancel, and in double their rounding,
-    carried through the leaf, reached 1.5e-12 of max ||y_n|| on an
-    A = V B V^{-1} with cond(V) = 554 (F-BDF1, d = 4), where stepping the
-    leaf with the same M^{-1} stays within 4.3e-13.
+    It runs in np.longdouble, or np.clongdouble for a complex M^{-1} (80-bit
+    on x86; plain double where the platform has no wider type): its sums
+    cancel, and in double their rounding, carried through the leaf, reached
+    1.5e-12 of max ||y_n|| on an A = V B V^{-1} with cond(V) = 554 (F-BDF1,
+    d = 4), where stepping the leaf with the same M^{-1} stays within
+    4.3e-13.
     """
-    B, r = Minv.shape[:2]
-    G = np.empty((B, max(L, 1), r, r), dtype=np.longdouble)  # G_0 also for a run of no steps
+    B, d = Minv.shape[:2]
+    wide = np.clongdouble if np.iscomplexobj(Minv) else np.longdouble
+    G = np.empty((B, max(L, 1), d, d), dtype=wide)  # G_0 also for a run of no steps
     G[:, 0] = Minv
-    lags = G.reshape(B, -1, r * r)
+    lags = G.reshape(B, -1, d * d)
     mux = mus[:, None, :L].astype(np.longdouble)  # (B, 1, L)
     for k in range(1, L):
-        G[:, k] = -G[:, 0] @ np.matmul(mux[..., k:0:-1], lags[:, :k]).reshape(B, r, r)
-    return G.astype(float)
+        G[:, k] = -G[:, 0] @ np.matmul(mux[..., k:0:-1], lags[:, :k]).reshape(B, d, d)
+    return G.astype(Minv.dtype)
 
 
 def _leaf_resolvents(Minv: np.ndarray, mus: np.ndarray, L: int) -> np.ndarray | None:
     """The block lower-triangular Toeplitz matrices of each run's G_0 .. G_{L-1}
-    (_resolvent_blocks).  Minv, (B, r, r), stacks the real forms of the runs'
-    M^{-1} (_ImplicitStep.Minv_r), so every G_k is the real form of its
-    complex coefficient, and block (i, j) of run b's real (L r) x (L r)
-    matrix is its G_{i-j}, zero above the diagonal: (B, L r, L r) in all.
-    None when a G_k of any run overflows: the batch then steps its leaves,
-    and fails where it would without them."""
-    B, r = Minv.shape[:2]
+    (_resolvent_blocks) from the runs' (B, d, d) M^{-1} (_ImplicitStep.Minv),
+    in its dtype: block (i, j) of run b's (L d) x (L d) matrix is its
+    G_{i-j}, zero above the diagonal, (B, L d, L d) in all.  None when a G_k
+    of any run overflows: the batch then steps its leaves, and fails where
+    it would without them."""
+    B, d = Minv.shape[:2]
     G = _resolvent_blocks(Minv, mus, L)
     if not np.all(np.isfinite(G)):
         return None
-    T = np.zeros((B, L, r, L, r))  # T[:, i, :, j] = G_{i-j}
+    T = np.zeros((B, L, d, L, d), dtype=G.dtype)  # T[:, i, :, j] = G_{i-j}
     for i in range(L):
         T[:, i, :, :i + 1] = G[:, i::-1].swapaxes(1, 2)
-    return T.reshape(B, L * r, L * r)
+    return T.reshape(B, L * d, L * d)
 
 
 def _leaf_spectra(Minv: np.ndarray, mus: np.ndarray) -> tuple[np.ndarray, list[bool]]:
@@ -627,48 +592,48 @@ def _run(runs: Sequence[_Run], A: np.ndarray, h: float, N: int, Y0: np.ndarray,
     others run on.  A step that fails in any run raises, as that run alone
     would.
 
-    The runs are real when f is None and A and Y0 have no imaginary part:
-    their states are r = d real rows.  Every other batch keeps each complex
-    row as the pair of real rows (Re, Im), r = 2 d, so that a complex vector
-    state is the float view of its complex values (Newton works on that
-    view) and the step and leaf products are real products of (2 d)-row
-    matrices.  The real states form one array, (N + 1, B, r, 1) (a vector
-    state is one column) or (N + 1, B, r, d), whose row n, for every run,
-    accumulates the right-hand side iv_n Y0 - S_n until
+    The runs are real when f is None and A and Y0 have no imaginary part,
+    and their states are float; every other batch steps complex states, with
+    complex M^{-1} and leaf resolvents.  The states form one array,
+    (N + 1, B, d, 1) (a vector state is one column) or (N + 1, B, d, d), whose
+    row n, for every run, accumulates the right-hand side iv_n Y0 - S_n until
     step n overwrites it with Y_n, so the history needs no array of its own.
-    The rows start at iv_n Y0 - mu_n H_0, and the steps follow _blocks: a
-    finished half block's share of S reaches the next half by one of two
-    products, each exact up to rounding.  A merge (lo, mid, hi) with
-    hi - lo <= _DIRECT_MERGE is direct: rows mid..hi-1 of each run b lose
-    T_b times its rows lo..mid-1, T_b[i, j] = mu_b[mid - lo + i - j], one
-    stacked matmul whose C-ordered T (kept per (mid - lo, hi - mid) within
-    the run) makes each run's product the BLAS product it makes alone.  A
-    larger merge goes through one real FFT of the half block's rows,
-    multiplied by the table of the runs' mu spectra (mu is real).  The sums
-    cost O(N log^2 N); a run of 20005 steps makes 384 of its 511 merges
-    direct.
+    The mu-products (the merges and the in-leaf history) and the guard's
+    norms read each state as one row of floats, the float view of its
+    entries (mu is real).  The rows start at iv_n Y0 - mu_n H_0, and the
+    steps follow _blocks: a finished half block's share of S reaches the
+    next half by one of two products, each exact up to rounding.  A merge
+    (lo, mid, hi) with hi - lo <= _DIRECT_MERGE is direct: rows mid..hi-1
+    of each run b lose T_b times its rows lo..mid-1,
+    T_b[i, j] = mu_b[mid - lo + i - j], one stacked matmul whose C-ordered T
+    (kept per (mid - lo, hi - mid) within the run) makes each run's product
+    the BLAS product it makes alone.  A larger merge goes through one real
+    FFT of the half block's rows, multiplied by the table of the runs' mu
+    spectra (mu is real).  The sums cost O(N log^2 N); a run of 20005 steps
+    makes 384 of its 511 merges direct.
 
     When a leaf [lo, hi) starts, its rows R_n hold every history term from
     steps before lo.  A linear batch with _stacked(d) then solves the leaf at
     once, Y_{lo+i} = sum_{k<=i} G_k R_{lo+i-k} with each run's discrete
     resolvent G (_leaf_resolvents): one product of the resolvent matrix's
-    top-left corner with the leaf's states stacked into L r rows.  The
+    top-left corner with the leaf's states stacked into L d rows.  The
     solved leaf is tested whole first, as a step tests its state: the norm
     of all its rows, one dot product, within the guard's bound passes every
     row.  Only a leaf that fails it is tested row by row: a run's first row
-    with a non-finite entry, or with a norm above guard, ends it as the same
-    step would have, and a finite row whose squares overflow is scaled
-    (_row_norms).  A nonlinear batch of a real A with _stacked(d) solves
-    each leaf after its first by sweeps instead (_ImplicitStep.sweep, each
-    run's G from _leaf_spectra), Y = G (R + h^alpha F(Y)) until every step
-    of the leaf passes the chord test, and tests the solved leaf in the same
-    way.  A run whose sweeps stop contracting keeps its rows R and steps the
-    leaf, alone or with the others that do, while the solved runs keep
-    theirs.  Other batches, and a linear batch in which a run's resolvent
-    overflows, step the leaf, adding the in-leaf history directly.  The
-    products of the batch are stacked matrix products, and the sweeps' FFTs
-    and spectral products act on each run's rows alone, the same arithmetic
-    for each run as for that run alone.
+    with a non-finite entry, or with a norm above guard, ends it, and a
+    finite row whose squares overflow is scaled (_row_norms).  A stepped
+    leaf tests each step's states in the same way.  A nonlinear batch of a
+    real A with _stacked(d) solves each leaf after its first by sweeps
+    instead (_ImplicitStep.sweep, each run's G from _leaf_spectra),
+    Y = G (R + h^alpha F(Y)) until every step of the leaf passes the chord
+    test, and tests the solved leaf in the same way.  A run whose sweeps stop
+    contracting keeps its rows R and steps the leaf, alone or with the
+    others that do, while the solved runs keep theirs.  Other batches, and
+    a linear batch in which a run's resolvent overflows, step the leaf,
+    adding the in-leaf history directly.  The products of the batch are
+    stacked matrix products, and the sweeps' FFTs and spectral products act
+    on each run's rows alone, the same arithmetic for each run as for that
+    run alone.
     """
     B = len(runs)
     mus = np.stack([run.weights.mu[:N + 1] for run in runs])
@@ -679,55 +644,46 @@ def _run(runs: Sequence[_Run], A: np.ndarray, h: float, N: int, Y0: np.ndarray,
     eye = np.eye(d)
     step = _ImplicitStep(mus[:, 0, None, None] * eye - has[:, None, None] * (A.real if real else A),
                          has, f)
+    Minv = step.Minv
     G = None  # the resolvent matrices of a linear batch's leaves
     if f is None and _stacked(d):
         with np.errstate(over="ignore", invalid="ignore"):  # None if a G overflows
-            G = _leaf_resolvents(step.Minv_r, mus, min(_LEAF, N))
+            G = _leaf_resolvents(Minv, mus, min(_LEAF, N))
     spectra = None  # the leaf resolvents of a nonlinear batch's sweeps
     if f is not None and _stacked(d) and N > _LEAF and not np.any(A.imag):
         with np.errstate(over="ignore", invalid="ignore"):  # a run whose G overflows steps
-            spectra = _leaf_spectra(step.Minv.real, mus)
+            spectra = _leaf_spectra(Minv.real, mus)
     revs = np.ascontiguousarray(mus[:, None, :0:-1])  # mu_N .. mu_1 of each run, (B, 1, N)
     mu_hat = {}  # rfft of each run's mu per FFT length
     toeplitz = {}  # the direct merges' matrices per (mid - lo, hi - mid)
 
-    X0 = _real_rows(Y0, real)
-    r = X0.shape[0]
+    X0 = np.ascontiguousarray(Y0.real if real else Y0, dtype=float if real else complex)
     if any(run.z0 for run in runs):
         F0 = 0.0 if f is None else np.asarray(f(0.0, Y0))
-    H0 = np.stack([Minv @ _real_rows(Y0 + ha * F0, real) if run.z0 else X0
-                   for run, Minv, ha in zip(runs, step.Minv_r, has)])
-    X = np.empty((N + 1, B, r, Y0.size // d))  # a vector state is one column
+    H0 = np.stack([Mb @ (X0 + ha * F0) if run.z0 else X0 for run, Mb, ha in zip(runs, Minv, has)])
+    X = np.empty((N + 1, B, d, Y0.size // d), dtype=X0.dtype)  # a vector state is one column
     Xr = X[..., 0] if Y0.ndim == 1 else X  # the states in their own shape
-    Xf = X.reshape(N + 1, B, -1)  # one real row per state
+    Xb = X.swapaxes(0, 1)  # the states of each run
+    Xf = X.reshape(N + 1, B, -1).view(float)  # one row of floats per state
     Xs = Xf.swapaxes(0, 1)  # the rows of each run
-    Xm = X.reshape(N + 1, B, 1, -1)  # each run's row as a 1-row matrix
-    Xv = X.reshape(N + 1, -1)  # all runs' rows as one vector
-    np.multiply(ivs.T[1:, :, None], X0.ravel(), out=Xf[1:])
-    Xf[1:] -= mus.T[1:, :, None] * H0.reshape(B, Xf.shape[2])
+    Xm = Xf.reshape(N + 1, B, 1, -1)  # each run's row as a 1-row matrix
+    Xv = Xf.reshape(N + 1, -1)  # all runs' rows as one vector
+    np.multiply(ivs.T[1:, :, None], X0.reshape(-1).view(float), out=Xf[1:])
+    Xf[1:] -= mus.T[1:, :, None] * H0.reshape(B, -1).view(float)
     Xr[0] = X0
-    S = None if f is None else Xf.view(complex)  # the complex vector states Newton works on
-    Minv_r = step.Minv_r
     live = list(range(B))  # the runs not yet ended
     out: list = [None] * B
     # the batch's norm bounds each run's; a relative margin covers its rounding
     bound = np.finfo(float).max if guard is None else (1.0 - 1e-12) * guard
 
-    def stop(b: int, n: int) -> None:
-        """End run b at step n: raise if its state there is not finite."""
-        if not np.all(np.isfinite(Xf[n, b])):
-            raise SolverError(f"non-finite state at step {n}", n)
-        out[b] = _complex_states(Xr[:n + 1, b].copy(), real), n
-        X[:, b] = 0.0
-        live.remove(b)
-
-    def check(lo: int, hi: int) -> None:
-        """Test the solved leaf [lo, hi) against the guard: the norm of all its
-        rows first, as a step tests its state; only a leaf that fails it is
-        tested row by row, and each run's first row that ends it stops it."""
+    def check(lo: int, hi: int) -> bool:
+        """Test the states of steps [lo, hi) against the guard: the norm of all
+        their rows first; only when that fails is each row tested, and each
+        run's first row that fails ends it there (its state must be finite,
+        else SolverError).  Whether every row passed."""
         v = Xv[lo:hi].ravel()
-        if math.sqrt(v @ v) <= bound:  # the leaf's norm bounds each row's, as in a step
-            return
+        if math.sqrt(v @ v) <= bound:  # the norm of all rows bounds each row's
+            return True
         rows = Xf[lo:hi].reshape((hi - lo) * B, Xf.shape[2])
         if guard is None:
             ends = ~np.isfinite(rows).all(axis=1)
@@ -736,7 +692,13 @@ def _run(runs: Sequence[_Run], A: np.ndarray, h: float, N: int, Y0: np.ndarray,
         for i in np.flatnonzero(ends):  # in step order
             n, b = divmod(int(i), B)
             if b in live:
-                stop(b, lo + n)
+                n += lo
+                if not np.all(np.isfinite(Xf[n, b])):
+                    raise SolverError(f"non-finite state at step {n}", n)
+                out[b] = np.array(Xr[:n + 1, b], dtype=complex), n
+                X[:, b] = 0.0
+                live.remove(b)
+        return not ends.any()
 
     with np.errstate(over="ignore", invalid="ignore"):  # the non-finite test names the step
         for lo, mid, hi in _blocks(1, N + 1):
@@ -758,41 +720,35 @@ def _run(runs: Sequence[_Run], A: np.ndarray, h: float, N: int, Y0: np.ndarray,
                 continue
             if G is not None:
                 L = hi - lo
-                leaf = Xs[:, lo:hi].reshape(B, L * r, X.shape[3])
-                Xs[:, lo:hi] = (G[:, :L * r, :L * r] @ leaf).reshape(B, L, Xf.shape[2])
+                leaf = Xb[:, lo:hi].reshape(B, L * d, X.shape[3])
+                Xb[:, lo:hi] = (G[:, :L * d, :L * d] @ leaf).reshape(B, L, d, X.shape[3])
                 check(lo, hi)
             else:
                 swept = spectra is not None and lo > 1
                 # the runs that step the leaf: every live run, or those its sweeps leave
-                steps = step.sweep(S[lo:hi], lo, h, live, spectra) if swept else live
+                steps = step.sweep(Xr[lo:hi], lo, h, live, spectra) if swept else live
                 for m in range(lo, hi) if steps else ():
                     if swept:  # the solved runs keep their rows
                         Xm[m, steps] -= revs[steps, :, N - m + lo:] @ Xs[steps, lo:m]
                     else:  # ended runs' rows are zero and stay zero
                         Xm[m] -= revs[..., N - m + lo:] @ Xs[:, lo:m]
                     if f is None:
-                        X[m] = Minv_r @ X[m]
+                        X[m] = Minv @ X[m]
                     else:
-                        y = step.advance(S[m], m * h, m, steps, S[0] if m == 1 else None)
+                        y = step.advance(Xr[m], m * h, m, steps, Xr[0] if m == 1 else None)
                         if len(steps) == B:
-                            S[m] = y
+                            Xr[m] = y
                         else:
-                            S[m, steps] = y[steps]
-                    v = Xv[m]
-                    if not math.sqrt(v @ v) <= bound:  # or the squares overflow: test each run
-                        xf, ny = Xf[m], _norms(Xf[m])
-                        for b in [b for b in steps if not (np.all(np.isfinite(xf[b])) and
-                                                           (guard is None or ny[b] <= guard))]:
-                            stop(b, m)
-                            if swept:  # else steps is live, which stop updates
-                                steps.remove(b)
+                            Xr[m, steps] = y[steps]
+                    if not check(m, m + 1):
+                        steps = [b for b in steps if b in live]
                         if not steps:
                             break
                 if swept:
                     check(lo, hi)
             if not live:
                 return out
-    return [(_complex_states(np.ascontiguousarray(Xr[:, b]), real), None) if o is None else o
+    return [(np.ascontiguousarray(Xr[:, b], dtype=complex), None) if o is None else o
             for b, o in enumerate(out)]
 
 

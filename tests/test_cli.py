@@ -458,6 +458,21 @@ class TestResolventCommand:
         q = abs(cli.rsv.poisson_resolvent(A, 0.5, 0.1, 1000, 1.0)[0, 0] * 5.0)
         assert 1e32 < q and summary["poisson_vs_impulse_max_dev"] <= 1e-10 * q
 
+    def test_alpha_diff_relative_deviation(self, tmp_path):
+        # the same growing run: an absolute deviation of about 3e21 is a
+        # relative one of about 1e-11, against the largest |Q_1^n y0| compared
+        res = run_cli("resolvent", "--scheme", "alpha_diff", "--problem", "scalar",
+                      "--b", "-0.5", "--alpha", "0.5", "--h", "0.1", "--n-max", "1000",
+                      "--q-check", "1000", "--q-stride", "500", "--out", str(tmp_path))
+        assert res.returncode == 0, res.stderr
+        summary = json.loads(
+            (tmp_path / "resolvent_alpha_diff_a0.5_summary.json").read_text())
+        A = cli.problems.scalar_test(-0.5).A
+        q = cli.rsv.poisson_resolvent(A, 0.5, 0.1, [500, 1000], 1.0)[:, 0, 0] * 5.0
+        dev, rel = summary["poisson_vs_impulse_max_dev"], summary["poisson_vs_impulse_max_rel_dev"]
+        assert 1e20 < dev and rel <= 1e-10
+        assert rel == pytest.approx(dev / np.max(np.abs(q)), rel=1e-12)
+
     def test_alpha_diff_writes_the_impulse_outputs(self, tmp_path):
         # the same CSV, D_0 check and decay fit as the other schemes: d_n
         # decays like t^-alpha and D_n like t^-(1+alpha)

@@ -280,8 +280,8 @@ class TestNonlinear:
 
 class TestLinearStep:
     # the constant step matrix of a linear run of dimension d > 4, which steps
-    # its leaves, against a direct solve: a real M acts on the d real rows of
-    # a real run, a complex M on the (re, im) row pairs of a complex one
+    # its leaves, against a direct solve: M^{-1} is d x d in M's own dtype,
+    # float for a real run and complex for a complex one
     @pytest.mark.parametrize("d", [5, 8])
     @pytest.mark.parametrize("shape", ["vector", "matrix"])
     def test_step_is_exact(self, d, shape):
@@ -302,15 +302,8 @@ class TestLinearStep:
                 M = M.real
             step = slv._ImplicitStep(M, 0.1 ** 0.5, None)
             ref = np.linalg.solve(M, rhs)
-            if field is float:
-                got = step.Minv_r @ rhs
-                assert step.Minv_r.shape == (d, d)
-            else:  # row i of a state is rows 2i (re) and 2i + 1 (im)
-                rows = np.stack([rhs.real, rhs.imag], axis=1).reshape((2 * d,) + dims[1:])
-                out = step.Minv_r @ rows
-                got = out[0::2] + 1j * out[1::2]
-                assert step.Minv_r.shape == (2 * d, 2 * d)
-            assert step.Minv_r.dtype == float
+            got = step.Minv @ rhs
+            assert step.Minv.shape == (d, d) and step.Minv.dtype == field
             assert got.shape == ref.shape and got.dtype == ref.dtype
             assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -561,23 +554,29 @@ class TestLeafProducts:
         assert traj.truncated_at == stop == 41
         _assert_close(traj.states, ref)
 
-    @pytest.mark.parametrize("r", [1, 2])
-    def test_batched_builder_is_the_per_run_recurrence(self, r):
+    @pytest.mark.parametrize("r, field", [pytest.param(1, float, id="1"),
+                                          pytest.param(2, float, id="2"),
+                                          pytest.param(2, complex, id="2-complex")])
+    def test_batched_builder_is_the_per_run_recurrence(self, r, field):
         # the resolvents of a batch of 8 runs, built in one recurrence,
-        # against each run's own in np.longdouble, bit for bit
+        # against each run's own in np.longdouble (np.clongdouble for a
+        # complex M^{-1}), bit for bit
         rng = np.random.default_rng(r)
         Minv = rng.standard_normal((8, r, r))
+        if field is complex:
+            Minv = Minv + 1j * rng.standard_normal((8, r, r))
+        wide = np.clongdouble if field is complex else np.longdouble
         mus = np.stack([wt.scheme_weights(s, a, 100).mu for s in SCHEMES for a in (0.3, 0.7)])
         L = _LEAF
         G = slv._leaf_resolvents(Minv, mus, L)
-        assert G.shape == (8, L * r, L * r)
+        assert G.shape == (8, L * r, L * r) and G.dtype == field
         for b in range(8):
             mu = mus[b].astype(np.longdouble)
-            Gk = [Minv[b].astype(np.longdouble)]
+            Gk = [Minv[b].astype(wide)]
             for k in range(1, L):
                 Gk.append(-Gk[0] @ np.tensordot(mu[k:0:-1], np.stack(Gk), axes=1))
-            zero = np.zeros((r, r))
-            ref = np.block([[Gk[i - j].astype(float) if j <= i else zero for j in range(L)]
+            zero = np.zeros((r, r), dtype=field)
+            ref = np.block([[Gk[i - j].astype(field) if j <= i else zero for j in range(L)]
                             for i in range(L)])
             assert np.array_equal(G[b], ref)
 
@@ -607,8 +606,10 @@ class TestLeafProducts:
                                             ("nonlinear", 2), ("impulse", 1)])
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_step_matrix_form(self, case, rows, d, monkeypatch):
-        # a real linear run steps d real rows, any other run the (re, im)
-        # row pairs of its complex states
+        # a real linear run steps float states with a float M^{-1}, any other
+        # run complex states with a complex one, whose entries the
+        # mu-products read as rows = 2 floats each
+        field = float if rows == 1 else complex
         steps = []
         init = slv._ImplicitStep.__init__
         monkeypatch.setattr(slv._ImplicitStep, "__init__",
@@ -622,13 +623,13 @@ class TestLeafProducts:
                             f=f)
             traj = solve(p, wt.FBDF1, 0.1, 10)
             assert traj.states.dtype == complex
-            if rows == 1:
+            if field is float:
                 assert not traj.states.imag.any()
-        # a single run is a batch of one: its inverses stack to (1, r, r); the
+        # a single run is a batch of one: its inverses stack to (1, d, d); the
         # impulse resolvents step (d_n, Z_n) as one batch of two
         B = 2 if case == "impulse" else 1
-        assert steps and all(s.Minv_r.shape == (B, rows * d, rows * d) for s in steps)
-        assert all(s.Minv_r.dtype == float for s in steps)
+        assert steps and all(s.Minv.shape == (B, d, d) for s in steps)
+        assert all(s.Minv.dtype == field for s in steps)
 
     @settings(max_examples=80, deadline=None)
     @given(d=st.integers(1, 4), case=st.sampled_from(
